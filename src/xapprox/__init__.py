@@ -7,7 +7,6 @@ from .errors import (
     DivergentAtZero,
     InvalidPointMass,
     InvalidSigma,
-    NonFiniteOffset,
     QuadratureNonConvergence,
     SeriesNonConvergence,
     UnknownCheckName,
@@ -17,21 +16,20 @@ from .quadrature import (
     QuadratureConfig,
     gauss_panel,
     integrate_cells_abs,
-    integrate_circle_signed,
     integrate_ray,
 )
 from .series import averaged_alternating, catalan, dirichlet_beta
 from .measures import (
-    DilationParam,
     HaarLog,
     PointMasses,
     PowerSigma,
+    TargetForm,
     f_mu,
-    f_mu_dilated_offset,
     gamma_one_minus,
     integrate_measure,
     measure_from_json,
     measure_to_json,
+    power_l1_constant,
     validate,
 )
 from .expkernel import (
@@ -41,6 +39,7 @@ from .expkernel import (
     error_exp,
     error_exp_integral_oracle,
     eval_K,
+    eval_p,
     k_value_at_zero,
     l1_error_exp,
     l1_error_exp_quadrature,
@@ -48,14 +47,12 @@ from .expkernel import (
 from .entire import (
     EntireApproximant,
     SeriesControl,
-    TargetForm,
     error_fourier_transform,
     error_mu_pointwise,
     eval_K_mu,
     l1_error_mu,
     l1_error_mu_quadrature,
     l1_error_mu_raw,
-    power_l1_constant,
 )
 from .periodic import (
     ExpPeriodized,
@@ -65,7 +62,6 @@ from .periodic import (
     build_k_mu,
     circle_l1_abs,
     dual_lower_bound_periodic,
-    eval_p,
     eval_q_mu,
     interpolation_oracle,
     l1_vs_log_circle,
@@ -90,27 +86,26 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # errors
-    "XapproxError", "InvalidSigma", "InvalidPointMass", "NonFiniteOffset",
+    "XapproxError", "InvalidSigma", "InvalidPointMass",
     "QuadratureNonConvergence", "SeriesNonConvergence", "DivergentAtZero",
     "UnknownCheckName",
     # numerics
-    "QuadratureConfig", "integrate_ray", "integrate_circle_signed",
-    "gauss_panel", "integrate_cells_abs",
+    "QuadratureConfig", "integrate_ray", "gauss_panel", "integrate_cells_abs",
     "averaged_alternating", "dirichlet_beta", "catalan",
     # measures
-    "PointMasses", "HaarLog", "PowerSigma", "DilationParam", "validate",
-    "f_mu", "f_mu_dilated_offset", "gamma_one_minus", "integrate_measure",
+    "PointMasses", "HaarLog", "PowerSigma", "TargetForm", "validate", "f_mu",
+    "gamma_one_minus", "power_l1_constant", "integrate_measure",
     "measure_to_json", "measure_from_json",
     # single-exponential kernel
     "ExpKernel", "eval_K", "k_value_at_zero", "K_hat", "l1_error_exp",
     "error_exp", "error_exp_integral_oracle", "dual_lower_bound_exp",
-    "l1_error_exp_quadrature",
+    "l1_error_exp_quadrature", "eval_p",
     # measure-integrated approximants
-    "EntireApproximant", "TargetForm", "SeriesControl", "eval_K_mu",
-    "error_mu_pointwise", "l1_error_mu_raw", "l1_error_mu",
-    "l1_error_mu_quadrature", "error_fourier_transform", "power_l1_constant",
+    "EntireApproximant", "SeriesControl", "eval_K_mu", "error_mu_pointwise",
+    "l1_error_mu_raw", "l1_error_mu", "l1_error_mu_quadrature",
+    "error_fourier_transform",
     # periodic
-    "TrigPoly", "ExpPeriodized", "MeasurePeriodized", "eval_p", "p_hat",
+    "TrigPoly", "ExpPeriodized", "MeasurePeriodized", "p_hat",
     "q_hat_mu", "eval_q_mu", "build_k", "build_k_mu", "periodic_l1_error",
     "periodic_l1_error_mu", "interpolation_oracle", "dual_lower_bound_periodic",
     "circle_l1_abs", "refined_sign_nodes", "periodic_l1_quadrature",

@@ -23,28 +23,18 @@ import numpy as np
 
 from ._stable import sinpi
 from .errors import DivergentAtZero, UnknownCheckName, XapproxError
-from .expkernel import ExpKernel, eval_K, l1_error_exp, l1_error_exp_quadrature
+from .expkernel import ExpKernel, eval_K, eval_p, l1_error_exp, l1_error_exp_quadrature
 from .entire import (
     EntireApproximant,
-    TargetForm,
     eval_K_mu,
     l1_error_mu,
     l1_error_mu_quadrature,
 )
-from .measures import (
-    HaarLog,
-    PointMasses,
-    PowerSigma,
-    f_mu,
-    gamma_one_minus,
-    measure_from_json,
-    validate,
-)
+from .measures import HaarLog, PowerSigma, TargetForm, measure_from_json
 from .periodic import (
     build_k,
     build_k_mu,
     circle_l1_abs,
-    eval_p,
     eval_q_mu,
     l1_vs_log_circle,
     periodic_l1_error,
@@ -177,29 +167,26 @@ def _get_degree(args):
 
 
 def _resolve_measure(args):
-    """None in kernel mode, else a validated MeasureSpec."""
+    """None in kernel mode, else a measure family object."""
     if args.measure is not None and args.kernel is not None:
         raise CliError("give either --kernel or --measure, not both")
     if args.measure is None:
         return None
     txt = args.measure.strip()
     if txt == "haar":
-        spec = HaarLog()
-    elif txt == "power":
+        return HaarLog()
+    if txt == "power":
         if args.sigma is None:
             raise CliError("--measure power requires --sigma")
-        spec = PowerSigma(args.sigma)
-    elif txt.startswith("{"):
+        return PowerSigma(args.sigma)
+    if txt.startswith("{"):
         try:
-            spec = measure_from_json(txt)
+            return measure_from_json(txt)
         except XapproxError:
             raise
         except Exception as exc:
             raise CliError(f"bad measure JSON: {exc}") from None
-    else:
-        raise CliError(f"unknown measure {txt!r}")
-    validate(spec)
-    return spec
+    raise CliError(f"unknown measure {txt!r}")
 
 
 # --- output formatting -------------------------------------------------------
@@ -257,7 +244,7 @@ def _triplet(args, spec, xs):
             lam = _get_lambda(args)
             target = np.asarray(eval_p(lam, xs), dtype=float)
             approx = build_k(lam, N).eval(xs)
-        elif isinstance(spec, HaarLog):
+        elif spec.form is TargetForm.LOG:
             # presented as log|1 - e(x)| versus the negated polynomial
             with np.errstate(divide="ignore"):
                 target = np.log(np.abs(2.0 * sinpi(xs)))
@@ -271,18 +258,10 @@ def _triplet(args, spec, xs):
             target = np.exp(-lam * np.abs(xs))
             approx = eval_K(ExpKernel(lam, args.delta), xs)
         else:
-            if isinstance(spec, HaarLog):
-                form = TargetForm.LOG
-                with np.errstate(divide="ignore"):
-                    target = np.log(np.abs(xs))
-            elif isinstance(spec, PowerSigma):
-                form = TargetForm.POWER
-                with np.errstate(divide="ignore"):
-                    target = np.abs(xs) ** (spec.sigma - 1.0)
-            else:
-                form = TargetForm.RAW
-                target = np.asarray(f_mu(spec, xs), dtype=float)
-            approx = eval_K_mu(EntireApproximant(spec, args.delta, form), xs)
+            # each family in its natural form: log|x|, |x|^{sigma-1} or f_mu
+            with np.errstate(divide="ignore"):
+                target = spec.natural_target(np.abs(xs))
+            approx = eval_K_mu(EntireApproximant(spec, args.delta, spec.form), xs)
     with np.errstate(invalid="ignore"):
         err = target - approx
     return target, approx, err
@@ -322,7 +301,7 @@ def cmd_coeffs(args):
 
 
 def _periodic_quad_mu(spec, N):
-    if isinstance(spec, HaarLog):
+    if spec.form is TargetForm.LOG:
         return l1_vs_log_circle(-build_k_mu(spec, N))
     poly = build_k_mu(spec, N)
     L = 2 * N + 2
@@ -360,13 +339,12 @@ def cmd_error_table(args):
             quad = _periodic_quad_mu(spec, N) if args.verify else None
             rows.append((N, closed, quad))
     else:
-        param = spec.sigma if isinstance(spec, PowerSigma) else args.delta
+        param = getattr(spec, "sigma", args.delta)
         closed = l1_error_mu(spec, args.delta)
         quad = None
         if args.verify:
-            quad = l1_error_mu_quadrature(spec, args.delta)
-            if isinstance(spec, PowerSigma):
-                quad /= abs(gamma_one_minus(spec.sigma))
+            # in the natural form, as l1_error_mu reports it
+            quad = l1_error_mu_quadrature(spec, args.delta) / abs(spec.form_scale)
         rows.append((param, closed, quad))
     if not rows:
         raise CliError("empty parameter grid")

@@ -12,62 +12,42 @@ cardinal form
 
 which is stable at the nodes, plus a constant split using the exact
 identity KK(1, w) = 1, so the node data phi is either decaying (point
-masses) or slowly growing (log / power), never constant-offset.
-
-Three presentation forms of the same object:
-  raw    approximates f_mu itself,
-  log    (HaarLog only)    -raw approximates log|x|,
-  power  (PowerSigma only) raw/Gamma(1-sigma) + 1 approximates |x|^{sigma-1}.
+masses) or slowly growing (log / power), never constant-offset.  The
+node data, the closed-form constants and the presentation forms
+(TargetForm) come from the measure family objects in measures.py.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 from scipy.integrate import quad
 
-from ._stable import cospi, one_minus_x_csch, sech, sinc, sinc_complex, sinpi, csch
+from ._stable import cospi, one_minus_x_csch, sinc, sinc_complex
 from .errors import DivergentAtZero, SeriesNonConvergence, QuadratureNonConvergence
 from .expkernel import (
     ExpKernel,
+    _khat,
+    _watson_c1_c3,
     error_exp,
     error_exp_integral_oracle,
     k_value_at_zero,
-    l1_error_exp,
 )
-from .measures import (
-    HaarLog,
-    PointMasses,
-    PowerSigma,
-    f_mu,
-    gamma_one_minus,
-    integrate_measure,
-    validate,
-)
+from .measures import TargetForm, f_mu, integrate_measure, validate
 from .quadrature import QuadratureConfig, panel_nodes
-from .series import catalan, dirichlet_beta
 
 __all__ = [
-    "TargetForm",
     "SeriesControl",
     "EntireApproximant",
     "eval_K_mu",
     "error_mu_pointwise",
     "l1_error_mu",
     "l1_error_mu_raw",
-    "power_l1_constant",
     "error_fourier_transform",
     "l1_error_mu_quadrature",
 ]
-
-
-class TargetForm(Enum):
-    RAW = "raw"
-    LOG = "log"
-    POWER = "power"
 
 
 @dataclass(frozen=True)
@@ -76,22 +56,20 @@ class SeriesControl:
 
     tol:          target absolute error of the (accelerated) sum
     max_pairs:    hard cap on symmetric node pairs
-    acceleration: "auto" | "none" | "euler".  "auto" applies the Euler
-                  (Boole) tail transform except for point masses, whose
-                  node data already decays geometrically.
+
+    The Euler (Boole) tail transform is applied when the measure family
+    reports slowly decaying node data (Haar, power), not for point
+    masses, whose node data already decays geometrically.
     """
 
     tol: float = 1e-11
     max_pairs: int = 2_000_000
-    acceleration: str = "auto"
 
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError("tol must be positive")
         if self.max_pairs < 16:
             raise ValueError("max_pairs must be >= 16")
-        if self.acceleration not in ("auto", "none", "euler"):
-            raise ValueError(f"unknown acceleration {self.acceleration!r}")
 
 
 @dataclass(frozen=True)
@@ -106,10 +84,8 @@ class EntireApproximant:
         validate(self.spec)
         if not (math.isfinite(self.delta) and self.delta > 0):
             raise ValueError(f"delta must be positive, got {self.delta}")
-        if self.form is TargetForm.LOG and not isinstance(self.spec, HaarLog):
-            raise ValueError("log form requires the Haar measure")
-        if self.form is TargetForm.POWER and not isinstance(self.spec, PowerSigma):
-            raise ValueError("power form requires a power measure")
+        if self.form is not TargetForm.RAW and self.form is not self.spec.form:
+            raise ValueError(f"{self.form.value} form does not apply to {self.spec!r}")
 
 
 _DEFAULT_CTL = SeriesControl()
@@ -189,35 +165,11 @@ def _kcal(phi, w, ctl: SeriesControl, accelerate: bool):
     )
 
 
-def _raw_frame(spec, delta: float):
-    """Node data, prefactor, offset, acceleration flag for the raw form.
-
-    raw(z) = prefactor * KK(phi, delta*z) + offset, arranged so phi is
-    never constant-offset (the constant part is summed exactly through
-    KK(1, .) = 1).
-    """
-    if isinstance(spec, PointMasses):
-        lam = np.array([m[0] for m in spec.masses])
-        wts = np.array([m[1] for m in spec.masses])
-        phi = lambda xi: np.exp(-np.multiply.outer(xi, lam / delta)) @ wts
-        return phi, 1.0, -float(np.dot(wts, np.exp(-lam))), False
-    if isinstance(spec, HaarLog):
-        return (lambda xi: -np.log(xi)), 1.0, math.log(delta), True
-    s = spec.sigma
-    g = gamma_one_minus(s)
-    pref = g * delta ** (1.0 - s)
-    return (lambda xi: xi ** (s - 1.0)), pref, -g, True
-
-
 def _eval_raw(spec, delta, z, ctl: SeriesControl):
-    phi, pref, off, slow = _raw_frame(spec, delta)
-    if ctl.acceleration == "none":
-        accel = False
-    elif ctl.acceleration == "euler":
-        accel = True
-    else:
-        accel = slow
-    vals = _kcal(phi, np.atleast_1d(np.asarray(z)) * delta, ctl, accel)
+    # raw(z) = prefactor * KK(phi, delta*z) + offset, with phi never
+    # constant-offset (the constant part is summed exactly via KK(1, .) = 1)
+    phi, pref, off, slow = spec.raw_frame(delta)
+    vals = _kcal(phi, np.atleast_1d(np.asarray(z)) * delta, ctl, slow)
     return pref * vals + off
 
 
@@ -233,12 +185,7 @@ def eval_K_mu(a: EntireApproximant, z, ctl: SeriesControl | None = None):
     zz = np.asarray(z)
     scalar = zz.ndim == 0
     raw = _eval_raw(a.spec, a.delta, zz, ctl)
-    if a.form is TargetForm.RAW:
-        out = raw
-    elif a.form is TargetForm.LOG:
-        out = -raw
-    else:
-        out = raw / gamma_one_minus(a.spec.sigma) + 1.0
+    out = raw if a.form is TargetForm.RAW else a.spec.natural(raw)
     if scalar:
         out = out[0]
         return complex(out) if np.iscomplexobj(zz) else float(out)
@@ -246,11 +193,7 @@ def eval_K_mu(a: EntireApproximant, z, ctl: SeriesControl | None = None):
 
 
 def _form_map(a: EntireApproximant, raw_err: float) -> float:
-    if a.form is TargetForm.LOG:
-        return -raw_err
-    if a.form is TargetForm.POWER:
-        return raw_err / gamma_one_minus(a.spec.sigma)
-    return raw_err
+    return raw_err if a.form is TargetForm.RAW else raw_err / a.spec.form_scale
 
 
 def error_mu_pointwise(a: EntireApproximant, x: float,
@@ -269,30 +212,25 @@ def error_mu_pointwise(a: EntireApproximant, x: float,
     spec, delta = a.spec, a.delta
     ax = abs(float(x))
 
-    if isinstance(spec, PointMasses):
-        lam = np.array([m[0] for m in spec.masses])
-        wts = np.array([m[1] for m in spec.masses])
-        raw = float(np.dot(wts, [float(error_exp(ExpKernel(l, delta), ax)) for l in lam]))
+    dens = spec.density
+    if dens is None:  # discrete measure: an exact weighted sum
+        raw = spec.integrate(
+            lambda lams: [float(error_exp(ExpKernel(l, delta), ax)) for l in lams], cfg)
         return _form_map(a, raw)
 
     if ax == 0.0:
-        if isinstance(spec, HaarLog) or spec.sigma < 1.0:
+        if f_mu(spec, 0.0) == math.inf:
             raise DivergentAtZero("target is infinite at x = 0 for this measure")
-        s = spec.sigma
 
         def g0(lam):
-            return (1.0 - k_value_at_zero(lam, delta)) * lam ** (-s)
+            return (1.0 - k_value_at_zero(lam, delta)) * dens(lam)
         total = 0.0
-        for lo, hi in ((0.0, 1.0), (1.0, cfg.tail_cut)):
+        for lo, hi in ((0.0, 1.0), (1.0, cfg.tail_cut), (cfg.tail_cut, np.inf)):
             v, _ = quad(g0, lo, hi, epsabs=cfg.abs_tol / 3, epsrel=cfg.rel_tol,
                         limit=cfg.max_depth)
             total += v
-        v, _ = quad(g0, cfg.tail_cut, np.inf, epsabs=cfg.abs_tol / 3,
-                    epsrel=cfg.rel_tol, limit=cfg.max_depth)
-        return _form_map(a, total + v)
+        return _form_map(a, total)
 
-    dens = (lambda l: 1.0 / l) if isinstance(spec, HaarLog) \
-        else (lambda l, s=spec.sigma: l ** (-s))
     inner_cfg = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-11,
                                  max_depth=cfg.max_depth)
 
@@ -320,33 +258,19 @@ def error_mu_pointwise(a: EntireApproximant, x: float,
     return _form_map(a, total)
 
 
-def power_l1_constant(sigma: float) -> float:
-    """A(sigma) = 4 beta(1+sigma) / (sin(pi sigma/2) pi^sigma): the raw
-    L1 error of the power measure at delta = 1."""
-    return 4.0 * dirichlet_beta(1.0 + sigma) / (math.sin(0.5 * math.pi * sigma)
-                                                * math.pi ** sigma)
-
-
 def l1_error_mu_raw(spec, delta: float = 1.0) -> float:
     """L1(R) error of the raw-form approximant, in closed form."""
     validate(spec)
     if not delta > 0:
         raise ValueError("delta must be positive")
-    if isinstance(spec, PointMasses):
-        return float(sum(w * l1_error_exp(l, delta) for l, w in spec.masses))
-    if isinstance(spec, HaarLog):
-        return 4.0 * catalan() / (math.pi * delta)
-    return delta ** (-spec.sigma) * power_l1_constant(spec.sigma)
+    return spec.l1_raw(delta)
 
 
 def l1_error_mu(spec, delta: float = 1.0) -> float:
     """L1(R) error in the natural form of each target: identical to the
     raw value except for the power family, where the target
     |x|^{sigma-1} rescales the error by 1/|Gamma(1-sigma)|."""
-    base = l1_error_mu_raw(spec, delta)
-    if isinstance(spec, PowerSigma):
-        return base / abs(gamma_one_minus(spec.sigma))
-    return base
+    return l1_error_mu_raw(spec, delta) / abs(spec.form_scale)
 
 
 def error_fourier_transform(spec, delta: float, t: float,
@@ -376,31 +300,10 @@ def error_fourier_transform(spec, delta: float, t: float,
     u = at / delta
 
     def g(lam):
-        cs = csch(0.5 * lam / delta)
-        khat = cospi(u) * cs / (1.0 + (sinpi(u) * cs) ** 2) / delta
+        khat = _khat(lam / delta, u) / delta
         return 2.0 * lam / (lam * lam + 4.0 * math.pi**2 * t * t) - khat
 
     return integrate_measure(spec, g, cfg, tail_cut=tail)
-
-
-def _c1_vec(u):
-    s = sech(0.5 * u)
-    th = np.tanh(0.5 * u)
-    return 0.25 * s * th
-
-
-def _c3_vec(u):
-    s = sech(0.5 * u)
-    th = np.tanh(0.5 * u)
-    return -s * th * (5.0 * s * s - th * th) / 16.0
-
-
-def _f_mu_cell0_integral(spec, b: float) -> float:
-    # exact integral of f_mu over [0, b] (absorbs the x = 0 singularity)
-    if isinstance(spec, HaarLog):
-        return b - b * math.log(b)
-    s = spec.sigma
-    return gamma_one_minus(s) * (b**s / s - b)
 
 
 def l1_error_mu_quadrature(spec, delta: float = 1.0, half_cells: int = 50,
@@ -422,14 +325,16 @@ def l1_error_mu_quadrature(spec, delta: float = 1.0, half_cells: int = 50,
     raw_vals = _eval_raw(spec, delta, pts, ctl)
     diff = f_mu(spec, pts) - raw_vals
     per_cell = np.abs(diff.reshape(-1, order) @ wts * half)
-    if not isinstance(spec, PointMasses):
-        # first cell: target integrated exactly, approximant by panel
+    f_cell0 = spec.cell0_integral(bounds[1])
+    if f_cell0 is not None:
+        # first cell: target integrated exactly (it absorbs the x = 0
+        # singularity), approximant by panel
         k_cell0 = float(raw_vals[:order] @ wts) * half[0]
-        per_cell[0] = abs(_f_mu_cell0_integral(spec, bounds[1]) - k_cell0)
+        per_cell[0] = abs(f_cell0 - k_cell0)
     body = float(np.sum(per_cell))
     tail_cut = max(50.0, 60.0 * delta)
-    c2 = integrate_measure(spec, lambda l: _c1_vec(l / delta), cfg, tail_cut=tail_cut)
-    c4 = integrate_measure(spec, lambda l: _c3_vec(l / delta), cfg, tail_cut=tail_cut)
+    c2 = integrate_measure(spec, lambda l: _watson_c1_c3(l / delta)[0], cfg, tail_cut=tail_cut)
+    c4 = integrate_measure(spec, lambda l: _watson_c1_c3(l / delta)[1], cfg, tail_cut=tail_cut)
     tw = half_cells + 0.5
     tail = (4.0 / math.pi**2) * (c2 / tw + c4 / (3.0 * tw**3)) / delta
     return 2.0 * body + 2.0 * tail

@@ -13,10 +13,6 @@ class InvalidPointMass(XapproxError, ValueError):
     """Point-mass list empty, non-increasing, or with bad lambda/weight."""
 
 
-class NonFiniteOffset(XapproxError, ValueError):
-    """Dilation offset f_mu(1/delta) is not finite."""
-
-
 class QuadratureNonConvergence(XapproxError, ArithmeticError):
     """Adaptive quadrature failed to meet tolerance within its budget."""
 

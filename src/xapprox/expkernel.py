@@ -11,7 +11,9 @@ of type pi*delta.
 
 Every series term here is evaluated in the cardinal form
 e^{-lam|m|} * sinc(z - m) (m ranging over half-integers), which is
-finite at the nodes, so no special-casing near poles is needed.
+finite at the nodes, so no special-casing near poles is needed.  The
+periodization p(lam, x) of the same target (eval_p) lives here too: the
+measure families and the circle builders both integrate it.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ __all__ = [
     "error_exp_integral_oracle",
     "dual_lower_bound_exp",
     "l1_error_exp_quadrature",
+    "eval_p",
 ]
 
 _TRUNC_EPS = 1e-15
@@ -99,14 +102,19 @@ def K_hat(kernel: ExpKernel, t):
     via csch so large l underflows to 0 instead of overflowing.  The
     cos(pi u) factor vanishes exactly at the support edge.
     """
-    lam_p = kernel.lam / kernel.delta
     u = np.asarray(t, dtype=float) / kernel.delta
     scalar = u.ndim == 0
     u = np.atleast_1d(u)
-    cs = csch(0.5 * lam_p)
-    base = cospi(u) * cs / (1.0 + (sinpi(u) * cs) ** 2)
+    base = _khat(kernel.lam / kernel.delta, u)
     out = np.where(np.abs(u) <= 0.5, base / kernel.delta, 0.0)
     return float(out[0]) if scalar else out
+
+
+def _khat(lam_p, u):
+    # delta * K_hat inside the support at lam_p = lam/delta, u = t/delta;
+    # quadrature integrands call it directly to stay cheap
+    cs = csch(0.5 * lam_p)
+    return cospi(u) * cs / (1.0 + (sinpi(u) * cs) ** 2)
 
 
 def l1_error_exp(lam: float, delta: float = 1.0) -> float:
@@ -181,13 +189,11 @@ def dual_lower_bound_exp(lam: float, delta: float = 1.0, terms: int = 10**5) -> 
                         * 2.0 * lam / (lam * lam + freq2)))
 
 
-def _watson_c1_c3(lam: float):
-    # odd-order derivatives at lam of C(w) = -(1/2) sech(w/2)
-    s = float(sech(0.5 * lam))
-    t = math.tanh(0.5 * lam)
-    c1 = 0.25 * s * t
-    c3 = -s * t * (5.0 * s * s - t * t) / 16.0
-    return c1, c3
+def _watson_c1_c3(u):
+    # odd-order derivatives at u of C(w) = -(1/2) sech(w/2), vectorized
+    s = sech(0.5 * u)
+    th = np.tanh(0.5 * u)
+    return 0.25 * s * th, -s * th * (5.0 * s * s - th * th) / 16.0
 
 
 def l1_tail_exp(lam_p: float, T: float) -> float:
@@ -221,3 +227,33 @@ def l1_error_exp_quadrature(lam: float, delta: float = 1.0,
     body = reduce_cells_abs(vals, wts, half, order)
     tail = l1_tail_exp(lam_p, bounds[-1])
     return (2.0 * body + 2.0 * tail) / delta
+
+
+def _frac(x):
+    return x - np.floor(x)
+
+
+def eval_p(lam: float, x):
+    """p(lam, x) = cosh(lam({x}-1/2))/sinh(lam/2) - 2/lam, period 1: the
+    periodization of e^{-lam|x|} minus its mean.
+
+    Written as (e^{lam(a-1)} + e^{-lam a})/(-expm1(-lam)) - 2/lam with
+    a = {x}, which never overflows; below lam = 0.02 the difference of
+    the two large halves loses digits, so a small-lam expansion in
+    u = a - 1/2 takes over.
+    """
+    if not lam > 0:
+        raise ValueError("lam must be positive")
+    a = _frac(np.asarray(x, dtype=float))
+    scalar = a.ndim == 0
+    a = np.atleast_1d(a)
+    if lam < 0.02:
+        u2 = (a - 0.5) ** 2
+        out = (lam * (u2 - 1.0 / 12.0)
+               + lam**3 * (u2 * u2 / 12.0 - u2 / 24.0 + 7.0 / 2880.0)
+               + lam**5 * (u2**3 / 360.0 - u2 * u2 / 288.0
+                           + 7.0 * u2 / 5760.0 - 31.0 / 483840.0))
+    else:
+        out = ((np.exp(lam * (a - 1.0)) + np.exp(-lam * a))
+               / (-math.expm1(-lam)) - 2.0 / lam)
+    return float(out[0]) if scalar else out

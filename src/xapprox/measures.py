@@ -1,4 +1,4 @@
-"""Measure specifications on (0, inf) and the targets they generate.
+"""Measure families on (0, inf) and the targets they generate.
 
 Three families cover every closed form downstream: finite point masses
 (weighted exponentials), the multiplicative Haar measure dlam/lam
@@ -8,88 +8,96 @@ proportional to |x|^{sigma-1}).  The raw target of a measure mu is
     f_mu(x) = integral of (e^{-lam|x|} - e^{-lam}) dmu(lam),
 
 with the subtraction making the integral converge for Haar and for
-sigma > 1.  Closed forms are used throughout; quadrature of the
-defining integral is kept only as a cross-check oracle.
+sigma > 1.  Each family class carries every formula that depends on the
+family; the other modules call its methods and never ask which family
+they hold.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
+from enum import Enum
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.special import gamma as _gamma
 
-from .errors import InvalidPointMass, InvalidSigma
+from ._stable import sinpi, x_coth_x_minus_one
+from .errors import DivergentAtZero, InvalidPointMass, InvalidSigma
+from .expkernel import eval_p, l1_error_exp
 from .quadrature import QuadratureConfig, integrate_ray
+from .series import catalan, dirichlet_beta
 
 __all__ = [
+    "TargetForm",
     "PointMasses",
     "HaarLog",
     "PowerSigma",
-    "MeasureSpec",
-    "DilationParam",
     "validate",
     "gamma_one_minus",
+    "power_l1_constant",
     "f_mu",
-    "f_mu_dilated_offset",
     "integrate_measure",
     "measure_to_json",
     "measure_from_json",
 ]
 
 
+class TargetForm(Enum):
+    """Presentation of a measure-integrated approximant.
+
+    raw    approximates f_mu itself,
+    log    (HaarLog only)    -raw approximates log|x|,
+    power  (PowerSigma only) raw/Gamma(1-sigma) + 1 approximates |x|^{sigma-1}.
+    """
+
+    RAW = "raw"
+    LOG = "log"
+    POWER = "power"
+
+
+class _Family:
+    """Base of the measure families, which validate at construction.
+
+    form, form_scale   natural form; its errors are raw errors / form_scale
+    f_mu(ax)           raw target at |x| = ax (1-D array)
+    density(lam)       density against dlam; None for a discrete measure
+    integrate(g, cfg)  integral of g(lam) dmu, g taking ndarray input
+    raw_frame(delta)   (phi, prefactor, offset, slow): the raw approximant
+                       is prefactor * KK(phi, delta*z) + offset; slow node
+                       data takes the Boole tail in the series
+    cell0_integral(b)  integral of f_mu over [0, b]; None if f_mu is smooth
+    l1_raw(delta)      closed-form L1(R) error of the raw approximant
+    q_hat(nn), q_mu(x, cfg)   the periodized target and its coefficients
+    """
+
+    form = TargetForm.RAW
+    form_scale = 1.0
+    density = None
+
+    def natural(self, raw):
+        return raw / self.form_scale
+
+    def natural_target(self, ax):
+        return self.natural(self.f_mu(ax))
+
+    def to_json_obj(self):
+        return {"kind": self.kind, **asdict(self)}
+
+
 @dataclass(frozen=True)
-class PointMasses:
+class PointMasses(_Family):
     """Finite sum of weighted Dirac masses: masses = ((lam_1, w_1), ...)."""
 
     masses: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "masses", tuple((float(l), float(w)) for l, w in self.masses))
-
-
-@dataclass(frozen=True)
-class HaarLog:
-    """The measure dlam/lam on (0, inf); raw target -log|x|."""
-
-
-@dataclass(frozen=True)
-class PowerSigma:
-    """The measure lam^{-sigma} dlam, 0 < sigma < 2, sigma != 1."""
-
-    sigma: float
-
-
-# union of the three variants
-MeasureSpec = PointMasses | HaarLog | PowerSigma
-
-
-@dataclass(frozen=True)
-class DilationParam:
-    """Dilation delta > 0: approximants have exponential type pi*delta."""
-
-    delta: float = 1.0
+    kind = "points"
 
     def __post_init__(self):
-        if not (math.isfinite(self.delta) and self.delta > 0):
-            raise ValueError(f"delta must be a positive real, got {self.delta}")
-
-
-def validate(spec) -> None:
-    """Check a measure specification; raise on violation, else return None."""
-    if isinstance(spec, HaarLog):
-        return
-    if isinstance(spec, PowerSigma):
-        s = spec.sigma
-        if not (isinstance(s, (int, float)) and math.isfinite(s)):
-            raise InvalidSigma(f"sigma must be a finite real, got {s!r}")
-        if not (0.0 < s < 2.0) or s == 1.0:
-            raise InvalidSigma(f"sigma must lie in (0,2) excluding 1, got {s}")
-        return
-    if isinstance(spec, PointMasses):
-        masses = spec.masses
+        masses = tuple((float(l), float(w)) for l, w in self.masses)
+        object.__setattr__(self, "masses", masses)
         if len(masses) == 0:
             raise InvalidPointMass("point-mass list must be non-empty")
         prev = 0.0
@@ -105,13 +113,181 @@ def validate(spec) -> None:
             total += w * lam / (lam * lam + 1.0)
         if not math.isfinite(total):
             raise InvalidPointMass("admissibility sum is not finite")
-        return
-    raise TypeError(f"not a measure specification: {spec!r}")
+
+    def _arrays(self):
+        return (np.array([m[0] for m in self.masses]),
+                np.array([m[1] for m in self.masses]))
+
+    def f_mu(self, ax):
+        lam, w = self._arrays()
+        return (np.exp(-np.multiply.outer(ax, lam)) - np.exp(-lam)) @ w
+
+    def integrate(self, g, cfg):
+        lam, w = self._arrays()
+        return float(np.dot(w, np.asarray(g(lam), dtype=float)))
+
+    def raw_frame(self, delta):
+        lam, wts = self._arrays()
+        phi = lambda xi: np.exp(-np.multiply.outer(xi, lam / delta)) @ wts
+        return phi, 1.0, -float(np.dot(wts, np.exp(-lam))), False
+
+    def cell0_integral(self, b):
+        return None
+
+    def l1_raw(self, delta):
+        return float(sum(w * l1_error_exp(l, delta) for l, w in self.masses))
+
+    def q_hat(self, nn):
+        lam, w = self._arrays()
+        return (2.0 * lam / (lam * lam + 4.0 * math.pi**2 * nn[:, None] ** 2)) @ w
+
+    def q_mu(self, x, cfg):
+        xx = np.asarray(x, dtype=float)
+        acc = 0.0
+        for lam, w in self.masses:
+            acc = acc + w * eval_p(lam, xx)
+        return acc
+
+
+@dataclass(frozen=True)
+class HaarLog(_Family):
+    """The measure dlam/lam on (0, inf); raw target -log|x|."""
+
+    kind = "haar"
+    form = TargetForm.LOG
+    form_scale = -1.0
+
+    def f_mu(self, ax):
+        return -np.log(ax)
+
+    def density(self, lam):
+        return 1.0 / lam
+
+    def integrate(self, g, cfg):
+        return integrate_ray(lambda t: float(g(t)) / t, 0.0, cfg)
+
+    def raw_frame(self, delta):
+        return (lambda xi: -np.log(xi)), 1.0, math.log(delta), True
+
+    def cell0_integral(self, b):
+        return b - b * math.log(b)
+
+    def l1_raw(self, delta):
+        return 4.0 * catalan() / (math.pi * delta)
+
+    def q_hat(self, nn):
+        return 0.5 / nn
+
+    def q_mu(self, x, cfg):
+        # closed form -log|2 sin pi x|
+        xx = np.asarray(x, dtype=float)
+        s = sinpi(xx)
+        if np.any(np.asarray(s) == 0.0):
+            raise DivergentAtZero("q_mu is +inf at integer x for the Haar measure")
+        return -np.log(np.abs(2.0 * s)) if xx.ndim else -math.log(abs(2.0 * float(s)))
+
+
+@dataclass(frozen=True)
+class PowerSigma(_Family):
+    """The measure lam^{-sigma} dlam, 0 < sigma < 2, sigma != 1."""
+
+    sigma: float
+
+    kind = "power"
+    form = TargetForm.POWER
+
+    def __post_init__(self):
+        s = self.sigma
+        if not (isinstance(s, (int, float)) and math.isfinite(s)):
+            raise InvalidSigma(f"sigma must be a finite real, got {s!r}")
+        if not (0.0 < s < 2.0) or s == 1.0:
+            raise InvalidSigma(f"sigma must lie in (0,2) excluding 1, got {s}")
+
+    @property
+    def form_scale(self):
+        return gamma_one_minus(self.sigma)
+
+    def natural(self, raw):
+        return raw / self.form_scale + 1.0
+
+    def natural_target(self, ax):
+        return ax ** (self.sigma - 1.0)
+
+    def f_mu(self, ax):
+        return gamma_one_minus(self.sigma) * (ax ** (self.sigma - 1.0) - 1.0)
+
+    def density(self, lam):
+        return lam ** (-self.sigma)
+
+    def integrate(self, g, cfg):
+        s = self.sigma
+        return integrate_ray(lambda t: float(g(t)) * t ** (-s), 0.0, cfg)
+
+    def raw_frame(self, delta):
+        s = self.sigma
+        g = gamma_one_minus(s)
+        return (lambda xi: xi ** (s - 1.0)), g * delta ** (1.0 - s), -g, True
+
+    def cell0_integral(self, b):
+        s = self.sigma
+        return gamma_one_minus(s) * (b**s / s - b)
+
+    def l1_raw(self, delta):
+        return delta ** (-self.sigma) * power_l1_constant(self.sigma)
+
+    def q_hat(self, nn):
+        s = self.sigma
+        return math.pi * (2.0 * math.pi * nn) ** (-s) / math.sin(0.5 * math.pi * s)
+
+    def q_mu(self, x, cfg):
+        # quadrature of the defining integral, one point at a time
+        if cfg is None:
+            cfg = QuadratureConfig()
+        if np.ndim(x):
+            vals = [self.q_mu(v, cfg) for v in np.ravel(x)]
+            return np.array(vals, dtype=float).reshape(np.shape(x))
+        s = self.sigma
+        xf = float(x)
+        a = float(xf - np.floor(xf))
+        dist = min(a, 1.0 - a)
+        if dist == 0.0:
+            if s <= 1.0:
+                raise DivergentAtZero("q_mu is +inf at integer x for sigma <= 1")
+            T = 60.0
+            v1, _ = quad(lambda l: (2.0 / l) * float(x_coth_x_minus_one(0.5 * l)) * l ** (-s),
+                         0.0, T, epsabs=cfg.abs_tol, epsrel=cfg.rel_tol,
+                         limit=cfg.max_depth)
+            return v1 + T ** (1.0 - s) / (s - 1.0) - 2.0 * T ** (-s) / s
+
+        def p_part(l):  # cosh(l(a-1/2))/sinh(l/2), stable exponentials
+            return (math.exp(l * (a - 1.0)) + math.exp(-l * a)) / (-math.expm1(-l))
+
+        T = 40.0 / dist + 50.0
+        v1, _ = quad(lambda l: float(eval_p(l, a)) * l ** (-s), 0.0, 1.0,
+                     epsabs=cfg.abs_tol / 2, epsrel=cfg.rel_tol, limit=cfg.max_depth)
+        v2, _ = quad(lambda l: p_part(l) * l ** (-s), 1.0, T,
+                     epsabs=cfg.abs_tol / 2, epsrel=cfg.rel_tol, limit=cfg.max_depth)
+        # int_1^inf (-2/l) l^{-s} dl = -2/s exactly
+        return v1 + v2 - 2.0 / s
+
+
+def validate(spec) -> None:
+    """Reject objects that are not a measure family (the families check
+    their parameters when constructed)."""
+    if not isinstance(spec, _Family):
+        raise TypeError(f"not a measure specification: {spec!r}")
 
 
 def gamma_one_minus(sigma: float) -> float:
     """Gamma(1 - sigma) for sigma in (0,2)\\{1} (negative for sigma > 1)."""
     return float(_gamma(1.0 - sigma))
+
+
+def power_l1_constant(sigma: float) -> float:
+    """A(sigma) = 4 beta(1+sigma) / (sin(pi sigma/2) pi^sigma): the raw
+    L1 error of the power measure at delta = 1."""
+    return 4.0 * dirichlet_beta(1.0 + sigma) / (math.sin(0.5 * math.pi * sigma)
+                                                * math.pi ** sigma)
 
 
 def f_mu(spec, x):
@@ -125,31 +301,9 @@ def f_mu(spec, x):
     validate(spec)
     ax = np.abs(np.asarray(x, dtype=float))
     scalar = ax.ndim == 0
-    ax = np.atleast_1d(ax)
-    if isinstance(spec, PointMasses):
-        lam = np.array([m[0] for m in spec.masses])
-        w = np.array([m[1] for m in spec.masses])
-        out = np.exp(-np.multiply.outer(ax, lam)) - np.exp(-lam)
-        out = out @ w
-    elif isinstance(spec, HaarLog):
-        with np.errstate(divide="ignore"):
-            out = -np.log(ax)
-    else:
-        g = gamma_one_minus(spec.sigma)
-        with np.errstate(divide="ignore"):
-            out = g * (ax ** (spec.sigma - 1.0) - 1.0)
+    with np.errstate(divide="ignore"):
+        out = spec.f_mu(np.atleast_1d(ax))
     return float(out[0]) if scalar else out
-
-
-def f_mu_dilated_offset(spec, delta: float) -> float:
-    """The constant f_mu(1/delta) relating a dilated approximant back.
-
-    If F approximates the target of the dilated measure, then
-    F(delta*x) + f_mu_dilated_offset(spec, delta) approximates f_mu(x).
-    """
-    if not delta > 0:
-        raise ValueError("delta must be positive")
-    return float(f_mu(spec, 1.0 / delta))
 
 
 def integrate_measure(spec, g, cfg: QuadratureConfig | None = None,
@@ -162,18 +316,11 @@ def integrate_measure(spec, g, cfg: QuadratureConfig | None = None,
     overrides the config's tail split for slowly decaying integrands.
     """
     validate(spec)
-    if isinstance(spec, PointMasses):
-        lam = np.array([m[0] for m in spec.masses])
-        w = np.array([m[1] for m in spec.masses])
-        return float(np.dot(w, np.asarray(g(lam), dtype=float)))
     if cfg is None:
         cfg = QuadratureConfig()
     if tail_cut is not None:
         cfg = replace(cfg, tail_cut=tail_cut)
-    if isinstance(spec, HaarLog):
-        return integrate_ray(lambda t: float(g(t)) / t, 0.0, cfg)
-    s = spec.sigma
-    return integrate_ray(lambda t: float(g(t)) * t ** (-s), 0.0, cfg)
+    return spec.integrate(g, cfg)
 
 
 # --- JSON wire format ------------------------------------------------------
@@ -182,13 +329,7 @@ def integrate_measure(spec, g, cfg: QuadratureConfig | None = None,
 
 def measure_to_json(spec) -> str:
     validate(spec)
-    if isinstance(spec, HaarLog):
-        obj = {"kind": "haar"}
-    elif isinstance(spec, PowerSigma):
-        obj = {"kind": "power", "sigma": spec.sigma}
-    else:
-        obj = {"kind": "points", "masses": [[l, w] for l, w in spec.masses]}
-    return json.dumps(obj, separators=(",", ":"))
+    return json.dumps(spec.to_json_obj(), separators=(",", ":"))
 
 
 def measure_from_json(text):
@@ -198,16 +339,13 @@ def measure_from_json(text):
         raise ValueError(f"not a measure object: {obj!r}")
     kind = obj["kind"]
     if kind == "haar":
-        spec = HaarLog()
-    elif kind == "power":
+        return HaarLog()
+    if kind == "power":
         if "sigma" not in obj:
             raise InvalidSigma("power measure requires a 'sigma' field")
-        spec = PowerSigma(float(obj["sigma"]))
-    elif kind == "points":
+        return PowerSigma(float(obj["sigma"]))
+    if kind == "points":
         if "masses" not in obj:
             raise InvalidPointMass("points measure requires a 'masses' field")
-        spec = PointMasses(tuple((float(l), float(w)) for l, w in obj["masses"]))
-    else:
-        raise ValueError(f"unknown measure kind: {kind!r}")
-    validate(spec)
-    return spec
+        return PointMasses(tuple((float(l), float(w)) for l, w in obj["masses"]))
+    raise ValueError(f"unknown measure kind: {kind!r}")

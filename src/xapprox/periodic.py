@@ -19,25 +19,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from ._stable import cospi, csch, one_minus_sech, one_minus_x_csch, sinc, sinpi, x_coth_x_minus_one
-from .errors import DivergentAtZero
-from .expkernel import ExpKernel, K_hat
-from .measures import (
-    HaarLog,
-    PointMasses,
-    PowerSigma,
-    integrate_measure,
-    validate,
-)
+from ._stable import cospi, one_minus_x_csch, sinc, sinpi
+from .entire import l1_error_mu_raw
+from .expkernel import _khat, eval_p, l1_error_exp
+from .measures import integrate_measure, validate
 from .quadrature import QuadratureConfig, gauss_panel, integrate_cells_abs
-from .series import catalan
 
 __all__ = [
     "TrigPoly",
     "ExpPeriodized",
     "MeasurePeriodized",
-    "PeriodicTarget",
-    "eval_p",
     "p_hat",
     "q_hat_mu",
     "eval_q_mu",
@@ -145,6 +136,12 @@ class ExpPeriodized:
         if not (math.isfinite(self.lam) and self.lam > 0):
             raise ValueError(f"lam must be positive, got {self.lam}")
 
+    def value(self, x, cfg=None):
+        return eval_p(self.lam, x)
+
+    def q_hat(self, n):
+        return p_hat(self.lam, n)
+
 
 @dataclass(frozen=True)
 class MeasurePeriodized:
@@ -155,37 +152,11 @@ class MeasurePeriodized:
     def __post_init__(self):
         validate(self.spec)
 
+    def value(self, x, cfg=None):
+        return eval_q_mu(self.spec, x, cfg)
 
-PeriodicTarget = ExpPeriodized | MeasurePeriodized
-
-
-def _frac(x):
-    return x - np.floor(x)
-
-
-def eval_p(lam: float, x):
-    """p(lam, x) = cosh(lam({x}-1/2))/sinh(lam/2) - 2/lam, period 1.
-
-    Written as (e^{lam(a-1)} + e^{-lam a})/(-expm1(-lam)) - 2/lam with
-    a = {x}, which never overflows; below lam = 0.02 the difference of
-    the two large halves loses digits, so a small-lam expansion in
-    u = a - 1/2 takes over.
-    """
-    if not lam > 0:
-        raise ValueError("lam must be positive")
-    a = _frac(np.asarray(x, dtype=float))
-    scalar = a.ndim == 0
-    a = np.atleast_1d(a)
-    if lam < 0.02:
-        u2 = (a - 0.5) ** 2
-        out = (lam * (u2 - 1.0 / 12.0)
-               + lam**3 * (u2 * u2 / 12.0 - u2 / 24.0 + 7.0 / 2880.0)
-               + lam**5 * (u2**3 / 360.0 - u2 * u2 / 288.0
-                           + 7.0 * u2 / 5760.0 - 31.0 / 483840.0))
-    else:
-        out = ((np.exp(lam * (a - 1.0)) + np.exp(-lam * a))
-               / (-math.expm1(-lam)) - 2.0 / lam)
-    return float(out[0]) if scalar else out
+    def q_hat(self, n):
+        return q_hat_mu(self.spec, n)
 
 
 def p_hat(lam: float, n):
@@ -205,69 +176,22 @@ def q_hat_mu(spec, n):
     scalar = nn.ndim == 0
     nn = np.atleast_1d(nn)
     with np.errstate(divide="ignore"):
-        if isinstance(spec, HaarLog):
-            vals = 0.5 / nn
-        elif isinstance(spec, PowerSigma):
-            s = spec.sigma
-            vals = math.pi * (2.0 * math.pi * nn) ** (-s) / math.sin(0.5 * math.pi * s)
-        else:
-            lam = np.array([m[0] for m in spec.masses])
-            w = np.array([m[1] for m in spec.masses])
-            vals = (2.0 * lam / (lam * lam + 4.0 * math.pi**2 * nn[:, None] ** 2)) @ w
+        vals = spec.q_hat(nn)
     out = np.where(nn == 0, 0.0, vals)
     return float(out[0]) if scalar else out
 
 
-def eval_q_mu(spec, x, terms: int | None = None,
-              cfg: QuadratureConfig | None = None):
+def eval_q_mu(spec, x, cfg: QuadratureConfig | None = None):
     """The periodized measure target q_mu(x) = integral p(lam, x) dmu.
 
     HaarLog uses the closed form -log|2 sin pi x|; point masses the
     exact weighted sum; the power family quadrature of the defining
-    integral with the algebraic tail taken analytically.  `terms` is
-    accepted for interface symmetry with the series representation but
-    the closed/quadrature paths do not truncate anything.
+    integral, one point at a time, with the algebraic tail taken
+    analytically.  Scalar or array x; raises DivergentAtZero when q_mu
+    is infinite at any of the points.
     """
     validate(spec)
-    if isinstance(spec, HaarLog):
-        xx = np.asarray(x, dtype=float)
-        s = sinpi(xx)
-        if np.any(np.asarray(s) == 0.0):
-            raise DivergentAtZero("q_mu is +inf at integer x for the Haar measure")
-        return -np.log(np.abs(2.0 * s)) if xx.ndim else -math.log(abs(2.0 * float(s)))
-    if isinstance(spec, PointMasses):
-        xx = np.asarray(x, dtype=float)
-        acc = 0.0
-        for lam, w in spec.masses:
-            acc = acc + w * eval_p(lam, xx)
-        return acc
-    # power family: scalar only (quadrature per point)
-    s = spec.sigma
-    if cfg is None:
-        cfg = QuadratureConfig()
-    from scipy.integrate import quad
-
-    a = float(_frac(np.asarray(float(x))))
-    dist = min(a, 1.0 - a)
-    if dist == 0.0:
-        if s <= 1.0:
-            raise DivergentAtZero("q_mu is +inf at integer x for sigma <= 1")
-        T = 60.0
-        v1, _ = quad(lambda l: (2.0 / l) * float(x_coth_x_minus_one(0.5 * l)) * l ** (-s),
-                     0.0, T, epsabs=cfg.abs_tol, epsrel=cfg.rel_tol,
-                     limit=cfg.max_depth)
-        return v1 + T ** (1.0 - s) / (s - 1.0) - 2.0 * T ** (-s) / s
-
-    def p_part(l):  # cosh(l(a-1/2))/sinh(l/2), stable exponentials
-        return (math.exp(l * (a - 1.0)) + math.exp(-l * a)) / (-math.expm1(-l))
-
-    T = 40.0 / dist + 50.0
-    v1, _ = quad(lambda l: float(eval_p(l, a)) * l ** (-s), 0.0, 1.0,
-                 epsabs=cfg.abs_tol / 2, epsrel=cfg.rel_tol, limit=cfg.max_depth)
-    v2, _ = quad(lambda l: p_part(l) * l ** (-s), 1.0, T,
-                 epsabs=cfg.abs_tol / 2, epsrel=cfg.rel_tol, limit=cfg.max_depth)
-    # int_1^inf (-2/l) l^{-s} dl = -2/s exactly
-    return v1 + v2 - 2.0 / s
+    return spec.q_mu(x, cfg)
 
 
 def build_k(lam: float, N: int) -> TrigPoly:
@@ -287,7 +211,7 @@ def build_k(lam: float, N: int) -> TrigPoly:
     c[N] = -(2.0 / lam) * float(one_minus_x_csch(0.5 * lam / L))
     if N > 0:
         n = np.arange(1, N + 1)
-        cn = K_hat(ExpKernel(lam / L, 1.0), n / L) / L
+        cn = _khat(lam / L, n / L) / L
         c[N + n] = cn
         c[N - n] = cn
     return TrigPoly(N, c)
@@ -299,11 +223,8 @@ def build_k_mu(spec, N: int, cfg: QuadratureConfig | None = None) -> TrigPoly:
     validate(spec)
     if N < 0 or int(N) != N:
         raise ValueError("N must be a nonnegative integer")
-    if isinstance(spec, PointMasses):
-        acc = np.zeros(2 * N + 1, dtype=complex)
-        for lam, w in spec.masses:
-            acc += w * build_k(lam, N)._c
-        return TrigPoly(N, acc)
+    if spec.density is None:  # discrete measure: weighted sum of build_k
+        return TrigPoly(N, sum(w * build_k(lam, N)._c for lam, w in spec.masses))
     L = 2 * N + 2
     tail = max(50.0, 60.0 * L)
     c = np.zeros(2 * N + 1, dtype=complex)
@@ -313,8 +234,7 @@ def build_k_mu(spec, N: int, cfg: QuadratureConfig | None = None) -> TrigPoly:
     for n in range(1, N + 1):
         u = n / L
         def g(l, u=u):
-            cs = csch(0.5 * l / L)
-            return cospi(u) * cs / (1.0 + (sinpi(u) * cs) ** 2) / L
+            return _khat(l / L, u) / L
         cn = integrate_measure(spec, g, cfg, tail_cut=tail)
         c[N + n] = cn
         c[N - n] = cn
@@ -322,33 +242,15 @@ def build_k_mu(spec, N: int, cfg: QuadratureConfig | None = None) -> TrigPoly:
 
 
 def periodic_l1_error(lam: float, N: int) -> float:
-    """Exact optimal L1(R/Z) error (2/lam)(1 - sech(lam/(4N+4)))."""
-    if not lam > 0:
-        raise ValueError("lam must be positive")
-    return (2.0 / lam) * float(one_minus_sech(lam / (4.0 * N + 4.0)))
+    """Exact optimal L1(R/Z) error (2/lam)(1 - sech(lam/(4N+4))): the
+    line error at type 2N+2."""
+    return l1_error_exp(lam, 2 * N + 2)
 
 
 def periodic_l1_error_mu(spec, N: int) -> float:
-    """Closed-form optimal L1(R/Z) error for q_mu at degree N:
-    weighted sums for point masses, 4G/((2N+2) pi) for Haar, and
-    (2N+2)^{-sigma} times the line constant for the power family."""
-    validate(spec)
-    L = 2 * N + 2
-    if isinstance(spec, PointMasses):
-        return float(sum(w * periodic_l1_error(l, N) for l, w in spec.masses))
-    if isinstance(spec, HaarLog):
-        return 4.0 * catalan() / (L * math.pi)
-    from .entire import power_l1_constant
-
-    return float(L) ** (-spec.sigma) * power_l1_constant(spec.sigma)
-
-
-def _target_value(target, x, cfg):
-    if isinstance(target, ExpPeriodized):
-        return float(eval_p(target.lam, x))
-    if isinstance(target, MeasurePeriodized):
-        return float(eval_q_mu(target.spec, x, cfg=cfg))
-    return float(target(x))
+    """Closed-form optimal L1(R/Z) error for q_mu at degree N: the line
+    error of the raw approximant at type 2N+2."""
+    return l1_error_mu_raw(spec, 2 * N + 2)
 
 
 def interpolation_oracle(target, N: int,
@@ -358,10 +260,13 @@ def interpolation_oracle(target, N: int,
     targets the alias frequency N+1 vanishes on this grid, so the
     interpolant is exactly recovered).  Independent of build_k and
     build_k_mu; agreement of the two is the construction cross-check.
+    The target is an ExpPeriodized, a MeasurePeriodized or a plain
+    callable of x.
     """
     L = 2 * N + 2
     xs = (np.arange(L) + 0.5) / L
-    vals = np.array([_target_value(target, x, cfg) for x in xs])
+    f = (lambda x: target.value(x, cfg)) if hasattr(target, "value") else target
+    vals = np.array([float(f(x)) for x in xs])
     c = np.zeros(2 * N + 1, dtype=complex)
     c[N] = float(np.sum(vals)) / L
     for n in range(1, N + 1):
@@ -379,11 +284,7 @@ def dual_lower_bound_periodic(target, N: int, terms: int = 10**4) -> float:
     L = 2 * N + 2
     k = np.arange(terms)
     m = L * (k + 0.5)
-    if isinstance(target, ExpPeriodized):
-        lam = target.lam
-        qh = 2.0 * lam / (lam * lam + 4.0 * math.pi**2 * m * m)
-    else:
-        qh = q_hat_mu(target.spec, m)
+    qh = target.q_hat(m)
     sign = np.where(k % 2 == 0, 1.0, -1.0)
     return float(np.sum((4.0 / math.pi) * sign / (2.0 * k + 1.0) * qh))
 

@@ -1,4 +1,4 @@
-"""Adaptive ray integrals, fixed-order Gauss panels, and signed circle sums.
+"""Adaptive ray integrals and fixed-order Gauss panels.
 
 The ray integrator is a thin policy layer over scipy's QUADPACK: the
 semi-infinite range is split at ``a+1`` and at a finite ``tail_cut`` so
@@ -27,7 +27,6 @@ __all__ = [
     "integrate_ray",
     "gauss_panel",
     "integrate_cells_abs",
-    "integrate_circle_signed",
 ]
 
 DEFAULT_ABS_TOL = 1e-10
@@ -167,17 +166,3 @@ def integrate_cells_abs(f, bounds, order: int = 32):
     pts, weights, half = panel_nodes(cells, order)
     return reduce_cells_abs(np.asarray(f(pts), dtype=float), weights, half, order)
 
-
-def integrate_circle_signed(f, nodes, order: int = 24):
-    """Integral of |f| over one period given f's sign-change points.
-
-    ``nodes`` are the sorted sign changes in [0, 1); the wrap-around
-    cell [last, first+1] closes the circle.  f must be 1-periodic and
-    sign-constant between consecutive nodes (this is a precondition,
-    not something the routine verifies).
-    """
-    nodes = np.asarray(sorted(nodes), dtype=float)
-    if nodes.ndim != 1 or len(nodes) < 1:
-        raise ValueError("need at least one sign-change node")
-    bounds = np.concatenate([nodes, [nodes[0] + 1.0]])
-    return integrate_cells_abs(f, bounds, order=order)

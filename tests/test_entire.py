@@ -42,8 +42,6 @@ def test_series_control_validation():
         SeriesControl(tol=0.0)
     with pytest.raises(ValueError):
         SeriesControl(max_pairs=4)
-    with pytest.raises(ValueError):
-        SeriesControl(acceleration="fast")
 
 
 def test_log_approximant_frozen_values(ref):

@@ -14,7 +14,6 @@ from xapprox import (
     PointMasses,
     PowerSigma,
     f_mu,
-    f_mu_dilated_offset,
     gamma_one_minus,
     integrate_measure,
     measure_from_json,
@@ -49,6 +48,14 @@ def test_validate_rejects_bad_point_masses():
         validate(PointMasses(((2.0, 1.0), (1.0, 1.0))))  # increasing order
     with pytest.raises(InvalidPointMass):
         validate(PointMasses(((1.0, math.inf),)))
+
+
+def test_families_check_themselves_at_construction():
+    for make, exc in ((lambda: PowerSigma(1.0), InvalidSigma),
+                      (lambda: PowerSigma(2.5), InvalidSigma),
+                      (lambda: PointMasses(()), InvalidPointMass)):
+        with pytest.raises(exc):
+            make()
 
 
 def test_validate_rejects_non_measures():
@@ -86,13 +93,6 @@ def test_f_mu_at_zero_divergence_pattern():
     # sigma > 1: finite limit Gamma(1-s)(0 - 1) = 2 sqrt(pi) at s = 3/2
     assert f_mu(PowerSigma(1.5), 0.0) == pytest.approx(2.0 * math.sqrt(math.pi),
                                                        rel=1e-14)
-
-
-def test_f_mu_dilated_offset_is_value_at_inverse_delta():
-    assert f_mu_dilated_offset(HaarLog(), 2.0) == pytest.approx(math.log(2.0),
-                                                                rel=1e-15)
-    with pytest.raises(ValueError):
-        f_mu_dilated_offset(HaarLog(), 0.0)
 
 
 def test_gamma_one_minus_signs():

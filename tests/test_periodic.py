@@ -16,10 +16,13 @@ from xapprox import (
     TrigPoly,
     build_k,
     build_k_mu,
+    circle_l1_abs,
     dual_lower_bound_periodic,
     eval_p,
     eval_q_mu,
     interpolation_oracle,
+    l1_error_exp,
+    l1_error_mu_raw,
     l1_vs_log_circle,
     p_hat,
     periodic_l1_error,
@@ -145,6 +148,17 @@ def test_eval_q_mu_power_frozen_samples(ref):
         assert val == pytest.approx(row["value"], abs=5e-9)
 
 
+def test_eval_q_mu_power_accepts_arrays():
+    spec = PowerSigma(0.5)
+    xs = np.array([[0.1, 0.2], [0.35, 0.8]])
+    vals = eval_q_mu(spec, xs)
+    assert vals.shape == xs.shape
+    for x, v in zip(xs.ravel(), vals.ravel()):
+        assert v == eval_q_mu(spec, float(x))
+    with pytest.raises(DivergentAtZero):
+        eval_q_mu(spec, np.array([0.1, 1.0]))
+
+
 def test_eval_q_mu_point_masses():
     spec = PointMasses(((1.0, 1.0), (3.0, 0.25)))
     expect = eval_p(1.0, 0.3) + 0.25 * eval_p(3.0, 0.3)
@@ -235,6 +249,15 @@ def test_periodic_l1_error_mu_families():
         2.0 * periodic_l1_error(1.0, 3), rel=1e-14)
 
 
+@pytest.mark.parametrize("N", [0, 1, 3, 64])
+def test_periodic_errors_are_line_errors_at_type_2n_plus_2(N):
+    for lam in (0.01, 0.7, 1.0, 5.0, 300.0):
+        assert periodic_l1_error(lam, N) == l1_error_exp(lam, 2 * N + 2)
+    for spec in (HaarLog(), PowerSigma(0.3), PowerSigma(1.5),
+                 PointMasses(((0.5, 1.0), (2.0, 0.25), (7.0, 3.0)))):
+        assert periodic_l1_error_mu(spec, N) == l1_error_mu_raw(spec, 2 * N + 2)
+
+
 def test_quadrature_reproduces_periodic_error():
     for lam, N in ((1.0, 0), (2.0, 3)):
         assert periodic_l1_quadrature(lam, N) == pytest.approx(
@@ -261,6 +284,22 @@ def test_dual_lower_bound_periodic():
     assert bh <= periodic_l1_error_mu(HaarLog(), 1) + 1e-12
     with pytest.raises(ValueError):
         dual_lower_bound_periodic(ExpPeriodized(1.0), 0, terms=0)
+
+
+def test_circle_l1_abs_reproduces_periodic_error():
+    # optimal degree-0 polynomial for the periodized exponential, lam = 1:
+    # sign changes at 1/4 and 3/4, L1 error 2 - 2 sech(1/4).  An extra cell
+    # edge at 0 keeps the integrand's corner (eval_p kinks at integers) out
+    # of any panel interior; per-cell |integrals| are unaffected by it.
+    poly = build_k(1.0, 0)
+    f = lambda x: eval_p(1.0, x) - poly.eval(x)
+    val = circle_l1_abs(f, [0.0, 0.25, 0.75])
+    assert val == pytest.approx(2.0 - 2.0 / math.cosh(0.25), abs=1e-12)
+
+
+def test_circle_l1_abs_validates_nodes():
+    with pytest.raises(ValueError):
+        circle_l1_abs(np.sin, [])
 
 
 def test_refined_sign_nodes_near_canonical():

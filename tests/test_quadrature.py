@@ -11,10 +11,8 @@ from xapprox import (
     QuadratureNonConvergence,
     gauss_panel,
     integrate_cells_abs,
-    integrate_circle_signed,
     integrate_ray,
 )
-from xapprox.periodic import build_k, eval_p
 
 
 def test_integrate_ray_exponential():
@@ -86,18 +84,3 @@ def test_integrate_cells_abs_sign_split():
     val_bad = integrate_cells_abs(np.sin, [0.0, 2.0 * math.pi])
     assert abs(val_bad) < 1e-12
 
-
-def test_integrate_circle_signed_reproduces_periodic_error():
-    # optimal degree-0 polynomial for the periodized exponential, lam = 1:
-    # sign changes at 1/4 and 3/4, L1 error 2 - 2 sech(1/4).  An extra cell
-    # edge at 0 keeps the integrand's corner (eval_p kinks at integers) out
-    # of any panel interior; per-cell |integrals| are unaffected by it.
-    poly = build_k(1.0, 0)
-    f = lambda x: eval_p(1.0, x) - poly.eval(x)
-    val = integrate_circle_signed(f, [0.0, 0.25, 0.75])
-    assert val == pytest.approx(2.0 - 2.0 / math.cosh(0.25), abs=1e-12)
-
-
-def test_integrate_circle_signed_validates_nodes():
-    with pytest.raises(ValueError):
-        integrate_circle_signed(np.sin, [])
