@@ -21,11 +21,12 @@ from functools import partial
 import numpy as np
 from scipy.integrate import quad
 
-from ._stable import cospi, one_minus_sech
+from ._stable import cospi, one_minus_sech, one_minus_x_csch
 from .errors import UnknownCheckName
 from .expkernel import (
     ExpKernel,
     K_hat,
+    _khat,
     dual_lower_bound_exp,
     error_exp,
     error_exp_integral_oracle,
@@ -41,10 +42,9 @@ from .entire import (
     l1_error_mu,
     l1_error_mu_quadrature,
 )
-from .measures import HaarLog, PowerSigma, gamma_one_minus
+from .measures import HaarLog, PowerSigma, gamma_one_minus, integrate_measure
 from .periodic import (
     ExpPeriodized,
-    MeasurePeriodized,
     build_k,
     build_k_mu,
     circle_l1_abs,
@@ -261,12 +261,32 @@ def _chk_cross_exp():
     return worst, 0.0, 1e-10
 
 
-def _chk_cross_haar():
+def _coeffs_by_quadrature(spec, N):
+    """Optimal degree-N coefficients for q_mu by the theorem's route, one
+    adaptive quadrature per coefficient: c_n = int Khat(lam/L, n/L)/L dmu."""
+    L = 2 * N + 2
+    tail = max(50.0, 60.0 * L)
+    c = np.zeros(2 * N + 1, dtype=complex)
+    c[N] = -integrate_measure(
+        spec, lambda l: (2.0 / l) * one_minus_x_csch(0.5 * l / L), tail_cut=tail)
+    for n in range(1, N + 1):
+        u = n / L
+        def g(l, u=u):
+            return _khat(l / L, u) / L
+        cn = integrate_measure(spec, g, tail_cut=tail)
+        c[N + n] = cn
+        c[N - n] = cn
+    return c
+
+
+def _chk_cross_measure(specs, degrees):
+    # interpolation (build_k_mu) vs the per-coefficient K-hat integrals
     worst = 0.0
-    for N in (0, 1, 2, 4, 8):
-        a = build_k_mu(HaarLog(), N).coeffs
-        b = interpolation_oracle(MeasurePeriodized(HaarLog()), N).coeffs
-        worst = max(worst, float(np.max(np.abs(a - b))))
+    for spec in specs:
+        for N in degrees:
+            a = build_k_mu(spec, N).coeffs
+            b = _coeffs_by_quadrature(spec, N)
+            worst = max(worst, float(np.max(np.abs(a - b))))
     return worst, 0.0, 1e-10
 
 
@@ -321,7 +341,10 @@ def _build_registry():
     for N in (0, 1, 2, 4, 8):
         reg.append((f"thm1_4_N{N}", partial(_chk_log_circle, N)))
     reg.append(("cross_oracle_exp", _chk_cross_exp))
-    reg.append(("cross_oracle_haar", _chk_cross_haar))
+    reg.append(("cross_oracle_haar",
+                partial(_chk_cross_measure, (HaarLog(),), (0, 1, 2, 4, 8))))
+    reg.append(("cross_oracle_power",
+                partial(_chk_cross_measure, (PowerSigma(0.05), PowerSigma(1.95)), (0, 1, 4))))
     for N in (0, 1, 3):
         reg.append((f"perturbation_N{N}", partial(_chk_perturbation, N)))
     return tuple(reg)

@@ -173,20 +173,24 @@ def error_exp_integral_oracle(lam: float, x: float,
     return float(cospi(x)) / math.pi * total
 
 
+def _dual_sum(qh):
+    """(4/pi) sum_k (-1)^k qh[k]/(2k+1), qh the target at frequencies ~ k+1/2."""
+    k = np.arange(qh.size)
+    sign = np.where(k % 2 == 0, 1.0, -1.0)
+    return float(np.sum((4.0 / math.pi) * sign / (2.0 * k + 1.0) * qh))
+
+
 def dual_lower_bound_exp(lam: float, delta: float = 1.0, terms: int = 10**5) -> float:
     """Partial sums of the duality lower bound
 
-        (4/pi) sum_{k>=0} (-1)^k/(2k+1) * 2 lam / (lam^2 + 4 pi^2 delta^2 (k+1/2)^2),
+        (4/pi) sum_{k>=0} (-1)^k/(2k+1) * 2 lam / (lam^2 + 4 pi^2 m^2),   m = delta (k+1/2),
 
     which increases to l1_error_exp(lam, delta) as terms grows (the
     symmetric frequencies +-(k+1/2) are already paired)."""
     if terms < 1:
         raise ValueError("terms must be >= 1")
-    k = np.arange(terms)
-    sign = np.where(k % 2 == 0, 1.0, -1.0)
-    freq2 = (2.0 * math.pi * delta * (k + 0.5)) ** 2
-    return float(np.sum((4.0 / math.pi) * sign / (2.0 * k + 1.0)
-                        * 2.0 * lam / (lam * lam + freq2)))
+    m = delta * (np.arange(terms) + 0.5)
+    return _dual_sum(2.0 * lam / (lam * lam + 4.0 * math.pi**2 * m * m))
 
 
 def _watson_c1_c3(u):

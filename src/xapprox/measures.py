@@ -24,7 +24,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gamma as _gamma
 
-from ._stable import sinpi, x_coth_x_minus_one
+from ._stable import sinpi
 from .errors import DivergentAtZero, InvalidPointMass, InvalidSigma
 from .expkernel import eval_p, l1_error_exp
 from .quadrature import QuadratureConfig, integrate_ray
@@ -250,25 +250,27 @@ class PowerSigma(_Family):
         xf = float(x)
         a = float(xf - np.floor(xf))
         dist = min(a, 1.0 - a)
-        if dist == 0.0:
-            if s <= 1.0:
-                raise DivergentAtZero("q_mu is +inf at integer x for sigma <= 1")
-            T = 60.0
-            v1, _ = quad(lambda l: (2.0 / l) * float(x_coth_x_minus_one(0.5 * l)) * l ** (-s),
-                         0.0, T, epsabs=cfg.abs_tol, epsrel=cfg.rel_tol,
-                         limit=cfg.max_depth)
-            return v1 + T ** (1.0 - s) / (s - 1.0) - 2.0 * T ** (-s) / s
+        if dist == 0.0 and s <= 1.0:
+            raise DivergentAtZero("q_mu is +inf at integer x for sigma <= 1")
 
         def p_part(l):  # cosh(l(a-1/2))/sinh(l/2), stable exponentials
             return (math.exp(l * (a - 1.0)) + math.exp(-l * a)) / (-math.expm1(-l))
 
-        T = 40.0 / dist + 50.0
-        v1, _ = quad(lambda l: float(eval_p(l, a)) * l ** (-s), 0.0, 1.0,
+        def p_over_l(l):  # smooth on [0, 1]: p(l, a)/l -> (a-1/2)^2 - 1/12
+            return float(eval_p(l, a)) / l if l > 0.0 else (a - 0.5) ** 2 - 1.0 / 12.0
+
+        # the l^{1-s} endpoint singularity goes into QUADPACK's algebraic
+        # weight; [1, T] gets one breakpoint per decade since the decay scale
+        # 1/dist can reach 1e6; at integers p_part -> 1, an analytic tail
+        T = 40.0 / dist + 50.0 if dist else 60.0
+        v1, _ = quad(p_over_l, 0.0, 1.0, weight="alg", wvar=(1.0 - s, 0.0),
                      epsabs=cfg.abs_tol / 2, epsrel=cfg.rel_tol, limit=cfg.max_depth)
         v2, _ = quad(lambda l: p_part(l) * l ** (-s), 1.0, T,
+                     points=np.geomspace(1.0, T, int(math.log10(T)) + 2)[1:-1],
                      epsabs=cfg.abs_tol / 2, epsrel=cfg.rel_tol, limit=cfg.max_depth)
+        tail = 0.0 if dist else T ** (1.0 - s) / (s - 1.0)
         # int_1^inf (-2/l) l^{-s} dl = -2/s exactly
-        return v1 + v2 - 2.0 / s
+        return v1 + v2 + tail - 2.0 / s
 
 
 def validate(spec) -> None:

@@ -3,11 +3,11 @@
 Periodizing e^{-lam|x|} gives p(lam, x) = cosh(lam({x}-1/2))/sinh(lam/2)
 - 2/lam (mean zero); integrating p against a measure gives q_mu, whose
 Haar case is -log|2 sin pi x|.  The optimal degree-N approximations
-have explicit Fourier coefficients: a sampled copy of the line kernel's
-transform.  Both the closed-form builders and an independent
-interpolation construction (values at the 2N+2 shifted nodes) are
-provided, plus circle L1 quadrature that respects the corner of p at
-x = 0 and the log singularity of the Haar target.
+have explicit Fourier coefficients: the sampled line-kernel transform
+(build_k), equally the interpolant at the 2N+2 shifted nodes (build_k_mu,
+one DCT of q_mu).  A direct cosine-sum interpolation is the reference for
+both; circle L1 quadrature respects the corner of p at x = 0 and the log
+singularity of the Haar target.
 """
 
 from __future__ import annotations
@@ -17,12 +17,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import dct
 from scipy.optimize import brentq
 
 from ._stable import cospi, one_minus_x_csch, sinc, sinpi
 from .entire import l1_error_mu_raw
-from .expkernel import _khat, eval_p, l1_error_exp
-from .measures import integrate_measure, validate
+from .expkernel import _dual_sum, _khat, eval_p, l1_error_exp
+from .measures import validate
 from .quadrature import QuadratureConfig, gauss_panel, integrate_cells_abs
 
 __all__ = [
@@ -218,27 +219,15 @@ def build_k(lam: float, N: int) -> TrigPoly:
 
 
 def build_k_mu(spec, N: int, cfg: QuadratureConfig | None = None) -> TrigPoly:
-    """Measure version of build_k: exact coefficient-wise weighted sum
-    for point masses, per-coefficient quadrature otherwise."""
-    validate(spec)
+    """Measure version of build_k: the optimal polynomial interpolates
+    q_mu at the 2N+2 shifted nodes, so its coefficients are one DCT-II
+    of q_mu at the N+1 distinct nodes (q_mu is even)."""
     if N < 0 or int(N) != N:
         raise ValueError("N must be a nonnegative integer")
-    if spec.density is None:  # discrete measure: weighted sum of build_k
-        return TrigPoly(N, sum(w * build_k(lam, N)._c for lam, w in spec.masses))
     L = 2 * N + 2
-    tail = max(50.0, 60.0 * L)
-    c = np.zeros(2 * N + 1, dtype=complex)
-    c[N] = -integrate_measure(
-        spec, lambda l: (2.0 / l) * one_minus_x_csch(0.5 * l / L),
-        cfg, tail_cut=tail)
-    for n in range(1, N + 1):
-        u = n / L
-        def g(l, u=u):
-            return _khat(l / L, u) / L
-        cn = integrate_measure(spec, g, cfg, tail_cut=tail)
-        c[N + n] = cn
-        c[N - n] = cn
-    return TrigPoly(N, c)
+    vals = eval_q_mu(spec, (np.arange(N + 1) + 0.5) / L, cfg)
+    cn = dct(vals, type=2) / L
+    return TrigPoly(N, np.concatenate([cn[:0:-1], cn]))
 
 
 def periodic_l1_error(lam: float, N: int) -> float:
@@ -258,10 +247,10 @@ def interpolation_oracle(target, N: int,
     """Degree-N polynomial interpolating the target at the 2N+2 shifted
     nodes x_k = (k+1/2)/(2N+2), by the real cosine transform (for even
     targets the alias frequency N+1 vanishes on this grid, so the
-    interpolant is exactly recovered).  Independent of build_k and
-    build_k_mu; agreement of the two is the construction cross-check.
-    The target is an ExpPeriodized, a MeasurePeriodized or a plain
-    callable of x.
+    interpolant is exactly recovered).  The direct cosine sum over all
+    2N+2 nodes, no evenness assumed: the reference that build_k's closed
+    form and build_k_mu's DCT are compared against.  The target is an
+    ExpPeriodized, a MeasurePeriodized or a plain callable of x.
     """
     L = 2 * N + 2
     xs = (np.arange(L) + 0.5) / L
@@ -281,31 +270,26 @@ def dual_lower_bound_periodic(target, N: int, terms: int = 10**4) -> float:
     (k+1/2)(2N+2); increases to the closed-form optimal error."""
     if terms < 1:
         raise ValueError("terms must be >= 1")
-    L = 2 * N + 2
-    k = np.arange(terms)
-    m = L * (k + 0.5)
-    qh = target.q_hat(m)
-    sign = np.where(k % 2 == 0, 1.0, -1.0)
-    return float(np.sum((4.0 / math.pi) * sign / (2.0 * k + 1.0) * qh))
+    return _dual_sum(target.q_hat((2 * N + 2) * (np.arange(terms) + 0.5)))
 
 
 # --- circle L1 quadrature helpers -----------------------------------------
 
-def circle_l1_abs(f, nodes, order: int = 24, split_integer: bool = True) -> float:
+def circle_l1_abs(f, nodes, order: int = 24) -> float:
     """Integral of |f| over one period given its sign-change nodes in
-    (0,1); optionally splits the wrap-around cell at the integer point,
-    where the periodized targets have a corner or singularity."""
+    (0,1); splits the wrap-around cell at the integer point, where the
+    periodized targets have a corner or singularity."""
     ns = sorted(float(v) for v in nodes)
     if not ns:
         raise ValueError("need at least one node")
     bounds = list(ns)
-    if split_integer and ns[-1] < 1.0 < ns[0] + 1.0:
+    if ns[-1] < 1.0 < ns[0] + 1.0:
         bounds.append(1.0)
     bounds.append(ns[0] + 1.0)
     return integrate_cells_abs(f, bounds, order=order)
 
 
-def refined_sign_nodes(f, N: int, window: float = 0.45):
+def refined_sign_nodes(f, N: int):
     """Zeros of f near the canonical nodes (k+1/2)/(2N+2), located by
     root bracketing; nodes whose bracket shows no sign change are
     dropped (the resulting sum of |cell integrals| is then still a
@@ -313,8 +297,8 @@ def refined_sign_nodes(f, N: int, window: float = 0.45):
     L = 2 * N + 2
     out = []
     for k in range(L):
-        a = (k + 0.5 - window) / L
-        b = (k + 0.5 + window) / L
+        a = (k + 0.5 - 0.45) / L
+        b = (k + 0.5 + 0.45) / L
         fa, fb = f(a), f(b)
         if fa == 0.0:
             out.append(a)

@@ -13,8 +13,7 @@ analytic on a known interval (sign-constant cells of the L1 integrals).
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -34,20 +33,6 @@ DEFAULT_REL_TOL = 1e-10
 DEFAULT_MAX_DEPTH = 48
 DEFAULT_TAIL_CUT = 50.0
 
-#: environment variable that overrides the default absolute tolerance
-TOL_ENV_VAR = "XAPPROX_TOL"
-
-
-def _default_abs_tol() -> float:
-    raw = os.environ.get(TOL_ENV_VAR)
-    if raw is None:
-        return DEFAULT_ABS_TOL
-    try:
-        val = float(raw)
-    except ValueError:
-        return DEFAULT_ABS_TOL
-    return val if val > 0 else DEFAULT_ABS_TOL
-
 
 @dataclass(frozen=True)
 class QuadratureConfig:
@@ -62,7 +47,7 @@ class QuadratureConfig:
                      decays should raise it (callers pass e.g. 30/rate).
     """
 
-    abs_tol: float = field(default_factory=_default_abs_tol)
+    abs_tol: float = DEFAULT_ABS_TOL
     rel_tol: float = DEFAULT_REL_TOL
     max_depth: int = DEFAULT_MAX_DEPTH
     tail_cut: float = DEFAULT_TAIL_CUT

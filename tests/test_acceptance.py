@@ -21,6 +21,7 @@ from xapprox import (
     HaarLog,
     K_hat,
     MeasurePeriodized,
+    PowerSigma,
     TargetForm,
     build_k,
     build_k_mu,
@@ -32,6 +33,7 @@ from xapprox import (
     periodic_l1_error_mu,
     run_cert_suite,
 )
+from xapprox.certify import _coeffs_by_quadrature
 
 
 def _run_all(names, label, budget_s=None):
@@ -145,7 +147,13 @@ def test_interpolation_oracle_matches_construction():
     c = build_k_mu(HaarLog(), 2).coeffs
     d = interpolation_oracle(MeasurePeriodized(HaarLog()), 2).coeffs
     assert float(np.max(np.abs(c - d))) < 1e-10
-    _run_all(["cross_oracle_exp", "cross_oracle_haar"],
+    # and against the theorem's per-coefficient K-hat integrals
+    e = _coeffs_by_quadrature(HaarLog(), 2)
+    assert float(np.max(np.abs(c - e))) < 1e-10
+    f = build_k_mu(PowerSigma(0.5), 2).coeffs
+    g = _coeffs_by_quadrature(PowerSigma(0.5), 2)
+    assert float(np.max(np.abs(f - g))) < 1e-10
+    _run_all(["cross_oracle_exp", "cross_oracle_haar", "cross_oracle_power"],
              "interpolation oracle vs construction coefficients", budget_s=10.0)
 
 

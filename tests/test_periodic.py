@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gamma, zeta
 
 from xapprox import (
     DivergentAtZero,
@@ -17,6 +18,7 @@ from xapprox import (
     build_k,
     build_k_mu,
     circle_l1_abs,
+    dual_lower_bound_exp,
     dual_lower_bound_periodic,
     eval_p,
     eval_q_mu,
@@ -148,6 +150,30 @@ def test_eval_q_mu_power_frozen_samples(ref):
         assert val == pytest.approx(row["value"], abs=5e-9)
 
 
+def _q_power_near_integer(s, x):
+    # q_mu = (2 pi)^{1-s}/sin(pi s/2) sum_n n^{-s} cos(2 pi n x); for 0 < x < 1
+    # the sum is Gamma(1-s) sin(pi s/2) (2 pi x)^{s-1}
+    #            + sum_j zeta(s-2j) (-1)^j (2 pi x)^{2j}/(2j)!
+    y = 2.0 * math.pi * x
+    c = gamma(1.0 - s) * math.sin(0.5 * math.pi * s) * y ** (s - 1.0) if x else 0.0
+    c += sum(zeta(s - 2 * j) * (-1) ** j * y ** (2 * j) / math.factorial(2 * j)
+             for j in range(6))
+    return (2.0 * math.pi) ** (1.0 - s) / math.sin(0.5 * math.pi * s) * c
+
+
+@pytest.mark.parametrize("sigma", [0.05, 0.5, 1.5, 1.95])
+def test_eval_q_mu_power_near_integers(sigma):
+    # the decay scale of the defining integral grows like 1/dist(x, Z);
+    # binary fractions keep 1 - x and 3 + x exact
+    for x in (2.0**-20, 2.0**-13, 2.0**-7):
+        expect = _q_power_near_integer(sigma, x)
+        for at in (x, 1.0 - x, 3.0 + x):
+            assert eval_q_mu(PowerSigma(sigma), at) == pytest.approx(expect, rel=1e-12)
+    if sigma > 1.0:
+        expect = _q_power_near_integer(sigma, 0.0)
+        assert eval_q_mu(PowerSigma(sigma), 2.0) == pytest.approx(expect, rel=1e-12)
+
+
 def test_eval_q_mu_power_accepts_arrays():
     spec = PowerSigma(0.5)
     xs = np.array([[0.1, 0.2], [0.35, 0.8]])
@@ -204,6 +230,17 @@ def test_build_k_mu_point_masses_is_weighted_sum():
     poly = build_k_mu(spec, 1)
     expect = build_k(0.5, 1).coeffs + 2.0 * build_k(2.0, 1).coeffs
     assert np.allclose(poly.coeffs, expect, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("N", [0, 3, 16])
+@pytest.mark.parametrize("spec", [PointMasses(((0.5, 1.0), (2.0, 0.25))),
+                                  HaarLog(), PowerSigma(0.3)],
+                         ids=["points", "haar", "power0.3"])
+def test_build_k_mu_interpolates_q_mu_at_all_nodes(spec, N):
+    L = 2 * N + 2
+    xs = (np.arange(L) + 0.5) / L
+    poly = build_k_mu(spec, N)
+    assert np.allclose(poly.eval(xs), eval_q_mu(spec, xs), rtol=0, atol=1e-12)
 
 
 def test_interpolation_at_shifted_nodes():
@@ -284,6 +321,13 @@ def test_dual_lower_bound_periodic():
     assert bh <= periodic_l1_error_mu(HaarLog(), 1) + 1e-12
     with pytest.raises(ValueError):
         dual_lower_bound_periodic(ExpPeriodized(1.0), 0, terms=0)
+
+
+@pytest.mark.parametrize("N", [0, 1, 3, 10, 64])
+@pytest.mark.parametrize("lam", [0.01, 0.3, 1.0, 4.0, 50.0])
+def test_dual_bounds_agree_on_the_line_and_circle(lam, N):
+    assert dual_lower_bound_exp(lam, 2 * N + 2, 10**4) == dual_lower_bound_periodic(
+        ExpPeriodized(lam), N, 10**4)
 
 
 def test_circle_l1_abs_reproduces_periodic_error():

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-import xapprox.quadrature as quadmod
 from xapprox import (
     QuadratureConfig,
     QuadratureNonConvergence,
@@ -51,17 +50,6 @@ def test_config_validation():
         QuadratureConfig(max_depth=4)
     with pytest.raises(ValueError):
         QuadratureConfig(tail_cut=0.0)
-
-
-def test_tol_env_override(monkeypatch):
-    monkeypatch.setenv(quadmod.TOL_ENV_VAR, "1e-6")
-    assert QuadratureConfig().abs_tol == 1e-6
-    monkeypatch.setenv(quadmod.TOL_ENV_VAR, "not-a-number")
-    assert QuadratureConfig().abs_tol == quadmod.DEFAULT_ABS_TOL
-    monkeypatch.setenv(quadmod.TOL_ENV_VAR, "-3")
-    assert QuadratureConfig().abs_tol == quadmod.DEFAULT_ABS_TOL
-    monkeypatch.delenv(quadmod.TOL_ENV_VAR)
-    assert QuadratureConfig().abs_tol == quadmod.DEFAULT_ABS_TOL
 
 
 def test_gauss_panel_polynomial_exactness():
