@@ -46,7 +46,6 @@ from .expkernel import (
 )
 from .entire import (
     EntireApproximant,
-    SeriesControl,
     error_fourier_transform,
     error_mu_pointwise,
     eval_K_mu,
@@ -101,7 +100,7 @@ __all__ = [
     "error_exp", "error_exp_integral_oracle", "dual_lower_bound_exp",
     "l1_error_exp_quadrature", "eval_p",
     # measure-integrated approximants
-    "EntireApproximant", "SeriesControl", "eval_K_mu", "error_mu_pointwise",
+    "EntireApproximant", "eval_K_mu", "error_mu_pointwise",
     "l1_error_mu_raw", "l1_error_mu", "l1_error_mu_quadrature",
     "error_fourier_transform",
     # periodic

@@ -26,10 +26,8 @@ __all__ = [
     "sinc_complex",
     "sech",
     "csch",
-    "coth",
     "one_minus_sech",
     "one_minus_x_csch",
-    "x_coth_x_minus_one",
 ]
 
 _PI = np.pi
@@ -51,7 +49,7 @@ def sinpi(x):
     signed zero rather than ~1e-16 noise.  Odd in x bit-for-bit.
     """
     xa = np.asarray(x, dtype=float)
-    n = np.round(xa)
+    n = np.rint(xa)
     r = xa - n
     # (-1)^n without integer casts (safe for |x| beyond 2**63)
     sign = 1.0 - 2.0 * np.abs(np.fmod(n, 2.0))
@@ -114,15 +112,6 @@ def csch(x):
     return _restore(x, np.sign(xa) * out)
 
 
-def coth(x):
-    """cosh(x)/sinh(x) for x != 0."""
-    xa = np.asarray(x, dtype=float)
-    a = np.abs(xa)
-    with np.errstate(divide="ignore"):
-        out = (1.0 + np.exp(-2.0 * a)) / (-np.expm1(-2.0 * a))
-    return _restore(x, np.sign(xa) * out)
-
-
 def one_minus_sech(x):
     """1 - sech(x) without cancellation: expm1(-|x|)^2/(1+e^{-2|x|}).
 
@@ -150,21 +139,4 @@ def one_minus_x_csch(x):
     )
     b = a[~small]
     out[~small] = 1.0 - b * csch(b)
-    return _restore(x, out)
-
-
-def x_coth_x_minus_one(x):
-    """x*coth(x) - 1, accurate down to x = 0 (value ~ x^2/3)."""
-    xa = np.asarray(x, dtype=float)
-    a = np.abs(xa)
-    out = np.empty_like(a)
-    small = a < 0.1
-    s = a[small]
-    s2 = s * s
-    # x coth x - 1 = x^2/3 - x^4/45 + 2x^6/945 - x^8/4725 + ...
-    out[small] = s2 * (
-        1.0 / 3.0 + s2 * (-1.0 / 45.0 + s2 * (2.0 / 945.0 - s2 / 4725.0))
-    )
-    b = a[~small]
-    out[~small] = b * coth(b) - 1.0
     return _restore(x, out)

@@ -32,11 +32,10 @@ from .entire import (
 )
 from .measures import HaarLog, PowerSigma, TargetForm, measure_from_json
 from .periodic import (
+    _circle_l1_mu,
     build_k,
     build_k_mu,
-    circle_l1_abs,
     eval_q_mu,
-    l1_vs_log_circle,
     periodic_l1_error,
     periodic_l1_error_mu,
     periodic_l1_quadrature,
@@ -300,17 +299,6 @@ def cmd_coeffs(args):
     return 0
 
 
-def _periodic_quad_mu(spec, N):
-    if spec.form is TargetForm.LOG:
-        return l1_vs_log_circle(-build_k_mu(spec, N))
-    poly = build_k_mu(spec, N)
-    L = 2 * N + 2
-    nodes = ((np.arange(L) + 0.5) / L).tolist()
-    f = lambda x: (np.array([_q_scalar(spec, v) for v in np.atleast_1d(x)])
-                   - poly.eval(x))
-    return circle_l1_abs(f, nodes)
-
-
 def cmd_error_table(args):
     spec = _resolve_measure(args)
     rows = []
@@ -336,7 +324,7 @@ def cmd_error_table(args):
             if N != raw or N < 0:
                 raise CliError("--degree grid must hold nonnegative integers")
             closed = periodic_l1_error_mu(spec, N)
-            quad = _periodic_quad_mu(spec, N) if args.verify else None
+            quad = _circle_l1_mu(spec, build_k_mu(spec, N)) if args.verify else None
             rows.append((N, closed, quad))
     else:
         param = getattr(spec, "sigma", args.delta)

@@ -12,9 +12,10 @@ cardinal form
 
 which is stable at the nodes, plus a constant split using the exact
 identity KK(1, w) = 1, so the node data phi is either decaying (point
-masses) or slowly growing (log / power), never constant-offset.  The
-node data, the closed-form constants and the presentation forms
-(TargetForm) come from the measure family objects in measures.py.
+masses) or slowly growing (log / power), never constant-offset.  KK is
+summed by series._cardinal_sum, the engine eval_K uses too.  The node
+data, the closed-form constants and the presentation forms (TargetForm)
+come from the measure family objects in measures.py.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from ._stable import cospi, one_minus_x_csch, sinc, sinc_complex
-from .errors import DivergentAtZero, SeriesNonConvergence, QuadratureNonConvergence
+from ._stable import one_minus_x_csch
+from .errors import DivergentAtZero, QuadratureNonConvergence
 from .expkernel import (
     ExpKernel,
     _khat,
@@ -37,9 +38,9 @@ from .expkernel import (
 )
 from .measures import TargetForm, f_mu, integrate_measure, validate
 from .quadrature import QuadratureConfig, panel_nodes
+from .series import _cardinal_sum
 
 __all__ = [
-    "SeriesControl",
     "EntireApproximant",
     "eval_K_mu",
     "error_mu_pointwise",
@@ -48,28 +49,6 @@ __all__ = [
     "error_fourier_transform",
     "l1_error_mu_quadrature",
 ]
-
-
-@dataclass(frozen=True)
-class SeriesControl:
-    """Stopping policy for the interpolation series.
-
-    tol:          target absolute error of the (accelerated) sum
-    max_pairs:    hard cap on symmetric node pairs
-
-    The Euler (Boole) tail transform is applied when the measure family
-    reports slowly decaying node data (Haar, power), not for point
-    masses, whose node data already decays geometrically.
-    """
-
-    tol: float = 1e-11
-    max_pairs: int = 2_000_000
-
-    def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
-        if self.max_pairs < 16:
-            raise ValueError("max_pairs must be >= 16")
 
 
 @dataclass(frozen=True)
@@ -88,103 +67,24 @@ class EntireApproximant:
             raise ValueError(f"{self.form.value} form does not apply to {self.spec!r}")
 
 
-_DEFAULT_CTL = SeriesControl()
-
-_ALT4 = np.array([1.0, -1.0, 1.0, -1.0])
-
-
-def _kcal(phi, w, ctl: SeriesControl, accelerate: bool):
-    """Sum KK(phi, w) over node pairs until the averaged tail stagnates.
-
-    w is a 1-D array (real or complex).  Real input takes a fast path:
-    outside a band around the nodes the pair collapses to
-    (-1)^n (cos pi w/pi) 2 xi/(w^2 - xi^2), transcendental-free; inside
-    the band the sinc form is used.  For slowly decaying node data the
-    last four terms of each block are traded for a fourth-order Euler
-    (Boole) tail of the remainder, so power-law pair data that plain
-    averaging would grind on for ~1e6 pairs settles within a few
-    blocks; the stagnation test keeps a conservative n/2B inflation of
-    the block-to-block delta.
-    """
-    is_complex = np.iscomplexobj(w)
-    P = w.size
-    B = 512 if P >= 64 else 4096
-    re = np.real(w) if is_complex else w
-    max_re = float(np.max(np.abs(re))) if P else 0.0
-    n_min = max(16, int(math.ceil(max_re)) + 8)
-
-    acc = np.zeros(P, dtype=complex if is_complex else float)
-    if not is_complex:
-        cpw = cospi(w) / math.pi
-        w2 = w * w
-        aw = np.abs(w)
-    prev = None
-    n0 = 0
-    while n0 < ctl.max_pairs:
-        idx = np.arange(n0, n0 + B)
-        xi = idx + 0.5
-        ph = np.asarray(phi(xi), dtype=float)
-        if is_complex:
-            terms = sinc_complex(w[:, None] - xi) + sinc_complex(w[:, None] + xi)
-        else:
-            sgn = np.where(idx % 2 == 0, -1.0, 1.0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                # garbage at w == node; overwritten by the sinc form below
-                terms = (cpw[:, None] * sgn) * (2.0 * xi / (w2[:, None] - xi * xi))
-            if xi[0] - 0.5 <= max_re:
-                near_i, near_j = np.nonzero(np.abs(aw[:, None] - xi) < 0.3)
-                if near_i.size:
-                    wn, xn = w[near_i], xi[near_j]
-                    terms[near_i, near_j] = sinc(wn - xn) + sinc(wn + xn)
-        terms *= ph
-        acc += terms.sum(axis=1)
-        n0 += B
-        if accelerate:
-            # Boole tail: swap the last four summed terms for the Euler
-            # transform of the remainder from their first index N.  With
-            # t_n = (-1)^n u_n and u smooth in n,
-            #   sum_{n>=N} t_n = (-1)^N (d0/2 - d1/4 + d2/8 - d3/16) + O(D4 u)
-            # with d_k the forward differences of u at N; the (-1)^N
-            # cancels against the one folded into u below.
-            u = terms[:, -4:] * _ALT4
-            d1 = u[:, 1] - u[:, 0]
-            d2 = u[:, 2] - 2.0 * u[:, 1] + u[:, 0]
-            d3 = u[:, 3] - 3.0 * u[:, 2] + 3.0 * u[:, 1] - u[:, 0]
-            tail = 0.5 * u[:, 0] - 0.25 * d1 + 0.125 * d2 - 0.0625 * d3
-            T = acc - terms[:, -4:].sum(axis=1) + tail
-        else:
-            T = acc.copy()
-        if prev is not None and n0 >= n_min:
-            delta = float(np.max(np.abs(T - prev)))
-            est = delta * n0 / (2.0 * B) if accelerate else delta
-            if est < ctl.tol:
-                return T
-        prev = T
-    raise SeriesNonConvergence(
-        f"interpolation series not converged after {n0} pairs (tol {ctl.tol:g})"
-    )
-
-
-def _eval_raw(spec, delta, z, ctl: SeriesControl):
+def _eval_raw(spec, delta, z, tol):
     # raw(z) = prefactor * KK(phi, delta*z) + offset, with phi never
     # constant-offset (the constant part is summed exactly via KK(1, .) = 1)
-    phi, pref, off, slow = spec.raw_frame(delta)
-    vals = _kcal(phi, np.atleast_1d(np.asarray(z)) * delta, ctl, slow)
+    phi, pref, off, rate = spec.raw_frame(delta)
+    vals = _cardinal_sum(phi, np.atleast_1d(np.asarray(z)) * delta, rate, tol)
     return pref * vals + off
 
 
-def eval_K_mu(a: EntireApproximant, z, ctl: SeriesControl | None = None):
+def eval_K_mu(a: EntireApproximant, z):
     """Evaluate the approximant at z (scalar or array, real or complex).
 
     raw form interpolates f_mu at (n-1/2)/delta; log form returns the
     entire function matching log|x| there; power form the one matching
     |x|^{sigma-1}.
     """
-    if ctl is None:
-        ctl = _DEFAULT_CTL
     zz = np.asarray(z)
     scalar = zz.ndim == 0
-    raw = _eval_raw(a.spec, a.delta, zz, ctl)
+    raw = _eval_raw(a.spec, a.delta, zz, 1e-11)
     out = raw if a.form is TargetForm.RAW else a.spec.natural(raw)
     if scalar:
         out = out[0]
@@ -307,8 +207,7 @@ def error_fourier_transform(spec, delta: float, t: float,
 
 
 def l1_error_mu_quadrature(spec, delta: float = 1.0, half_cells: int = 50,
-                           order: int = 32, ctl: SeriesControl | None = None,
-                           cfg: QuadratureConfig | None = None) -> float:
+                           order: int = 32, cfg: QuadratureConfig | None = None) -> float:
     """L1 error recomputed from pointwise values, independent of the
     closed form: sign-split Gauss panels on cells between consecutive
     interpolation nodes (m+1/2)/delta out to (half_cells+1/2)/delta,
@@ -317,12 +216,10 @@ def l1_error_mu_quadrature(spec, delta: float = 1.0, half_cells: int = 50,
     measure-integrated large-x tail model beyond the last node.
     """
     validate(spec)
-    if ctl is None:
-        ctl = SeriesControl(tol=1e-9)
     bounds = np.concatenate([[0.0], (np.arange(half_cells + 1) + 0.5) / delta])
     cells = np.column_stack([bounds[:-1], bounds[1:]])
     pts, wts, half = panel_nodes(cells, order)
-    raw_vals = _eval_raw(spec, delta, pts, ctl)
+    raw_vals = _eval_raw(spec, delta, pts, 1e-9)
     diff = f_mu(spec, pts) - raw_vals
     per_cell = np.abs(diff.reshape(-1, order) @ wts * half)
     f_cell0 = spec.cell0_integral(bounds[1])

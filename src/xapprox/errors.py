@@ -18,7 +18,7 @@ class QuadratureNonConvergence(XapproxError, ArithmeticError):
 
 
 class SeriesNonConvergence(XapproxError, ArithmeticError):
-    """Cardinal series failed to stagnate below tolerance within max_pairs."""
+    """Cardinal series not finite, or not converged within 2e6 node pairs."""
 
 
 class DivergentAtZero(XapproxError, ValueError):

@@ -9,11 +9,11 @@ and is the unique minimizer of the L1 approximation error among type-pi
 functions.  Rescaling K(lam/delta, delta*x) gives the optimal function
 of type pi*delta.
 
-Every series term here is evaluated in the cardinal form
-e^{-lam|m|} * sinc(z - m) (m ranging over half-integers), which is
-finite at the nodes, so no special-casing near poles is needed.  The
-periodization p(lam, x) of the same target (eval_p) lives here too: the
-measure families and the circle builders both integrate it.
+eval_K sums the series in the cardinal form e^{-lam|m|} * sinc(z - m)
+(m ranging over half-integers), which is finite at the nodes, through
+series._cardinal_sum, the engine the measure approximants in entire.py
+share.  The periodization p(lam, x) of the same target (eval_p) lives
+here too: the measure families and the circle builders integrate it.
 """
 
 from __future__ import annotations
@@ -23,9 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._stable import cospi, csch, one_minus_sech, sech, sinc, sinc_complex, sinpi
+from ._stable import cospi, csch, one_minus_sech, sech, sinpi
 from .quadrature import QuadratureConfig, panel_nodes, reduce_cells_abs
 from .errors import QuadratureNonConvergence
+from .series import _cardinal_sum
 
 __all__ = [
     "ExpKernel",
@@ -39,8 +40,6 @@ __all__ = [
     "l1_error_exp_quadrature",
     "eval_p",
 ]
-
-_TRUNC_EPS = 1e-15
 
 
 @dataclass(frozen=True)
@@ -57,35 +56,21 @@ class ExpKernel:
             raise ValueError(f"delta must be positive, got {self.delta}")
 
 
-def _trunc_M(lam_p: float, max_abs_re: float) -> int:
-    # smallest M with geometric tail e^{-lam'(M-1)}/lam' below _TRUNC_EPS,
-    # clamped so the node range always covers the evaluation points
-    m_tail = 1.0 + math.log(1.0 / (_TRUNC_EPS * lam_p)) / lam_p
-    return int(max(8.0, math.ceil(m_tail), math.ceil(max_abs_re) + 8.0))
-
-
 def eval_K(kernel: ExpKernel, z):
     """The dilated kernel K(lam/delta, delta*z); vectorized, real or complex.
 
     Evaluation sums e^{-lam'|m|}(sinc(w-m) + sinc(w+m)) over the
-    positive half-integers m, with w = delta*z, lam' = lam/delta.  The
-    symmetric pairing makes the result exactly even in z, and the sinc
-    form is uniformly stable including at the interpolation nodes.
+    positive half-integers m, with w = delta*z, lam' = lam/delta, in the
+    shared cardinal-series engine.  The symmetric pairing makes the
+    result exactly even in z, and the sinc form is uniformly stable
+    including at the interpolation nodes.  Raises SeriesNonConvergence
+    where the sum overflows (|Im w| beyond ~225) or would need more than
+    2e6 pairs (lam' below ~2e-5).
     """
     lam_p = kernel.lam / kernel.delta
     w = np.asarray(z) * kernel.delta
     scalar = w.ndim == 0
-    w = np.atleast_1d(w)
-    is_complex = np.iscomplexobj(w)
-    re = np.real(w) if is_complex else w
-    max_re = float(np.max(np.abs(re))) if re.size else 0.0
-    m = np.arange(_trunc_M(lam_p, max_re)) + 0.5
-    decay = np.exp(-lam_p * m)
-    if is_complex:
-        terms = sinc_complex(w[:, None] - m) + sinc_complex(w[:, None] + m)
-    else:
-        terms = sinc(w[:, None] - m) + sinc(w[:, None] + m)
-    vals = (terms * decay).sum(axis=1)
+    vals = _cardinal_sum(lambda xi: np.exp(-lam_p * xi), np.atleast_1d(w), lam_p)
     return vals[0] if scalar else vals
 
 

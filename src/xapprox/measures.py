@@ -65,9 +65,9 @@ class _Family:
     f_mu(ax)           raw target at |x| = ax (1-D array)
     density(lam)       density against dlam; None for a discrete measure
     integrate(g, cfg)  integral of g(lam) dmu, g taking ndarray input
-    raw_frame(delta)   (phi, prefactor, offset, slow): the raw approximant
-                       is prefactor * KK(phi, delta*z) + offset; slow node
-                       data takes the Boole tail in the series
+    raw_frame(delta)   (phi, prefactor, offset, rate): the raw approximant
+                       is prefactor * KK(phi, delta*z) + offset; rate is
+                       the geometric decay rate of phi, None for slow data
     cell0_integral(b)  integral of f_mu over [0, b]; None if f_mu is smooth
     l1_raw(delta)      closed-form L1(R) error of the raw approximant
     q_hat(nn), q_mu(x, cfg)   the periodized target and its coefficients
@@ -129,7 +129,7 @@ class PointMasses(_Family):
     def raw_frame(self, delta):
         lam, wts = self._arrays()
         phi = lambda xi: np.exp(-np.multiply.outer(xi, lam / delta)) @ wts
-        return phi, 1.0, -float(np.dot(wts, np.exp(-lam))), False
+        return phi, 1.0, -float(np.dot(wts, np.exp(-lam))), lam[0] / delta
 
     def cell0_integral(self, b):
         return None
@@ -167,7 +167,7 @@ class HaarLog(_Family):
         return integrate_ray(lambda t: float(g(t)) / t, 0.0, cfg)
 
     def raw_frame(self, delta):
-        return (lambda xi: -np.log(xi)), 1.0, math.log(delta), True
+        return (lambda xi: -np.log(xi)), 1.0, math.log(delta), None
 
     def cell0_integral(self, b):
         return b - b * math.log(b)
@@ -226,7 +226,7 @@ class PowerSigma(_Family):
     def raw_frame(self, delta):
         s = self.sigma
         g = gamma_one_minus(s)
-        return (lambda xi: xi ** (s - 1.0)), g * delta ** (1.0 - s), -g, True
+        return (lambda xi: xi ** (s - 1.0)), g * delta ** (1.0 - s), -g, None
 
     def cell0_integral(self, b):
         s = self.sigma

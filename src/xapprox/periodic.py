@@ -20,10 +20,10 @@ import numpy as np
 from scipy.fft import dct
 from scipy.optimize import brentq
 
-from ._stable import cospi, one_minus_x_csch, sinc, sinpi
+from ._stable import cospi, one_minus_x_csch, sinpi
 from .entire import l1_error_mu_raw
 from .expkernel import _dual_sum, _khat, eval_p, l1_error_exp
-from .measures import validate
+from .measures import HaarLog, f_mu, validate
 from .quadrature import QuadratureConfig, gauss_panel, integrate_cells_abs
 
 __all__ = [
@@ -327,22 +327,28 @@ def periodic_l1_quadrature(lam: float, N: int, poly: TrigPoly | None = None,
     return circle_l1_abs(f, nodes, order=order)
 
 
-def l1_vs_log_circle(poly: TrigPoly, order: int = 24) -> float:
-    """int_0^1 |log|2 sin pi x| - poly(x)| dx for an even real poly of
-    degree N, with cells at the canonical nodes of L = 2N+2.  On the
-    two cells touching the singularity at x = 0 the log is integrated
-    exactly (int_0^h log(2 pi x) dx = h(log(2 pi h) - 1)) plus a panel
-    for the analytic remainder log(sin(pi x)/(pi x)).
+def _circle_l1_mu(spec, poly: TrigPoly, order: int = 24) -> float:
+    """int_0^1 |q_mu - poly| for an even real poly of degree N, with cells
+    at the canonical nodes of L = 2N+2.  Where f_mu is singular at x = 0
+    (Haar, power) the two cells touching it take f_mu's exact integral
+    (cell0_integral) plus panels for the analytic q_mu - f_mu and for
+    poly; a bounded target splits the wrap-around cell at x = 1 instead.
     """
-    N = poly.degree
-    L = 2 * N + 2
+    L = 2 * poly.degree + 2
     xs = (np.arange(L) + 0.5) / L
-    f = lambda x: np.log(np.abs(2.0 * sinpi(x))) - poly.eval(x)
-    interior = integrate_cells_abs(f, xs, order=order)
+    f = lambda x: eval_q_mu(spec, x) - poly.eval(x)
     h = xs[0]
-    exact_log = h * (math.log(2.0 * math.pi * h) - 1.0)
-    smooth = gauss_panel(lambda x: np.log(sinc(x)), 0.0, h, order=order)
-    ppart = gauss_panel(poly.eval, 0.0, h, order=order)
-    edge = abs(exact_log + smooth - ppart)
+    f_cell0 = spec.cell0_integral(h)
+    if f_cell0 is None:
+        return circle_l1_abs(f, xs, order=order)
+    smooth = gauss_panel(lambda x: eval_q_mu(spec, x) - f_mu(spec, x), 0.0, h, order=order)
+    edge = abs(f_cell0 + smooth - gauss_panel(poly.eval, 0.0, h, order=order))
     # the mirror cell [x_{L-1}, 1] contributes the same by evenness
-    return interior + 2.0 * edge
+    return integrate_cells_abs(f, xs, order=order) + 2.0 * edge
+
+
+def l1_vs_log_circle(poly: TrigPoly, order: int = 24) -> float:
+    """int_0^1 |log|2 sin pi x| - poly(x)| dx for an even real poly, the
+    circle L1 error against the log target: q_mu of the Haar measure is
+    -log|2 sin pi x|, with the log integrated exactly next to x = 0."""
+    return _circle_l1_mu(HaarLog(), -poly, order)

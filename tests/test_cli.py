@@ -132,6 +132,19 @@ def test_error_table_with_verification(capsys):
     assert float(row[3]) < 1e-8
 
 
+@pytest.mark.parametrize("sigma", ["0.05", "0.5", "1.5", "1.95"])
+def test_error_table_periodic_power_verification(capsys, sigma):
+    # the quadrature column integrates the |x|^{sigma-1} singularity at
+    # x = 0 exactly, so it must agree with the closed form to rounding
+    code, out, _ = run(capsys, "error-table", "--measure", "power", "--sigma", sigma,
+                       "--periodic", "--degree", "0:2:2", "--verify")
+    assert code == 0
+    rows = [l.split(",") for l in out.strip().splitlines()[1:]]
+    assert [float(r[0]) for r in rows] == [0.0, 2.0]
+    for r in rows:
+        assert float(r[3]) < 1e-12
+
+
 def test_error_table_periodic_degree_grid(capsys):
     code, out, _ = run(capsys, "error-table", "--measure", "haar",
                        "--degree", "0:3")

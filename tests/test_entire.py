@@ -11,7 +11,6 @@ from xapprox import (
     HaarLog,
     PointMasses,
     PowerSigma,
-    SeriesControl,
     TargetForm,
     error_fourier_transform,
     error_mu_pointwise,
@@ -35,13 +34,6 @@ def test_approximant_validation():
         EntireApproximant(HaarLog(), 1.0, TargetForm.POWER)
     with pytest.raises(Exception):
         EntireApproximant(PowerSigma(1.0), 1.0)
-
-
-def test_series_control_validation():
-    with pytest.raises(ValueError):
-        SeriesControl(tol=0.0)
-    with pytest.raises(ValueError):
-        SeriesControl(max_pairs=4)
 
 
 def test_log_approximant_frozen_values(ref):

@@ -1,17 +1,23 @@
 """The single-exponential kernel: values, transform, closed-form errors."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from xapprox import (
+    EntireApproximant,
     ExpKernel,
+    PointMasses,
+    SeriesNonConvergence,
     K_hat,
     dual_lower_bound_exp,
     error_exp,
     error_exp_integral_oracle,
     eval_K,
+    eval_K_mu,
     k_value_at_zero,
     l1_error_exp,
     l1_error_exp_quadrature,
@@ -61,6 +67,36 @@ def test_evenness_is_bitwise():
     x = np.linspace(-7.3, 7.3, 41)
     k = ExpKernel(1.3)
     assert np.all(eval_K(k, x) == eval_K(k, -x))
+
+
+def test_complex_overflow_raises_instead_of_nan():
+    # sin(pi z) overflows near Im z = 226; the sum must raise, silently
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SeriesNonConvergence, match="not finite"):
+            eval_K(ExpKernel(1.0), [1.0 + 260.0j, 0.3 + 260.5j])
+
+
+def test_small_lambda_memory_is_bounded():
+    # the series is summed in blocks: memory must not scale like 1/lam'
+    x = np.linspace(-20.0, 20.0, 2001)
+    tracemalloc.start()
+    try:
+        eval_K(ExpKernel(0.01), x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize("delta", [0.5, 2.0])
+@pytest.mark.parametrize("lam", [0.05, 1.0, 5.0])
+def test_kernel_is_the_single_point_mass_approximant(lam, delta):
+    # one engine: the raw point-mass approximant is K minus e^{-lam}
+    x = np.concatenate([np.linspace(-12.0, 12.0, 97), (np.arange(6) + 0.5) / delta])
+    raw = eval_K_mu(EntireApproximant(PointMasses(((lam, 1.0),)), delta), x)
+    k = eval_K(ExpKernel(lam, delta), x)
+    assert np.max(np.abs(raw + math.exp(-lam) - k)) < 1e-15
 
 
 def test_dilation_is_argument_rescaling():

@@ -7,7 +7,6 @@ import pytest
 
 from xapprox._stable import (
     cospi,
-    coth,
     csch,
     one_minus_sech,
     one_minus_x_csch,
@@ -15,7 +14,6 @@ from xapprox._stable import (
     sinc,
     sinc_complex,
     sinpi,
-    x_coth_x_minus_one,
 )
 
 
@@ -62,19 +60,16 @@ def test_sinc_complex_matches_real_axis_and_series():
 @pytest.mark.parametrize("x", [1e-12, 0.05, 0.0999, 0.1001, 0.7, 3.0, 40.0, 690.0])
 def test_hyperbolics_match_reference(x):
     # 690 is near the top of math.cosh/sinh's range; past it the naive
-    # references overflow while sech/csch/coth keep going (separate test)
+    # references overflow while sech/csch keep going (separate test)
     assert sech(x) == pytest.approx(1.0 / math.cosh(x), rel=1e-14, abs=1e-300)
     assert csch(x) == pytest.approx(1.0 / math.sinh(x), rel=1e-14)
-    assert coth(x) == pytest.approx(1.0 / math.tanh(x), rel=1e-14)
 
 
 def test_hyperbolics_extreme_arguments():
     # no overflow warnings, clean underflow
     assert sech(5000.0) == 0.0
     assert csch(5000.0) == 0.0
-    assert coth(5000.0) == 1.0
     assert csch(-3.0) == -csch(3.0)
-    assert coth(-3.0) == -coth(3.0)
 
 
 @pytest.mark.parametrize("x", [1e-9, 1e-4, 0.0999, 0.1001, 0.5, 3.0, 50.0])
@@ -96,13 +91,6 @@ def test_one_minus_x_csch_branch_continuity():
     assert one_minus_x_csch(1e-8) == pytest.approx(1e-16 / 6.0, rel=1e-10)
     assert one_minus_x_csch(0.0) == 0.0
     assert one_minus_x_csch(2.0) == pytest.approx(1.0 - 2.0 / math.sinh(2.0), rel=1e-14)
-
-
-def test_x_coth_x_minus_one_branch_continuity():
-    x = 0.1 - 1e-12
-    assert x_coth_x_minus_one(x) == pytest.approx(x * coth(x) - 1.0, rel=5e-12)
-    assert x_coth_x_minus_one(1e-8) == pytest.approx(1e-16 / 3.0, rel=1e-10)
-    assert x_coth_x_minus_one(3.0) == pytest.approx(3.0 / math.tanh(3.0) - 1.0, rel=1e-14)
 
 
 def test_scalar_in_scalar_out():
