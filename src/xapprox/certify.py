@@ -217,7 +217,7 @@ _PERIODIC_GRID = tuple((lam, N) for lam in (0.5, 1.0, 2.0) for N in (0, 1, 3))
 
 
 def _chk_l1_periodic(lam, N):
-    return (periodic_l1_quadrature(lam, N), periodic_l1_error(lam, N), 1e-9)
+    return (periodic_l1_quadrature(lam, N), periodic_l1_error(lam, N), 1e-14)
 
 
 def _chk_periodic_nodes():
@@ -227,7 +227,7 @@ def _chk_periodic_nodes():
         xs = (np.arange(L) + 0.5) / L
         poly = build_k(lam, N)
         worst = max(worst, float(np.max(np.abs(eval_p(lam, xs) - poly.eval(xs)))))
-    return worst, 0.0, 1e-11
+    return worst, 0.0, 1e-13
 
 
 def _chk_periodic_sign():
@@ -249,7 +249,7 @@ def _chk_periodic_sign():
 
 def _chk_log_circle(N):
     v = -build_k_mu(HaarLog(), N)
-    return l1_vs_log_circle(v), periodic_l1_error_mu(HaarLog(), N), 1e-7
+    return l1_vs_log_circle(v), periodic_l1_error_mu(HaarLog(), N), 1e-13
 
 
 def _chk_cross_exp():

@@ -7,7 +7,10 @@ have explicit Fourier coefficients: the sampled line-kernel transform
 (build_k), equally the interpolant at the 2N+2 shifted nodes (build_k_mu,
 one DCT of q_mu).  A direct cosine-sum interpolation is the reference for
 both; circle L1 quadrature respects the corner of p at x = 0 and the log
-singularity of the Haar target.
+singularity of the Haar target.  Every circle value goes through
+TrigPoly.eval, Reinsch's modified Clenshaw recurrence: O(P) memory for P
+points, as accurate as the direct sum, and exactly even for even
+polynomials.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ class TrigPoly:
     average), after checking the input was Hermitian to 1e-8.
     """
 
-    __slots__ = ("degree", "_c")
+    __slots__ = ("degree", "_c", "_cos", "_sin")
 
     def __init__(self, degree: int, coeffs):
         n = int(degree)
@@ -75,6 +78,11 @@ class TrigPoly:
             raise ValueError("coefficients are not Hermitian-symmetric")
         self.degree = n
         self._c = 0.5 * (arr + arr[::-1].conj())
+        # eval's recurrence coefficients, frequency N first: 2 Re c_k, and
+        # -2 Im c_k for the sine twin unless every Im c_k is 0
+        self._cos = (2.0 * self._c[:n:-1].real).tolist()
+        im = self._c[:n:-1].imag
+        self._sin = (-2.0 * im).tolist() if np.any(im) else None
 
     def coeff(self, n: int) -> complex:
         if abs(n) > self.degree:
@@ -87,19 +95,38 @@ class TrigPoly:
         return self._c.copy()
 
     def eval(self, x):
-        """Value at x (vectorized), computed in real arithmetic."""
-        xx = np.asarray(x, dtype=float)
-        scalar = xx.ndim == 0
-        xx = np.atleast_1d(xx)
-        N = self.degree
-        out = np.full(xx.shape, self._c[N].real)
-        if N > 0:
-            n = np.arange(1, N + 1)
-            ang = 2.0 * xx[:, None] * n
-            re = self._c[N + 1:].real
-            im = self._c[N + 1:].imag
-            out = out + 2.0 * (cospi(ang) @ re - sinpi(ang) @ im)
-        return float(out[0]) if scalar else out
+        """Value at x (scalar or array) by Reinsch's modified Clenshaw
+        recurrence (Reinsch 1967; Oliver, J. IMA 1977).
+
+        With a_k = 2 Re c_k and b = d = 0 above N, run k = N..1:
+
+            d_k = a_k + m b_{k+1} + s d_{k+1},   b_k = d_k + s b_{k+1};
+
+        the value is c_0 + (m/2) b_1 + s d_1.  Where cos 2 pi x >= 0
+        (|cospi x| >= |sinpi x|) s = +1 and m = -4 sin^2(pi x), elsewhere
+        s = -1 and m = 4 cos^2(pi x): m is small exactly where plain
+        Clenshaw's 2 cos 2 pi x sits near +-2 and loses digits.  When some
+        Im c_k != 0 the sine twin, coefficients -2 Im c_k, runs the same
+        loop and adds b_1 sin 2 pi x.  Memory is O(len(x)).  sinpi is odd
+        and cospi even bit for bit, so an even polynomial evaluates exactly
+        evenly.  Scalar x gives a Python float.
+        """
+        c0 = float(self._c[self.degree].real)
+        scalar = np.ndim(x) == 0
+        if self.degree == 0:
+            return c0 if scalar else np.full(np.shape(x), c0)
+        cx, sx = cospi(x), sinpi(x)
+        if scalar:
+            s, m = (1.0, -4.0 * sx * sx) if abs(cx) >= abs(sx) else (-1.0, 4.0 * cx * cx)
+        else:
+            pos = np.abs(cx) >= np.abs(sx)
+            s = np.where(pos, 1.0, -1.0)
+            m = np.where(pos, -4.0 * sx * sx, 4.0 * cx * cx)
+        b, d = _reinsch(self._cos, m, s)
+        out = c0 + 0.5 * m * b + s * d
+        if self._sin is not None:
+            out = out + 2.0 * sx * cx * _reinsch(self._sin, m, s)[0]
+        return out
 
     def __neg__(self):
         return TrigPoly(self.degree, -self._c)
@@ -125,6 +152,27 @@ class TrigPoly:
         obj = json.loads(text) if isinstance(text, (str, bytes)) else text
         coeffs = {int(n): complex(re, im) for n, re, im in obj["coeffs"]}
         return cls(int(obj["degree"]), coeffs)
+
+
+def _reinsch(coeffs, m, s):
+    """(b_1, d_1) of TrigPoly.eval's recurrence over coeffs (frequency N
+    first), on Python floats or, in place, on arrays; both sum
+    (a_k + m b) + s d and then d + s b, so they round alike."""
+    if isinstance(m, float):
+        b = d = 0.0
+        for a in coeffs:
+            d = a + m * b + s * d
+            b = d + s * b
+        return b, d
+    b, d, t = np.zeros_like(m), np.zeros_like(m), np.empty_like(m)
+    for a in coeffs:
+        np.multiply(m, b, out=t)
+        t += a
+        d *= s
+        d += t
+        b *= s
+        b += d
+    return b, d
 
 
 @dataclass(frozen=True)
@@ -254,15 +302,12 @@ def interpolation_oracle(target, N: int,
     """
     L = 2 * N + 2
     xs = (np.arange(L) + 0.5) / L
-    f = (lambda x: target.value(x, cfg)) if hasattr(target, "value") else target
-    vals = np.array([float(f(x)) for x in xs])
-    c = np.zeros(2 * N + 1, dtype=complex)
-    c[N] = float(np.sum(vals)) / L
-    for n in range(1, N + 1):
-        cn = float(np.dot(vals, cospi(2.0 * n * xs))) / L
-        c[N + n] = cn
-        c[N - n] = cn
-    return TrigPoly(N, c)
+    if hasattr(target, "value"):
+        vals = np.asarray(target.value(xs, cfg), dtype=float)
+    else:
+        vals = np.array([float(target(x)) for x in xs])
+    cn = cospi(2.0 * np.outer(np.arange(N + 1), xs)) @ vals / L
+    return TrigPoly(N, np.concatenate([cn[:0:-1], cn]))
 
 
 def dual_lower_bound_periodic(target, N: int, terms: int = 10**4) -> float:

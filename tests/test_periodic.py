@@ -2,9 +2,14 @@
 
 import json
 import math
+import tracemalloc
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gamma, zeta
 
 from xapprox import (
@@ -86,6 +91,103 @@ def test_trigpoly_bump_and_negation():
     assert n.coeff(0) == -p.coeff(0)
     with pytest.raises(ValueError):
         p.with_bumped_coeff(5, 1e-3)
+
+
+# --- TrigPoly.eval: Reinsch's modified Clenshaw recurrence --------------------
+
+def _mp_value(poly, x):
+    """The polynomial at x in 40-digit arithmetic, term by term."""
+    N, c = poly.degree, poly.coeffs
+    xm = mpmath.mpf(float(x))
+    acc = mpmath.mpf(float(c[N].real))
+    for k in range(1, N + 1):
+        acc += 2 * (mpmath.mpf(float(c[N + k].real)) * mpmath.cospi(2 * k * xm)
+                    - mpmath.mpf(float(c[N + k].imag)) * mpmath.sinpi(2 * k * xm))
+    return acc
+
+
+def _exact_sum(c, N, x):
+    """Direct exponential sum with n x reduced mod 1 exactly."""
+    fx = Fraction(float(x))
+    fr = np.array([float((n * fx) % 1) for n in range(-N, N + 1)])
+    return float(np.sum(c.real * np.cos(2 * np.pi * fr) - c.imag * np.sin(2 * np.pi * fr)))
+
+
+def _half_shifted(poly):
+    """x -> poly(x + 1/2): c_n -> (-1)^n c_n."""
+    n = np.arange(-poly.degree, poly.degree + 1)
+    return TrigPoly(poly.degree, poly.coeffs * (-1.0) ** n)
+
+
+@pytest.mark.parametrize("make, xs, tol", [
+    (lambda: build_k(1.0, 1000),
+     [0.0, 1e-6, 1e-3, 0.0123, 0.1, 0.2501, 0.37, 0.4999, 0.5], 1e-16),
+    (lambda: build_k_mu(HaarLog(), 1000), [0.0, 1e-6, 1e-4], 5e-15),
+    # the log peak moved to x = 1/2, where the s = -1 branch carries it
+    (lambda: _half_shifted(build_k_mu(HaarLog(), 1000)), [0.5, 0.5 - 1e-6, 0.5 - 1e-4], 5e-15),
+    (lambda: build_k_mu(PowerSigma(0.05), 64), [0.0, 1e-6, 1e-3, 0.1, 0.25, 0.4, 0.5], 1e-13),
+], ids=["exp1_N1000", "haar_N1000", "haar_shifted_N1000", "power0.05_N64"])
+def test_trigpoly_eval_against_mpmath(make, xs, tol):
+    # plain Clenshaw loses ~3 digits for Haar near x = 0, and Reinsch's
+    # s = +1 branch alone as many near x = 1/2; the dense cosine matrix
+    # product misses the exp and Haar bounds
+    poly = make()
+    with mpmath.workdps(40):
+        errs = [abs(mpmath.mpf(float(v)) - _mp_value(poly, x))
+                for x, v in zip(xs, poly.eval(np.array(xs)))]
+    assert float(max(errs)) <= tol
+
+
+def test_trigpoly_eval_is_exactly_even():
+    p = build_k(1.0, 1000)
+    x = np.random.default_rng(7).uniform(-2.0, 2.0, 501)
+    assert np.array_equal(p.eval(x), p.eval(-x))
+    assert np.array_equal(p.eval(np.concatenate([x, -x])), np.tile(p.eval(x), 2))
+
+
+def test_trigpoly_eval_sine_twin():
+    p = build_k(1.0, 8).with_bumped_coeff(3, 1e-3 + 2e-3j)
+    x = np.linspace(-0.5, 0.5, 101)
+    n = np.arange(-8, 9)
+    direct = (np.exp(2j * np.pi * np.outer(x, n)) @ p.coeffs).real
+    assert np.max(np.abs(p.eval(x) - direct)) <= 1e-15
+    assert p.eval(0.3) != p.eval(-0.3)
+
+
+@pytest.mark.parametrize("p", [build_k(1.0, 0), build_k(1.0, 5).with_bumped_coeff(5, 1e-3j)],
+                         ids=["N0", "N5"])
+def test_trigpoly_eval_scalar_is_python_float(p):
+    xs = np.array([-0.7, 0.0, 0.3125, 1.9])
+    for x, v in zip(xs, p.eval(xs)):
+        for arg in (float(x), x, np.array(x)):
+            y = p.eval(arg)
+            assert type(y) is float
+            assert y == v  # the scalar loop rounds as the array loop does
+
+
+def test_trigpoly_eval_memory_is_linear_in_points():
+    p = build_k(1.0, 1000)
+    x = np.linspace(-1.0, 1.0, 2001)
+    tracemalloc.start()
+    try:
+        p.eval(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+@settings(max_examples=60, deadline=None)
+@given(N=st.integers(0, 200), seed=st.integers(0, 2**32 - 1), even=st.booleans(),
+       xs=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4))
+def test_trigpoly_eval_matches_direct_sum(N, seed, even, xs):
+    rng = np.random.default_rng(seed)
+    pos = rng.normal(size=N) + (0.0 if even else 1j * rng.normal(size=N))
+    c = np.concatenate([pos[::-1].conj(), [rng.normal() + 0j], pos])
+    p = TrigPoly(N, c)
+    tol = 1e-13 * float(np.sum(np.abs(c)))
+    for x, v in zip(xs, p.eval(np.array(xs))):
+        assert abs(v - _exact_sum(c, N, x)) <= tol
 
 
 # --- periodized targets ---------------------------------------------------------
@@ -308,7 +410,7 @@ def test_log_circle_error_haar():
     N = 2
     v = -build_k_mu(HaarLog(), N)
     assert l1_vs_log_circle(v) == pytest.approx(
-        periodic_l1_error_mu(HaarLog(), N), abs=1e-7)
+        periodic_l1_error_mu(HaarLog(), N), abs=1e-13)
 
 
 def test_dual_lower_bound_periodic():
