@@ -49,6 +49,7 @@ from .periodic import (
     build_k_mu,
     circle_l1_abs,
     eval_p,
+    eval_q_mu,
     interpolation_oracle,
     l1_vs_log_circle,
     periodic_l1_error,
@@ -135,7 +136,7 @@ def _chk_khat_int():
         val, _ = quad(lambda t: K_hat(k, t), -0.5, 0.5,
                       epsabs=1e-13, epsrel=1e-13, limit=200)
         worst = max(worst, abs(val - k_value_at_zero(lam)))
-    return worst, 0.0, 1e-10
+    return worst, 0.0, 1e-13
 
 
 def _chk_khat_nonneg():
@@ -158,11 +159,11 @@ def _chk_oracle_agreement():
         for x in (0.1, 0.25, 0.75, 1.3, 4.6):
             worst = max(worst, abs(error_exp(k, x)
                                    - error_exp_integral_oracle(lam, x)))
-    return worst, 0.0, 1e-9
+    return worst, 0.0, 1e-13
 
 
 def _chk_duality_exp(lam):
-    return dual_lower_bound_exp(lam, 1.0, 10**5), l1_error_exp(lam, 1.0), 1e-8
+    return dual_lower_bound_exp(lam, 1.0, 10**5), l1_error_exp(lam, 1.0), 1e-13
 
 
 # --- series and measure-family checks --------------------------------------
@@ -184,7 +185,7 @@ def _chk_catalan_digits():
 def _chk_haar_1d():
     # per-lambda optimal error integrated against d(lam)/lam = 4G/pi
     f = lambda lam: (2.0 / lam) * float(one_minus_sech(0.5 * lam)) / lam
-    return integrate_ray(f, 0.0, QuadratureConfig()), 4.0 * catalan() / math.pi, 1e-10
+    return integrate_ray(f, 0.0, QuadratureConfig()), 4.0 * catalan() / math.pi, 1e-13
 
 
 def _chk_haar_2d():
@@ -198,7 +199,7 @@ def _chk_log_interp():
     for k in range(10):
         m = k + 0.5
         worst = max(worst, abs(eval_K_mu(a, m) - math.log(m)))
-    return worst, 0.0, 1e-8
+    return worst, 0.0, 1e-13
 
 
 def _chk_power_half():
@@ -208,7 +209,7 @@ def _chk_power_half():
     f = lambda lam: (2.0 / lam) * float(one_minus_sech(0.5 * lam)) / math.sqrt(lam)
     cfg = QuadratureConfig(tail_cut=200.0)
     computed = integrate_ray(f, 0.0, cfg) / gamma_one_minus(0.5)
-    return computed, l1_error_mu(PowerSigma(0.5), 1.0), 1e-8
+    return computed, l1_error_mu(PowerSigma(0.5), 1.0), 1e-13
 
 
 # --- periodic checks --------------------------------------------------------
@@ -258,7 +259,7 @@ def _chk_cross_exp():
         a = build_k(lam, N).coeffs
         b = interpolation_oracle(ExpPeriodized(lam), N).coeffs
         worst = max(worst, float(np.max(np.abs(a - b))))
-    return worst, 0.0, 1e-10
+    return worst, 0.0, 1e-13
 
 
 def _coeffs_by_quadrature(spec, N):
@@ -279,7 +280,7 @@ def _coeffs_by_quadrature(spec, N):
     return c
 
 
-def _chk_cross_measure(specs, degrees):
+def _chk_cross_measure(specs, degrees, tol):
     # interpolation (build_k_mu) vs the per-coefficient K-hat integrals
     worst = 0.0
     for spec in specs:
@@ -287,7 +288,49 @@ def _chk_cross_measure(specs, degrees):
             a = build_k_mu(spec, N).coeffs
             b = _coeffs_by_quadrature(spec, N)
             worst = max(worst, float(np.max(np.abs(a - b))))
-    return worst, 0.0, 1e-10
+    return worst, 0.0, tol
+
+
+def _q_mu_by_quadrature(sigma, x):
+    """Periodized power target at scalar x by quadrature of its defining
+    integral, int p(lam, x) lam^{-sigma} dlam (sigma > 1 at integers)."""
+    cfg = QuadratureConfig()
+    s = sigma
+    xf = float(x)
+    a = float(xf - np.floor(xf))
+    dist = min(a, 1.0 - a)
+
+    def p_part(l):  # cosh(l(a-1/2))/sinh(l/2), stable exponentials
+        return (math.exp(l * (a - 1.0)) + math.exp(-l * a)) / (-math.expm1(-l))
+
+    def p_over_l(l):  # smooth on [0, 1]: p(l, a)/l -> (a-1/2)^2 - 1/12
+        return float(eval_p(l, a)) / l if l > 0.0 else (a - 0.5) ** 2 - 1.0 / 12.0
+
+    # the l^{1-s} endpoint singularity goes into QUADPACK's algebraic
+    # weight; [1, T] gets one breakpoint per decade since the decay scale
+    # 1/dist can reach 1e6; at integers p_part -> 1, an analytic tail
+    T = 40.0 / dist + 50.0 if dist else 60.0
+    v1, _ = quad(p_over_l, 0.0, 1.0, weight="alg", wvar=(1.0 - s, 0.0),
+                 epsabs=cfg.abs_tol / 2, epsrel=cfg.rel_tol, limit=cfg.max_depth)
+    v2, _ = quad(lambda l: p_part(l) * l ** (-s), 1.0, T,
+                 points=np.geomspace(1.0, T, int(math.log10(T)) + 2)[1:-1],
+                 epsabs=cfg.abs_tol / 2, epsrel=cfg.rel_tol, limit=cfg.max_depth)
+    tail = 0.0 if dist else T ** (1.0 - s) / (s - 1.0)
+    # int_1^inf (-2/l) l^{-s} dl = -2/s exactly
+    return v1 + v2 + tail - 2.0 / s
+
+
+def _chk_power_q_mu():
+    # Hurwitz closed form (eval_q_mu) vs the defining integral, relative
+    # to max(|q_mu|, 1); sigma on both sides of 1 and near 0 and 2
+    worst = 0.0
+    for sigma in (0.05, 0.5, 0.999, 1.001, 1.5, 1.95):
+        xs = (1e-6, 1e-3, 0.1, 0.3, 0.5) + ((2.0,) if sigma > 1.0 else ())
+        vals = eval_q_mu(PowerSigma(sigma), np.array(xs))
+        for x, v in zip(xs, vals):
+            ref = _q_mu_by_quadrature(sigma, x)
+            worst = max(worst, abs(v - ref) / max(abs(ref), 1.0))
+    return worst, 0.0, 1e-11
 
 
 def _chk_perturbation(N):
@@ -342,9 +385,11 @@ def _build_registry():
         reg.append((f"thm1_4_N{N}", partial(_chk_log_circle, N)))
     reg.append(("cross_oracle_exp", _chk_cross_exp))
     reg.append(("cross_oracle_haar",
-                partial(_chk_cross_measure, (HaarLog(),), (0, 1, 2, 4, 8))))
+                partial(_chk_cross_measure, (HaarLog(),), (0, 1, 2, 4, 8), 1e-13)))
     reg.append(("cross_oracle_power",
-                partial(_chk_cross_measure, (PowerSigma(0.05), PowerSigma(1.95)), (0, 1, 4))))
+                partial(_chk_cross_measure, (PowerSigma(0.05), PowerSigma(1.95)), (0, 1, 4),
+                        1e-10)))
+    reg.append(("power_q_mu_closed_form", _chk_power_q_mu))
     for N in (0, 1, 3):
         reg.append((f"perturbation_N{N}", partial(_chk_perturbation, N)))
     return tuple(reg)

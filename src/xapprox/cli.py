@@ -227,13 +227,6 @@ def _emit(args, text):
 
 # --- evaluation core ---------------------------------------------------------
 
-def _q_scalar(spec, x):
-    try:
-        return float(eval_q_mu(spec, x))
-    except DivergentAtZero:
-        return math.inf
-
-
 def _triplet(args, spec, xs):
     """(target, approximant, error) arrays at the points xs."""
     xs = np.asarray(xs, dtype=float)
@@ -249,7 +242,12 @@ def _triplet(args, spec, xs):
                 target = np.log(np.abs(2.0 * sinpi(xs)))
             approx = (-build_k_mu(spec, N)).eval(xs)
         else:
-            target = np.array([_q_scalar(spec, x) for x in xs])
+            try:
+                target = eval_q_mu(spec, xs)
+            except DivergentAtZero:  # +inf at the integers, one call for the rest
+                at_int = xs == np.floor(xs)
+                target = np.full(xs.shape, math.inf)
+                target[~at_int] = eval_q_mu(spec, xs[~at_int])
             approx = build_k_mu(spec, N).eval(xs)
     else:
         if spec is None:

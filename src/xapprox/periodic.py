@@ -27,7 +27,7 @@ from ._stable import cospi, one_minus_x_csch, sinpi
 from .entire import l1_error_mu_raw
 from .expkernel import _dual_sum, _khat, eval_p, l1_error_exp
 from .measures import HaarLog, f_mu, validate
-from .quadrature import QuadratureConfig, gauss_panel, integrate_cells_abs
+from .quadrature import gauss_panel, integrate_cells_abs
 
 __all__ = [
     "TrigPoly",
@@ -185,7 +185,7 @@ class ExpPeriodized:
         if not (math.isfinite(self.lam) and self.lam > 0):
             raise ValueError(f"lam must be positive, got {self.lam}")
 
-    def value(self, x, cfg=None):
+    def value(self, x):
         return eval_p(self.lam, x)
 
     def q_hat(self, n):
@@ -201,8 +201,8 @@ class MeasurePeriodized:
     def __post_init__(self):
         validate(self.spec)
 
-    def value(self, x, cfg=None):
-        return eval_q_mu(self.spec, x, cfg)
+    def value(self, x):
+        return eval_q_mu(self.spec, x)
 
     def q_hat(self, n):
         return q_hat_mu(self.spec, n)
@@ -230,17 +230,18 @@ def q_hat_mu(spec, n):
     return float(out[0]) if scalar else out
 
 
-def eval_q_mu(spec, x, cfg: QuadratureConfig | None = None):
+def eval_q_mu(spec, x):
     """The periodized measure target q_mu(x) = integral p(lam, x) dmu.
 
     HaarLog uses the closed form -log|2 sin pi x|; point masses the
-    exact weighted sum; the power family quadrature of the defining
-    integral, one point at a time, with the algebraic tail taken
-    analytically.  Scalar or array x; raises DivergentAtZero when q_mu
-    is infinite at any of the points.
+    exact weighted sum; the power family Hurwitz's formula
+    Gamma(1-sigma) [zeta(1-sigma, a) + zeta(1-sigma, 1-a)], a = {x},
+    as a series in a^2 with coefficients computed once per call.  Scalar
+    or array x, one vectorized path for both; raises DivergentAtZero
+    when q_mu is infinite at any of the points.
     """
     validate(spec)
-    return spec.q_mu(x, cfg)
+    return spec.q_mu(x)
 
 
 def build_k(lam: float, N: int) -> TrigPoly:
@@ -266,14 +267,14 @@ def build_k(lam: float, N: int) -> TrigPoly:
     return TrigPoly(N, c)
 
 
-def build_k_mu(spec, N: int, cfg: QuadratureConfig | None = None) -> TrigPoly:
+def build_k_mu(spec, N: int) -> TrigPoly:
     """Measure version of build_k: the optimal polynomial interpolates
     q_mu at the 2N+2 shifted nodes, so its coefficients are one DCT-II
     of q_mu at the N+1 distinct nodes (q_mu is even)."""
     if N < 0 or int(N) != N:
         raise ValueError("N must be a nonnegative integer")
     L = 2 * N + 2
-    vals = eval_q_mu(spec, (np.arange(N + 1) + 0.5) / L, cfg)
+    vals = eval_q_mu(spec, (np.arange(N + 1) + 0.5) / L)
     cn = dct(vals, type=2) / L
     return TrigPoly(N, np.concatenate([cn[:0:-1], cn]))
 
@@ -290,8 +291,7 @@ def periodic_l1_error_mu(spec, N: int) -> float:
     return l1_error_mu_raw(spec, 2 * N + 2)
 
 
-def interpolation_oracle(target, N: int,
-                         cfg: QuadratureConfig | None = None) -> TrigPoly:
+def interpolation_oracle(target, N: int) -> TrigPoly:
     """Degree-N polynomial interpolating the target at the 2N+2 shifted
     nodes x_k = (k+1/2)/(2N+2), by the real cosine transform (for even
     targets the alias frequency N+1 vanishes on this grid, so the
@@ -303,7 +303,7 @@ def interpolation_oracle(target, N: int,
     L = 2 * N + 2
     xs = (np.arange(L) + 0.5) / L
     if hasattr(target, "value"):
-        vals = np.asarray(target.value(xs, cfg), dtype=float)
+        vals = np.asarray(target.value(xs), dtype=float)
     else:
         vals = np.array([float(target(x)) for x in xs])
     cn = cospi(2.0 * np.outer(np.arange(N + 1), xs)) @ vals / L

@@ -28,7 +28,7 @@ def test_registry_is_stable_and_complete():
                      "thm6_1_sign", "thm1_4_N0", "thm1_4_N8", "cross_oracle_exp",
                      "cross_oracle_haar", "cross_oracle_power", "perturbation_N3"):
         assert required in names
-    assert len(names) == 45
+    assert len(names) == 46
 
 
 def test_selection_preserves_registration_order():

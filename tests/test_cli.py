@@ -195,6 +195,22 @@ def test_plot_data_row_count_and_default_periodic_range(capsys):
     assert lines[1].split(",")[1] == "-inf"
 
 
+def test_plot_data_periodic_power_inf_exactly_at_integers(capsys):
+    # sigma < 1: q_mu is +inf at the integers and finite everywhere else
+    code, out, _ = run(capsys, "plot-data", "--periodic", "--measure", "power",
+                       "--sigma", "0.5", "--degree", "4", "--x-range=-1:2",
+                       "--samples", "13")
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert len(rows) == 13
+    for cells in rows:
+        x, target = float(cells[0]), cells[1]
+        if x == math.floor(x):
+            assert target == "inf"
+        else:
+            assert math.isfinite(float(target))
+
+
 def test_plot_data_requires_range_on_the_line(capsys):
     code, _, err = run(capsys, "plot-data", "--kernel", "exp", "--lambda", "1",
                        "--samples", "10")

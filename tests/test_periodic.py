@@ -287,6 +287,71 @@ def test_eval_q_mu_power_accepts_arrays():
         eval_q_mu(spec, np.array([0.1, 1.0]))
 
 
+def _q_power_mp(sigma, x):
+    # Hurwitz: Gamma(s) [zeta(s, a) + zeta(s, 1-a)], s = 1 - sigma, a = {x}
+    # (at a = 0, sigma > 1: 2 Gamma(s) zeta(s)), in 40 digits at the double x
+    with mpmath.workdps(40):
+        xm = mpmath.mpf(x)
+        a = xm - mpmath.floor(xm)
+        s = 1 - mpmath.mpf(sigma)
+        if a == 0:
+            return float(2 * mpmath.gamma(s) * mpmath.zeta(s))
+        return float(mpmath.gamma(s) * (mpmath.zeta(s, a) + mpmath.zeta(s, 1 - a)))
+
+
+_Q_SIGMAS = (0.05, 0.3, 0.5, 0.9, 0.99, 0.999, 0.999999, 1.000001, 1.001, 1.01,
+             1.3, 1.5, 1.9, 1.95, 1.99)
+_Q_XS = (1e-8, 1e-6, 1e-4, 1e-2, 0.1, 0.2345, 0.5, 0.77, 0.999, 1.0 - 1e-7)
+
+
+@pytest.mark.parametrize("sigma", _Q_SIGMAS)
+def test_eval_q_mu_power_against_mpmath(sigma):
+    # the quadrature that the closed form replaced reaches 6.9e-13 on
+    # this grid; sigma near 1 and 2 are where a naive closed form cancels
+    xs = _Q_XS + ((0.0, 2.0, -3.0) if sigma > 1.0 else ())
+    vals = eval_q_mu(PowerSigma(sigma), np.array(xs))
+    for x, v in zip(xs, vals):
+        ref = _q_power_mp(sigma, x)
+        assert abs(v - ref) / max(abs(ref), 1e-3) <= 2e-13, (x, v, ref)
+
+
+def test_eval_q_mu_power_continuous_through_sigma_one():
+    # sigma = 1 is Haar's -log|2 sin pi x|; (a^{-s} - 1)/s or (2 zeta(s) + 1)/s
+    # formed by subtraction would be ~1e-7 off at s = 1e-9
+    xs = np.array([0.01, 0.1, 0.25, 0.4, 0.5, 0.77, 0.99])
+    haar = eval_q_mu(HaarLog(), xs)
+    for sigma in (1.0 - 1e-9, 1.0 + 1e-9):
+        assert np.max(np.abs(eval_q_mu(PowerSigma(sigma), xs) - haar)) <= 1e-8
+
+
+def test_eval_q_mu_power_calls_no_quadpack(monkeypatch):
+    import sys
+
+    import scipy.integrate
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("QUADPACK called")
+
+    monkeypatch.setattr(scipy.integrate, "quad", refuse)
+    for name, mod in list(sys.modules.items()):  # modules that bound quad by name
+        if name.startswith("xapprox.") and hasattr(mod, "quad"):
+            monkeypatch.setattr(mod, "quad", refuse)
+    for sigma in (0.05, 0.5, 1.5, 1.95):
+        eval_q_mu(PowerSigma(sigma), 0.3)
+        eval_q_mu(PowerSigma(sigma), np.linspace(0.01, 0.99, 7))
+    build_k_mu(PowerSigma(0.5), 8)
+
+
+@settings(max_examples=50, deadline=None)
+@given(sigma=st.floats(0.05, 1.95), x=st.floats(1e-9, 1.0 - 1e-9))
+def test_eval_q_mu_power_matches_mpmath_property(sigma, x):
+    if sigma == 1.0:
+        sigma = 1.0 + 2.0**-40
+    ref = _q_power_mp(sigma, x)
+    # relative error, absolute near the zero of q_mu
+    assert abs(eval_q_mu(PowerSigma(sigma), x) - ref) <= 2e-13 * max(abs(ref), 1.0)
+
+
 def test_eval_q_mu_point_masses():
     spec = PointMasses(((1.0, 1.0), (3.0, 0.25)))
     expect = eval_p(1.0, 0.3) + 0.25 * eval_p(3.0, 0.3)
