@@ -19,7 +19,6 @@ from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
-from scipy.integrate import quad
 
 from ._stable import cospi, one_minus_sech, one_minus_x_csch
 from .errors import UnknownCheckName
@@ -42,9 +41,10 @@ from .entire import (
     l1_error_mu,
     l1_error_mu_quadrature,
 )
-from .measures import HaarLog, PowerSigma, gamma_one_minus, integrate_measure
+from .measures import HaarLog, PowerSigma, _zeta, gamma_one_minus, integrate_measure
 from .periodic import (
     ExpPeriodized,
+    _dct2,
     build_k,
     build_k_mu,
     circle_l1_abs,
@@ -130,6 +130,8 @@ def _chk_sign_exp():
 
 
 def _chk_khat_int():
+    from scipy.integrate import quad
+
     worst = 0.0
     for lam in _EXP_LAMBDAS:
         k = ExpKernel(lam)
@@ -294,6 +296,8 @@ def _chk_cross_measure(specs, degrees, tol):
 def _q_mu_by_quadrature(sigma, x):
     """Periodized power target at scalar x by quadrature of its defining
     integral, int p(lam, x) lam^{-sigma} dlam (sigma > 1 at integers)."""
+    from scipy.integrate import quad
+
     cfg = QuadratureConfig()
     s = sigma
     xf = float(x)
@@ -331,6 +335,31 @@ def _chk_power_q_mu():
             ref = _q_mu_by_quadrature(sigma, x)
             worst = max(worst, abs(v - ref) / max(abs(ref), 1.0))
     return worst, 0.0, 1e-11
+
+
+def _chk_zeta_numpy():
+    # the Euler-Maclaurin zeta behind q_mu's series vs scipy's, relative;
+    # t from the pole (sigma -> 2) through the 4-5 band, where the
+    # asymptotic Bernoulli tail is weakest, up to q_mu's largest argument
+    from scipy.special import zeta
+
+    t = np.array([1 + 1e-9, 1 + 1e-6, 1.05, 1.5, 2.05, 3.0, 4.3, 4.8, 5.1,
+                  10.0, 33.0, 65.0])
+    ref = zeta(t)
+    return float(np.max(np.abs(_zeta(t) - ref) / ref)), 0.0, 1e-15
+
+
+def _chk_dct_numpy():
+    # build_k_mu's FFT-based DCT-II vs scipy's, on the Haar q_mu values it
+    # transforms at degree N, relative to max |reference|
+    from scipy.fft import dct
+
+    worst = 0.0
+    for N in (0, 1, 4, 64, 1000):
+        vals = eval_q_mu(HaarLog(), (np.arange(N + 1) + 0.5) / (2 * N + 2))
+        ref = dct(vals, type=2)
+        worst = max(worst, float(np.max(np.abs(_dct2(vals) - ref)) / np.max(np.abs(ref))))
+    return worst, 0.0, 1e-15
 
 
 def _chk_perturbation(N):
@@ -390,6 +419,8 @@ def _build_registry():
                 partial(_chk_cross_measure, (PowerSigma(0.05), PowerSigma(1.95)), (0, 1, 4),
                         1e-10)))
     reg.append(("power_q_mu_closed_form", _chk_power_q_mu))
+    reg.append(("zeta_numpy", _chk_zeta_numpy))
+    reg.append(("dct_numpy", _chk_dct_numpy))
     for N in (0, 1, 3):
         reg.append((f"perturbation_N{N}", partial(_chk_perturbation, N)))
     return tuple(reg)

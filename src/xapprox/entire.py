@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from ._stable import one_minus_x_csch
 from .errors import DivergentAtZero, QuadratureNonConvergence
@@ -107,6 +106,8 @@ def error_mu_pointwise(a: EntireApproximant, x: float,
     integral representation of the single-exponential error, since the
     direct series would need prohibitively many nodes there.
     """
+    from scipy.integrate import quad
+
     if cfg is None:
         cfg = QuadratureConfig()
     spec, delta = a.spec, a.delta

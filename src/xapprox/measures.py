@@ -19,11 +19,9 @@ import json
 import math
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
-from scipy.special import exprel as _exprel
-from scipy.special import gamma as _gamma
-from scipy.special import zeta as _zeta
 
 from ._stable import sinpi
 from .errors import DivergentAtZero, InvalidPointMass, InvalidSigma
@@ -256,7 +254,7 @@ class PowerSigma(_Family):
         at0 = a == 0.0
         if sg < 1.0 and at0.any():
             raise DivergentAtZero("q_mu is +inf at integer x for sigma <= 1")
-        g, c0, ck = _power_series(sg)
+        g, c0, ck = self._series
         y = a * a
         series = np.empty_like(y)
         for i in range(0, y.size, _Q_BLOCK):  # rows y, y^2, .., y^32 by cumprod
@@ -270,18 +268,29 @@ class PowerSigma(_Family):
         out = g * (head + c0 + series)
         return out.reshape(xx.shape) if xx.ndim else float(out[0])
 
+    @cached_property
+    def _series(self):
+        # q_mu's (Gamma(1+s), C0(s), c_k) table, computed once per object;
+        # it is not a dataclass field, so equality, hash and JSON ignore it
+        return _power_series(self.sigma)
+
 
 # PowerSigma.q_mu's series: c_2 a^2 + .. + c_64 a^64, a <= 1/2, where the
 # first term left out is about 2^{-64} of q_mu; the power rows are built
 # _Q_BLOCK points at a time, 0.5 MB
 _Q_TERMS = 32
 _Q_BLOCK = 2048
-# Euler-Maclaurin for zeta(s), s in [-0.2, 1): _EM_M - 1 direct terms and
-# B_{2j}/(2j)! for j = 1..10; the remainder is below 1e-17
-_EM_M = 6
-_EM_B = tuple(b / math.factorial(2 * j) for j, b in enumerate(
+# Euler-Maclaurin for zeta: M - 1 direct terms and B_{2j}/(2j)! for
+# j = 1..10.  The Bernoulli tail is asymptotic, not convergent: at M = 6 it
+# leaves zeta(t) 1.4e-14 off near t = 4-5, at M = 12 (_ZETA_M) within 3e-16
+# of 40-digit mpmath for t in (1, 65].  C0 keeps M = 6 (_C0_M): its sum
+# cancels from about 10 |C0| at M = 6 but 20 |C0| at M = 12, which costs
+# it a digit (4e-15 against 1.1e-14 relative near s = 0)
+_ZETA_M = 12
+_C0_M = 6
+_EM_B = np.array([b / math.factorial(2 * j) for j, b in enumerate(
     (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510,
-     43867 / 798, -174611 / 330), start=1))
+     43867 / 798, -174611 / 330), start=1)])
 
 
 def _power_series(sigma: float):
@@ -290,15 +299,48 @@ def _power_series(sigma: float):
     every zeta argument above 1."""
     j = np.arange(2.0, 2 * _Q_TERMS + 1)
     ck = 2.0 * np.cumprod((j - sigma) / j)[::2] * _zeta(j[::2] + 1.0 - sigma)
-    return float(_gamma(2.0 - sigma)), _zeta_c0(1.0 - sigma), ck
+    ck.flags.writeable = False  # shared by every q_mu call on the object
+    return math.gamma(2.0 - sigma), _zeta_c0(1.0 - sigma), ck
+
+
+def _exprel(x):
+    """(e^x - 1)/x elementwise, exactly 1 at x = 0 (no 0/0 warning); like
+    scipy's exprel it overflows to inf, silently, above x = 709.78."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore"):
+        return np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0.0)
+
+
+def _em_tail(s, M: int):
+    """Euler-Maclaurin's Bernoulli tail of zeta(s) at M, divided by s:
+    sum_j B_{2j}/(2j)! (s+1)(s+2)...(s+2j-2) M^{1-s-2j} (float or array s)."""
+    M = float(M)
+    j = np.arange(_EM_B.size)
+    # rows j = 2..10 of the Pochhammer products (s+1)...(s+2j-2)
+    poch = np.cumprod(np.add.outer(np.arange(1.0, 2 * j[-1] + 1), s), axis=0)[1::2]
+    w = _EM_B * M ** (-2.0 * j)
+    return M ** (-s - 1.0) * (w[0] + w[1:] @ poch)
+
+
+def _zeta(t):
+    """Riemann zeta(t) for t > 1 (float or array), by Euler-Maclaurin at
+    M = _ZETA_M (DLMF 25.2.9):
+        zeta(t) = sum_{n<M} n^{-t} + M^{1-t}/(t-1) + M^{-t}/2 + t * tail(t),
+    the pole term explicit, so t -> 1+ keeps full relative accuracy."""
+    t = np.asarray(t, dtype=float)
+    M = float(_ZETA_M)
+    mt = M ** -t
+    acc = t * _em_tail(t, _ZETA_M) + 0.5 * mt + M * mt / (t - 1.0)
+    # n = M-1, .., 2: the smallest terms first
+    return acc + np.power.outer(np.arange(M - 1.0, 1.0, -1.0), -t).sum(axis=0) + 1.0
 
 
 def _zeta_c0(s: float) -> float:
     """C0(s) = (2 zeta(s) + 1)/s for s in (-1, 1), finite through s = 0
-    (C0(0) = 2 zeta'(0) = -log 2 pi); zeta is only called above 1.
+    (C0(0) = 2 zeta'(0) = -log 2 pi); zeta is only evaluated above 1.
 
     For s < -0.2 zeta(s) comes from the reflection formula with zeta(1-s).
-    Otherwise Euler-Maclaurin at M = _EM_M, written in e_n = (n^{-s} - 1)/s
+    Otherwise Euler-Maclaurin at M = _C0_M, written in e_n = (n^{-s} - 1)/s
     so that the zeta(0) = -1/2 parts cancel exactly:
         C0 = 2 sum_{n=2}^{M-1} e_n + 2M (1 + e_M)/(s-1) + e_M
              + 2 sum_j B_{2j}/(2j)! (s+1)...(s+2j-2) M^{1-s-2j}.
@@ -307,20 +349,14 @@ def _zeta_c0(s: float) -> float:
     if s < -0.2:
         sg = 1.0 - s
         z = (2.0**s * math.pi ** (s - 1.0) * math.cos(0.5 * math.pi * sg)
-             * float(_gamma(sg)) * float(_zeta(sg)))
+             * math.gamma(sg) * float(_zeta(sg)))
         return (2.0 * z + 1.0) / s
-    M = _EM_M
+    M = _C0_M
     ln = np.log(np.arange(2.0, M + 1))
     e = -ln * _exprel(-s * ln)
     eM = float(e[-1])
     acc = 2.0 * float(np.sum(e[:-1])) + 2.0 * M * (1.0 + eM) / (s - 1.0) + eM
-    poch, mp, tail = 1.0, float(M) ** (-s - 1.0), 0.0
-    for j, b in enumerate(_EM_B, start=1):
-        if j > 1:
-            poch *= (s + 2 * j - 3) * (s + 2 * j - 2)
-        tail += b * poch * mp
-        mp /= M * M
-    return acc + 2.0 * tail
+    return acc + 2.0 * float(_em_tail(s, M))
 
 
 def validate(spec) -> None:
@@ -332,7 +368,7 @@ def validate(spec) -> None:
 
 def gamma_one_minus(sigma: float) -> float:
     """Gamma(1 - sigma) for sigma in (0,2)\\{1} (negative for sigma > 1)."""
-    return float(_gamma(1.0 - sigma))
+    return math.gamma(1.0 - sigma)
 
 
 def power_l1_constant(sigma: float) -> float:

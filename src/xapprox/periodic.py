@@ -20,14 +20,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dct
-from scipy.optimize import brentq
 
 from ._stable import cospi, one_minus_x_csch, sinpi
 from .entire import l1_error_mu_raw
 from .expkernel import _dual_sum, _khat, eval_p, l1_error_exp
 from .measures import HaarLog, f_mu, validate
-from .quadrature import gauss_panel, integrate_cells_abs
+from .quadrature import integrate_cells_abs, panel_nodes, reduce_cells_abs
 
 __all__ = [
     "TrigPoly",
@@ -236,7 +234,8 @@ def eval_q_mu(spec, x):
     HaarLog uses the closed form -log|2 sin pi x|; point masses the
     exact weighted sum; the power family Hurwitz's formula
     Gamma(1-sigma) [zeta(1-sigma, a) + zeta(1-sigma, 1-a)], a = {x},
-    as a series in a^2 with coefficients computed once per call.  Scalar
+    as a series in a^2 with coefficients computed once per PowerSigma
+    object (numpy only: math.gamma and an Euler-Maclaurin zeta).  Scalar
     or array x, one vectorized path for both; raises DivergentAtZero
     when q_mu is infinite at any of the points.
     """
@@ -275,8 +274,18 @@ def build_k_mu(spec, N: int) -> TrigPoly:
         raise ValueError("N must be a nonnegative integer")
     L = 2 * N + 2
     vals = eval_q_mu(spec, (np.arange(N + 1) + 0.5) / L)
-    cn = dct(vals, type=2) / L
+    cn = _dct2(vals) / L
     return TrigPoly(N, np.concatenate([cn[:0:-1], cn]))
+
+
+def _dct2(x):
+    """Unnormalized DCT-II of a non-empty float array x of length m,
+    y_k = 2 sum_n x_n cos(pi k (2n+1)/(2m)), as scipy.fft.dct(x, type=2):
+    one real FFT of the mirrored sequence (x, reversed x), whose k-th term
+    is e^{i pi k/(2m)} y_k (Makhoul, IEEE TASSP 28, 1980)."""
+    n = x.size
+    v = np.fft.rfft(np.concatenate([x, x[::-1]]))[:n]
+    return (v * np.exp((-0.5j * np.pi / n) * np.arange(n))).real
 
 
 def periodic_l1_error(lam: float, N: int) -> float:
@@ -339,6 +348,8 @@ def refined_sign_nodes(f, N: int):
     root bracketing; nodes whose bracket shows no sign change are
     dropped (the resulting sum of |cell integrals| is then still a
     valid lower bound for the true L1 norm)."""
+    from scipy.optimize import brentq
+
     L = 2 * N + 2
     out = []
     for k in range(L):
@@ -381,15 +392,19 @@ def _circle_l1_mu(spec, poly: TrigPoly, order: int = 24) -> float:
     """
     L = 2 * poly.degree + 2
     xs = (np.arange(L) + 0.5) / L
-    f = lambda x: eval_q_mu(spec, x) - poly.eval(x)
     h = xs[0]
     f_cell0 = spec.cell0_integral(h)
     if f_cell0 is None:
-        return circle_l1_abs(f, xs, order=order)
-    smooth = gauss_panel(lambda x: eval_q_mu(spec, x) - f_mu(spec, x), 0.0, h, order=order)
-    edge = abs(f_cell0 + smooth - gauss_panel(poly.eval, 0.0, h, order=order))
+        return circle_l1_abs(lambda x: eval_q_mu(spec, x) - poly.eval(x), xs, order=order)
+    # one panel set: the edge cell [0, h], then the cells between the nodes
+    cells = np.column_stack([np.r_[0.0, xs[:-1]], xs])
+    pts, wts, half = panel_nodes(cells, order)
+    q, p = eval_q_mu(spec, pts), poly.eval(pts)
+    smooth = half[0] * float(np.dot(wts, q[:order] - f_mu(spec, pts[:order])))
+    edge = abs(f_cell0 + smooth - half[0] * float(np.dot(wts, p[:order])))
+    body = reduce_cells_abs(q[order:] - p[order:], wts, half[1:], order)
     # the mirror cell [x_{L-1}, 1] contributes the same by evenness
-    return integrate_cells_abs(f, xs, order=order) + 2.0 * edge
+    return body + 2.0 * edge
 
 
 def l1_vs_log_circle(poly: TrigPoly, order: int = 24) -> float:

@@ -5,7 +5,8 @@ semi-infinite range is split at ``a+1`` and at a finite ``tail_cut`` so
 that integrable endpoint singularities, the mid-range bulk, and the
 far tail each land in the regime QUADPACK handles best.  All error
 estimates are summed and checked against the configured tolerances;
-failure raises instead of returning a silently bad number.
+failure raises instead of returning a silently bad number.  scipy is
+imported on the first call, so the package's exact routes never load it.
 
 Gauss-Legendre panels of fixed order are used wherever the integrand is
 analytic on a known interval (sign-constant cells of the L1 integrals).
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import QuadratureNonConvergence
 
@@ -70,6 +70,8 @@ def integrate_ray(f, a: float = 0.0, cfg: QuadratureConfig | None = None):
     summed error estimate exceeds abs_tol + rel_tol*|value| or any piece
     reports a failure code.
     """
+    from scipy.integrate import quad
+
     if cfg is None:
         cfg = QuadratureConfig()
     t = max(a + 1.0, a + cfg.tail_cut)

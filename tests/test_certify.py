@@ -26,9 +26,10 @@ def test_registry_is_stable_and_complete():
                      "catalan_series", "haar_identity_1d", "haar_l1_2d",
                      "log_interpolation", "power_sigma_half", "thm6_1_lambda2_N3",
                      "thm6_1_sign", "thm1_4_N0", "thm1_4_N8", "cross_oracle_exp",
-                     "cross_oracle_haar", "cross_oracle_power", "perturbation_N3"):
+                     "cross_oracle_haar", "cross_oracle_power", "perturbation_N3",
+                     "zeta_numpy", "dct_numpy"):
         assert required in names
-    assert len(names) == 46
+    assert len(names) == 48
 
 
 def test_selection_preserves_registration_order():

@@ -1,0 +1,137 @@
+"""The numpy-only core: the exact routes import no scipy, and the numpy
+primitives that replaced scipy's (zeta, exprel, the DCT-II) hold their
+accuracy."""
+
+import math
+import os
+import subprocess
+import sys
+import warnings
+
+import mpmath
+import numpy as np
+import pytest
+
+import xapprox
+from xapprox import PowerSigma, eval_q_mu, measure_to_json
+from xapprox.measures import _exprel, _zeta
+from xapprox.periodic import _dct2
+
+# Every exact route, then the CLI without --verify; no scipy module may be
+# loaded afterwards.  Then one independent route, which must load it.
+_SCRIPT = r"""
+import contextlib, io, json, sys
+import numpy as np
+import xapprox as X
+import xapprox.cli
+from xapprox.periodic import _circle_l1_mu
+
+xs = np.linspace(-3.0, 3.0, 41)
+X.eval_K(X.ExpKernel(1.0), xs); X.eval_K(X.ExpKernel(0.05, 2.0), 0.3)
+X.eval_K(X.ExpKernel(1.0), 0.5 + 0.25j)
+X.k_value_at_zero(1.0); X.K_hat(X.ExpKernel(1.0), np.linspace(-0.5, 0.5, 9))
+X.error_exp(X.ExpKernel(1.0), xs)
+specs = (X.HaarLog(), X.PowerSigma(0.5), X.PowerSigma(1.5),
+         X.PointMasses(((1.0, 1.0), (3.0, 0.5))))
+for spec in specs:
+    for form in {X.TargetForm.RAW, spec.form}:
+        X.eval_K_mu(X.EntireApproximant(spec, 1.0, form), xs + 0.1)
+    X.l1_error_mu(spec); X.l1_error_mu_raw(spec, 2.0)
+    X.eval_q_mu(spec, np.linspace(0.01, 0.99, 13)); X.eval_q_mu(spec, 0.3)
+    for N in (0, 1, 8, 64):
+        poly = X.build_k_mu(spec, N)
+        poly.eval(0.2); poly.eval(xs)
+        X.periodic_l1_error_mu(spec, N); _circle_l1_mu(spec, poly)
+for N in (0, 3, 64):
+    X.build_k(1.0, N).eval(xs); X.periodic_l1_error(1.0, N)
+    X.periodic_l1_quadrature(1.0, N)
+    X.l1_vs_log_circle(-X.build_k_mu(X.HaarLog(), N))
+    X.interpolation_oracle(X.ExpPeriodized(1.0), N)
+X.l1_error_exp(1.0); X.power_l1_constant(0.5); X.gamma_one_minus(0.5)
+X.f_mu(X.PowerSigma(0.5), xs)
+
+power = json.dumps({"kind": "power", "sigma": 0.5})
+for argv in (["eval", "--kernel", "exp", "--lambda", "1", "--x", "0.3"],
+             ["eval", "--measure", "haar", "--x-range", "0.5:2.5:0.5"],
+             ["coeffs", "--periodic", "--measure", power, "--degree", "4"],
+             ["plot-data", "--periodic", "--measure", "power", "--sigma", "0.5",
+              "--degree", "4", "--samples", "13"],
+             ["error-table", "--kernel", "exp", "--lambda", "0.5:2:0.5"],
+             ["error-table", "--periodic", "--measure", "power", "--sigma", "1.5",
+              "--degree", "0:4"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert xapprox.cli.main(argv) == 0, argv
+
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded[:5]
+X.integrate_ray(lambda t: np.exp(-t))
+assert "scipy.integrate" in sys.modules
+print("ok")
+"""
+
+
+def test_exact_routes_load_no_scipy():
+    # a fresh process: pytest's own warning filters import scipy.integrate
+    src = os.path.dirname(os.path.dirname(os.path.abspath(xapprox.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-c", _SCRIPT], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr[-2000:]
+    assert res.stdout.strip() == "ok"
+
+
+# t from the pole through the 4-5 band, where Euler-Maclaurin at M = 6 is
+# 1.4e-14 off, to q_mu's largest argument
+_ZETA_T = ([1 + 1e-9, 1 + 1e-6, 1.05, 1.5, 2.05, 3.0, 4.3, 4.8, 5.1, 10.0, 33.0, 65.0]
+           + np.linspace(4.0, 5.0, 41).tolist() + np.linspace(1.01, 65.0, 60).tolist())
+
+
+def test_zeta_against_mpmath():
+    vals = _zeta(np.array(_ZETA_T))
+    with mpmath.workdps(30):
+        refs = [mpmath.zeta(mpmath.mpf(t)) for t in _ZETA_T]
+        errs = [abs(float((mpmath.mpf(v) - r) / r)) for v, r in zip(vals, refs)]
+    assert max(errs) <= 1e-15
+    # scalar and array arguments run the same arithmetic
+    assert [float(_zeta(t)) for t in _ZETA_T[:12]] == vals[:12].tolist()
+
+
+@pytest.mark.parametrize("N", [0, 1, 4, 64, 256])
+def test_dct2_against_direct_cosine_sum(N):
+    # build_k_mu's transform at degree N, of N+1 values; reference in
+    # extended precision: y_k = 2 sum_m x_m cos(pi k (2m+1)/(2n)), n = N+1
+    n = N + 1
+    x = np.random.default_rng(N).standard_normal(n)
+    k, m = np.arange(n)[:, None], np.arange(n)[None, :]
+    pi = np.arccos(np.longdouble(-1.0))
+    j = k * (2 * m + 1) % (4 * n)  # cos(pi j/(2n)) has period 4n in j
+    ref = 2 * np.cos(pi * j / (2 * n)) @ x.astype(np.longdouble)
+    out = _dct2(x)
+    assert out.shape == (n,)
+    assert float(np.max(np.abs(out - ref)) / np.max(np.abs(ref))) <= 1e-15
+
+
+def test_exprel_edges_raise_no_warning():
+    x = np.array([0.0, 1e-300, -1e-300, 700.0, -700.0, -0.0])
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        out = _exprel(x)
+    assert out[0] == out[1] == out[2] == out[5] == 1.0
+    with mpmath.workdps(30):
+        for xv, v in zip(x[3:5], out[3:5]):
+            ref = mpmath.expm1(mpmath.mpf(xv)) / xv
+            assert abs(float((mpmath.mpf(v) - ref) / ref)) <= 2e-16
+
+
+def test_power_table_is_cached_per_object_and_invisible():
+    xs = np.linspace(0.0, 1.0, 57)
+    reused = PowerSigma(1.5)
+    first = eval_q_mu(reused, xs)
+    again = eval_q_mu(reused, xs)
+    fresh = eval_q_mu(PowerSigma(1.5), xs)
+    assert first.tobytes() == again.tobytes() == fresh.tobytes()
+    assert eval_q_mu(reused, 0.3) == eval_q_mu(PowerSigma(1.5), 0.3)
+    # the cached table is no field: equality, hash and JSON are unchanged
+    assert reused == PowerSigma(1.5) and hash(reused) == hash(PowerSigma(1.5))
+    assert measure_to_json(reused) == measure_to_json(PowerSigma(1.5))
+    assert math.isfinite(first[0])
