@@ -12,12 +12,7 @@ from .errors import (
     UnknownCheckName,
     XapproxError,
 )
-from .quadrature import (
-    QuadratureConfig,
-    gauss_panel,
-    integrate_cells_abs,
-    integrate_ray,
-)
+from .quadrature import integrate_ray
 from .series import averaged_alternating, catalan, dirichlet_beta
 from .measures import (
     HaarLog,
@@ -46,7 +41,6 @@ from .expkernel import (
 )
 from .entire import (
     EntireApproximant,
-    error_fourier_transform,
     error_mu_pointwise,
     eval_K_mu,
     l1_error_mu,
@@ -60,7 +54,6 @@ from .periodic import (
     build_k,
     build_k_mu,
     circle_l1_abs,
-    dual_lower_bound_periodic,
     eval_q_mu,
     interpolation_oracle,
     l1_vs_log_circle,
@@ -89,7 +82,7 @@ __all__ = [
     "QuadratureNonConvergence", "SeriesNonConvergence", "DivergentAtZero",
     "UnknownCheckName",
     # numerics
-    "QuadratureConfig", "integrate_ray", "gauss_panel", "integrate_cells_abs",
+    "integrate_ray",
     "averaged_alternating", "dirichlet_beta", "catalan",
     # measures
     "PointMasses", "HaarLog", "PowerSigma", "TargetForm", "validate", "f_mu",
@@ -102,11 +95,10 @@ __all__ = [
     # measure-integrated approximants
     "EntireApproximant", "eval_K_mu", "error_mu_pointwise",
     "l1_error_mu_raw", "l1_error_mu", "l1_error_mu_quadrature",
-    "error_fourier_transform",
     # periodic
     "TrigPoly", "ExpPeriodized", "MeasurePeriodized", "p_hat",
     "q_hat_mu", "eval_q_mu", "build_k", "build_k_mu", "periodic_l1_error",
-    "periodic_l1_error_mu", "interpolation_oracle", "dual_lower_bound_periodic",
+    "periodic_l1_error_mu", "interpolation_oracle",
     "circle_l1_abs", "refined_sign_nodes", "periodic_l1_quadrature",
     "l1_vs_log_circle",
     # certification

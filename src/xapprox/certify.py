@@ -57,7 +57,7 @@ from .periodic import (
     periodic_l1_quadrature,
     refined_sign_nodes,
 )
-from .quadrature import QuadratureConfig, integrate_ray
+from .quadrature import integrate_ray
 from .series import catalan
 
 __all__ = [
@@ -187,7 +187,7 @@ def _chk_catalan_digits():
 def _chk_haar_1d():
     # per-lambda optimal error integrated against d(lam)/lam = 4G/pi
     f = lambda lam: (2.0 / lam) * float(one_minus_sech(0.5 * lam)) / lam
-    return integrate_ray(f, 0.0, QuadratureConfig()), 4.0 * catalan() / math.pi, 1e-13
+    return integrate_ray(f), 4.0 * catalan() / math.pi, 1e-13
 
 
 def _chk_haar_2d():
@@ -209,8 +209,7 @@ def _chk_power_half():
     # presented in the |x|^{sigma-1} normalization (validates the
     # gamma, sine and alternating-series factors together)
     f = lambda lam: (2.0 / lam) * float(one_minus_sech(0.5 * lam)) / math.sqrt(lam)
-    cfg = QuadratureConfig(tail_cut=200.0)
-    computed = integrate_ray(f, 0.0, cfg) / gamma_one_minus(0.5)
+    computed = integrate_ray(f, tail_cut=200.0) / gamma_one_minus(0.5)
     return computed, l1_error_mu(PowerSigma(0.5), 1.0), 1e-13
 
 
@@ -298,7 +297,6 @@ def _q_mu_by_quadrature(sigma, x):
     integral, int p(lam, x) lam^{-sigma} dlam (sigma > 1 at integers)."""
     from scipy.integrate import quad
 
-    cfg = QuadratureConfig()
     s = sigma
     xf = float(x)
     a = float(xf - np.floor(xf))
@@ -315,10 +313,10 @@ def _q_mu_by_quadrature(sigma, x):
     # 1/dist can reach 1e6; at integers p_part -> 1, an analytic tail
     T = 40.0 / dist + 50.0 if dist else 60.0
     v1, _ = quad(p_over_l, 0.0, 1.0, weight="alg", wvar=(1.0 - s, 0.0),
-                 epsabs=cfg.abs_tol / 2, epsrel=cfg.rel_tol, limit=cfg.max_depth)
+                 epsabs=0.5e-10, epsrel=1e-10, limit=48)
     v2, _ = quad(lambda l: p_part(l) * l ** (-s), 1.0, T,
                  points=np.geomspace(1.0, T, int(math.log10(T)) + 2)[1:-1],
-                 epsabs=cfg.abs_tol / 2, epsrel=cfg.rel_tol, limit=cfg.max_depth)
+                 epsabs=0.5e-10, epsrel=1e-10, limit=48)
     tail = 0.0 if dist else T ** (1.0 - s) / (s - 1.0)
     # int_1^inf (-2/l) l^{-s} dl = -2/s exactly
     return v1 + v2 + tail - 2.0 / s

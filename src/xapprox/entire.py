@@ -25,18 +25,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._stable import one_minus_x_csch
-from .errors import DivergentAtZero, QuadratureNonConvergence
+from .errors import DivergentAtZero
 from .expkernel import (
     ExpKernel,
-    _khat,
     _watson_c1_c3,
     error_exp,
     error_exp_integral_oracle,
     k_value_at_zero,
 )
 from .measures import TargetForm, f_mu, integrate_measure, validate
-from .quadrature import QuadratureConfig, panel_nodes
+from .quadrature import _quad_pieces, integrate_ray, panel_nodes
 from .series import _cardinal_sum
 
 __all__ = [
@@ -45,7 +43,6 @@ __all__ = [
     "error_mu_pointwise",
     "l1_error_mu",
     "l1_error_mu_raw",
-    "error_fourier_transform",
     "l1_error_mu_quadrature",
 ]
 
@@ -95,8 +92,7 @@ def _form_map(a: EntireApproximant, raw_err: float) -> float:
     return raw_err if a.form is TargetForm.RAW else raw_err / a.spec.form_scale
 
 
-def error_mu_pointwise(a: EntireApproximant, x: float,
-                       cfg: QuadratureConfig | None = None) -> float:
+def error_mu_pointwise(a: EntireApproximant, x: float) -> float:
     """Target-form pointwise error at x, via the quadrature identity
 
         f_mu(x) - raw(x) = integral of {e^{-lam|x|} - K(lam/d, d x)} dmu,
@@ -104,19 +100,17 @@ def error_mu_pointwise(a: EntireApproximant, x: float,
     independent of the interpolation series (its test oracle).  For
     lam/delta below 0.05 the integrand switches to the positive
     integral representation of the single-exponential error, since the
-    direct series would need prohibitively many nodes there.
+    direct series would need prohibitively many nodes there.  The
+    integral is held to 1e-10 absolute and 1e-10 relative error, or
+    QuadratureNonConvergence is raised.
     """
-    from scipy.integrate import quad
-
-    if cfg is None:
-        cfg = QuadratureConfig()
     spec, delta = a.spec, a.delta
     ax = abs(float(x))
 
     dens = spec.density
     if dens is None:  # discrete measure: an exact weighted sum
-        raw = spec.integrate(
-            lambda lams: [float(error_exp(ExpKernel(l, delta), ax)) for l in lams], cfg)
+        raw = integrate_measure(
+            spec, lambda lams: [float(error_exp(ExpKernel(l, delta), ax)) for l in lams])
         return _form_map(a, raw)
 
     if ax == 0.0:
@@ -125,38 +119,20 @@ def error_mu_pointwise(a: EntireApproximant, x: float,
 
         def g0(lam):
             return (1.0 - k_value_at_zero(lam, delta)) * dens(lam)
-        total = 0.0
-        for lo, hi in ((0.0, 1.0), (1.0, cfg.tail_cut), (cfg.tail_cut, np.inf)):
-            v, _ = quad(g0, lo, hi, epsabs=cfg.abs_tol / 3, epsrel=cfg.rel_tol,
-                        limit=cfg.max_depth)
-            total += v
-        return _form_map(a, total)
-
-    inner_cfg = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-11,
-                                 max_depth=cfg.max_depth)
+        return _form_map(a, integrate_ray(g0))
 
     def f_small(lam):  # lam/delta < s0: positive integral representation
-        return error_exp_integral_oracle(lam / delta, delta * ax, inner_cfg) * dens(lam)
+        return error_exp_integral_oracle(lam / delta, delta * ax) * dens(lam)
 
     def f_main(lam):
         return float(error_exp(ExpKernel(lam, delta), ax)) * dens(lam)
 
     s0 = 0.05 * delta
     rate = min(ax, 0.5 / delta)
-    T = max(cfg.tail_cut, 40.0 / rate + 5.0)
-    total = 0.0
-    err = 0.0
-    for f, lo, hi in ((f_small, 0.0, s0), (f_main, s0, s0 + 1.0),
-                      (f_main, s0 + 1.0, T), (f_main, T, np.inf)):
-        v, e = quad(f, lo, hi, epsabs=cfg.abs_tol / 4, epsrel=cfg.rel_tol,
-                    limit=cfg.max_depth)
-        total += v
-        err += e
-    if err > 4.0 * (cfg.abs_tol + cfg.rel_tol * abs(total)):
-        raise QuadratureNonConvergence(
-            f"pointwise error integral did not converge (est {err:.3e})"
-        )
-    return _form_map(a, total)
+    T = max(50.0, 40.0 / rate + 5.0)
+    pieces = [(f_small, 0.0, s0), (f_main, s0, s0 + 1.0),
+              (f_main, s0 + 1.0, T), (f_main, T, np.inf)]
+    return _form_map(a, _quad_pieces(pieces, 1e-10 / 4, 1e-10))
 
 
 def l1_error_mu_raw(spec, delta: float = 1.0) -> float:
@@ -174,65 +150,31 @@ def l1_error_mu(spec, delta: float = 1.0) -> float:
     return l1_error_mu_raw(spec, delta) / abs(spec.form_scale)
 
 
-def error_fourier_transform(spec, delta: float, t: float,
-                            cfg: QuadratureConfig | None = None) -> float:
-    """Fourier transform of the raw error f_mu - raw at frequency t:
-
-        int 2 lam/(lam^2 + 4 pi^2 t^2) dmu
-            - (1/delta) int Khat(lam/delta, t/delta) dmu,
-
-    the second term vanishing for |t| > delta/2.  Inside the support
-    the two integrands are combined into one quadrature (they cancel
-    pointwise at small lam, so separate integrals would lose digits as
-    t -> 0); at t = 0 the combined integrand has the closed limit
-    (2/lam)(1 - (lam/2delta) csch(lam/2delta)).
-    """
-    validate(spec)
-    if not delta > 0:
-        raise ValueError("delta must be positive")
-    at = abs(float(t))
-    tail = max(50.0, 60.0 * delta)
-    if at == 0.0:
-        g = lambda lam: (2.0 / lam) * one_minus_x_csch(lam / (2.0 * delta))
-        return integrate_measure(spec, g, cfg, tail_cut=tail)
-    if at > 0.5 * delta:
-        g = lambda lam: 2.0 * lam / (lam * lam + 4.0 * math.pi**2 * t * t)
-        return integrate_measure(spec, g, cfg, tail_cut=tail)
-    u = at / delta
-
-    def g(lam):
-        khat = _khat(lam / delta, u) / delta
-        return 2.0 * lam / (lam * lam + 4.0 * math.pi**2 * t * t) - khat
-
-    return integrate_measure(spec, g, cfg, tail_cut=tail)
-
-
-def l1_error_mu_quadrature(spec, delta: float = 1.0, half_cells: int = 50,
-                           order: int = 32, cfg: QuadratureConfig | None = None) -> float:
+def l1_error_mu_quadrature(spec, delta: float = 1.0) -> float:
     """L1 error recomputed from pointwise values, independent of the
-    closed form: sign-split Gauss panels on cells between consecutive
-    interpolation nodes (m+1/2)/delta out to (half_cells+1/2)/delta,
+    closed form: sign-split 32-node Gauss panels on the 50 cells between
+    consecutive interpolation nodes (m+1/2)/delta out to (50+1/2)/delta,
     one batched series evaluation for the approximant, the exact
     integral of the target over the singular first cell, and the
     measure-integrated large-x tail model beyond the last node.
     """
     validate(spec)
-    bounds = np.concatenate([[0.0], (np.arange(half_cells + 1) + 0.5) / delta])
+    bounds = np.concatenate([[0.0], (np.arange(51) + 0.5) / delta])
     cells = np.column_stack([bounds[:-1], bounds[1:]])
-    pts, wts, half = panel_nodes(cells, order)
+    pts, wts, half = panel_nodes(cells, 32)
     raw_vals = _eval_raw(spec, delta, pts, 1e-9)
     diff = f_mu(spec, pts) - raw_vals
-    per_cell = np.abs(diff.reshape(-1, order) @ wts * half)
+    per_cell = np.abs(diff.reshape(-1, 32) @ wts * half)
     f_cell0 = spec.cell0_integral(bounds[1])
     if f_cell0 is not None:
         # first cell: target integrated exactly (it absorbs the x = 0
         # singularity), approximant by panel
-        k_cell0 = float(raw_vals[:order] @ wts) * half[0]
+        k_cell0 = float(raw_vals[:32] @ wts) * half[0]
         per_cell[0] = abs(f_cell0 - k_cell0)
     body = float(np.sum(per_cell))
     tail_cut = max(50.0, 60.0 * delta)
-    c2 = integrate_measure(spec, lambda l: _watson_c1_c3(l / delta)[0], cfg, tail_cut=tail_cut)
-    c4 = integrate_measure(spec, lambda l: _watson_c1_c3(l / delta)[1], cfg, tail_cut=tail_cut)
-    tw = half_cells + 0.5
+    c2 = integrate_measure(spec, lambda l: _watson_c1_c3(l / delta)[0], tail_cut)
+    c4 = integrate_measure(spec, lambda l: _watson_c1_c3(l / delta)[1], tail_cut)
+    tw = 50.5
     tail = (4.0 / math.pi**2) * (c2 / tw + c4 / (3.0 * tw**3)) / delta
     return 2.0 * body + 2.0 * tail

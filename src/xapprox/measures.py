@@ -17,16 +17,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from enum import Enum
-from functools import cached_property
+from functools import lru_cache
 
 import numpy as np
 
 from ._stable import sinpi
 from .errors import DivergentAtZero, InvalidPointMass, InvalidSigma
 from .expkernel import eval_p, l1_error_exp
-from .quadrature import QuadratureConfig, integrate_ray
+from .quadrature import integrate_ray
 from .series import catalan, dirichlet_beta
 
 __all__ = [
@@ -63,7 +63,7 @@ class _Family:
     form, form_scale   natural form; its errors are raw errors / form_scale
     f_mu(ax)           raw target at |x| = ax (1-D array)
     density(lam)       density against dlam; None for a discrete measure
-    integrate(g, cfg)  integral of g(lam) dmu, g taking ndarray input
+    integrate(g, tail_cut)  integral of g(lam) dmu, g taking ndarray input
     raw_frame(delta)   (phi, prefactor, offset, rate): the raw approximant
                        is prefactor * KK(phi, delta*z) + offset; rate is
                        the geometric decay rate of phi, None for slow data
@@ -121,7 +121,7 @@ class PointMasses(_Family):
         lam, w = self._arrays()
         return (np.exp(-np.multiply.outer(ax, lam)) - np.exp(-lam)) @ w
 
-    def integrate(self, g, cfg):
+    def integrate(self, g, tail_cut):
         lam, w = self._arrays()
         return float(np.dot(w, np.asarray(g(lam), dtype=float)))
 
@@ -162,8 +162,8 @@ class HaarLog(_Family):
     def density(self, lam):
         return 1.0 / lam
 
-    def integrate(self, g, cfg):
-        return integrate_ray(lambda t: float(g(t)) / t, 0.0, cfg)
+    def integrate(self, g, tail_cut):
+        return integrate_ray(lambda t: float(g(t)) / t, tail_cut)
 
     def raw_frame(self, delta):
         return (lambda xi: -np.log(xi)), 1.0, math.log(delta), None
@@ -218,9 +218,9 @@ class PowerSigma(_Family):
     def density(self, lam):
         return lam ** (-self.sigma)
 
-    def integrate(self, g, cfg):
+    def integrate(self, g, tail_cut):
         s = self.sigma
-        return integrate_ray(lambda t: float(g(t)) * t ** (-s), 0.0, cfg)
+        return integrate_ray(lambda t: float(g(t)) * t ** (-s), tail_cut)
 
     def raw_frame(self, delta):
         s = self.sigma
@@ -254,7 +254,7 @@ class PowerSigma(_Family):
         at0 = a == 0.0
         if sg < 1.0 and at0.any():
             raise DivergentAtZero("q_mu is +inf at integer x for sigma <= 1")
-        g, c0, ck = self._series
+        g, c0, ck = _power_series(sg)
         y = a * a
         series = np.empty_like(y)
         for i in range(0, y.size, _Q_BLOCK):  # rows y, y^2, .., y^32 by cumprod
@@ -267,12 +267,6 @@ class PowerSigma(_Family):
         head = np.where(at0, -1.0 / s, la * _exprel(s * la))
         out = g * (head + c0 + series)
         return out.reshape(xx.shape) if xx.ndim else float(out[0])
-
-    @cached_property
-    def _series(self):
-        # q_mu's (Gamma(1+s), C0(s), c_k) table, computed once per object;
-        # it is not a dataclass field, so equality, hash and JSON ignore it
-        return _power_series(self.sigma)
 
 
 # PowerSigma.q_mu's series: c_2 a^2 + .. + c_64 a^64, a <= 1/2, where the
@@ -293,13 +287,15 @@ _EM_B = np.array([b / math.factorial(2 * j) for j, b in enumerate(
      43867 / 798, -174611 / 330), start=1)])
 
 
+@lru_cache(maxsize=128)
 def _power_series(sigma: float):
     """(Gamma(1+s), C0(s), [c_2, c_4, .., c_64]) for PowerSigma.q_mu,
     s = 1 - sigma: c_k = 2 prod_{j=2}^{k} (j - sigma)/j * zeta(k + 1 - sigma),
-    every zeta argument above 1."""
+    every zeta argument above 1.  Cached by sigma, so equal PowerSigma
+    objects share one table."""
     j = np.arange(2.0, 2 * _Q_TERMS + 1)
     ck = 2.0 * np.cumprod((j - sigma) / j)[::2] * _zeta(j[::2] + 1.0 - sigma)
-    ck.flags.writeable = False  # shared by every q_mu call on the object
+    ck.flags.writeable = False  # shared by every q_mu call with this sigma
     return math.gamma(2.0 - sigma), _zeta_c0(1.0 - sigma), ck
 
 
@@ -394,21 +390,16 @@ def f_mu(spec, x):
     return float(out[0]) if scalar else out
 
 
-def integrate_measure(spec, g, cfg: QuadratureConfig | None = None,
-                      tail_cut: float | None = None) -> float:
+def integrate_measure(spec, g, tail_cut: float = 50.0) -> float:
     """integral of g(lam) dmu(lam) over (0, inf).
 
-    Exact weighted sum for point masses; adaptive quadrature with the
-    density folded in otherwise.  g must accept ndarray input (scalars
-    arrive as 0-d arrays from the quadrature driver).  tail_cut
-    overrides the config's tail split for slowly decaying integrands.
+    Exact weighted sum for point masses; integrate_ray with the density
+    folded in otherwise.  g must accept ndarray input (scalars arrive as
+    0-d arrays from the quadrature driver).  tail_cut is integrate_ray's
+    tail split; slowly decaying integrands need a larger one.
     """
     validate(spec)
-    if cfg is None:
-        cfg = QuadratureConfig()
-    if tail_cut is not None:
-        cfg = replace(cfg, tail_cut=tail_cut)
-    return spec.integrate(g, cfg)
+    return spec.integrate(g, tail_cut)
 
 
 # --- JSON wire format ------------------------------------------------------

@@ -23,9 +23,9 @@ import numpy as np
 
 from ._stable import cospi, one_minus_x_csch, sinpi
 from .entire import l1_error_mu_raw
-from .expkernel import _dual_sum, _khat, eval_p, l1_error_exp
+from .expkernel import _khat, eval_p, l1_error_exp
 from .measures import HaarLog, f_mu, validate
-from .quadrature import integrate_cells_abs, panel_nodes, reduce_cells_abs
+from .quadrature import panel_nodes, reduce_cells_abs
 
 __all__ = [
     "TrigPoly",
@@ -39,7 +39,6 @@ __all__ = [
     "periodic_l1_error",
     "periodic_l1_error_mu",
     "interpolation_oracle",
-    "dual_lower_bound_periodic",
     "circle_l1_abs",
     "refined_sign_nodes",
     "periodic_l1_quadrature",
@@ -186,9 +185,6 @@ class ExpPeriodized:
     def value(self, x):
         return eval_p(self.lam, x)
 
-    def q_hat(self, n):
-        return p_hat(self.lam, n)
-
 
 @dataclass(frozen=True)
 class MeasurePeriodized:
@@ -201,9 +197,6 @@ class MeasurePeriodized:
 
     def value(self, x):
         return eval_q_mu(self.spec, x)
-
-    def q_hat(self, n):
-        return q_hat_mu(self.spec, n)
 
 
 def p_hat(lam: float, n):
@@ -234,8 +227,8 @@ def eval_q_mu(spec, x):
     HaarLog uses the closed form -log|2 sin pi x|; point masses the
     exact weighted sum; the power family Hurwitz's formula
     Gamma(1-sigma) [zeta(1-sigma, a) + zeta(1-sigma, 1-a)], a = {x},
-    as a series in a^2 with coefficients computed once per PowerSigma
-    object (numpy only: math.gamma and an Euler-Maclaurin zeta).  Scalar
+    as a series in a^2 with coefficients computed once per sigma (numpy
+    only: math.gamma and an Euler-Maclaurin zeta).  Scalar
     or array x, one vectorized path for both; raises DivergentAtZero
     when q_mu is infinite at any of the points.
     """
@@ -319,20 +312,18 @@ def interpolation_oracle(target, N: int) -> TrigPoly:
     return TrigPoly(N, np.concatenate([cn[:0:-1], cn]))
 
 
-def dual_lower_bound_periodic(target, N: int, terms: int = 10**4) -> float:
-    """Duality lower bound from target coefficients at the frequencies
-    (k+1/2)(2N+2); increases to the closed-form optimal error."""
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
-    return _dual_sum(target.q_hat((2 * N + 2) * (np.arange(terms) + 0.5)))
-
-
 # --- circle L1 quadrature helpers -----------------------------------------
 
-def circle_l1_abs(f, nodes, order: int = 24) -> float:
+# Gauss-Legendre nodes per cell of the circle L1 quadratures
+_ORDER = 24
+
+
+def circle_l1_abs(f, nodes) -> float:
     """Integral of |f| over one period given its sign-change nodes in
-    (0,1); splits the wrap-around cell at the integer point, where the
-    periodized targets have a corner or singularity."""
+    (0,1): the sum of |Gauss panel integrals| over the cells between
+    consecutive nodes, f taking ndarray input.  Splits the wrap-around
+    cell at the integer point, where the periodized targets have a corner
+    or singularity."""
     ns = sorted(float(v) for v in nodes)
     if not ns:
         raise ValueError("need at least one node")
@@ -340,7 +331,9 @@ def circle_l1_abs(f, nodes, order: int = 24) -> float:
     if ns[-1] < 1.0 < ns[0] + 1.0:
         bounds.append(1.0)
     bounds.append(ns[0] + 1.0)
-    return integrate_cells_abs(f, bounds, order=order)
+    bounds = np.asarray(bounds)
+    pts, wts, half = panel_nodes(np.column_stack([bounds[:-1], bounds[1:]]), _ORDER)
+    return reduce_cells_abs(np.asarray(f(pts), dtype=float), wts, half, _ORDER)
 
 
 def refined_sign_nodes(f, N: int):
@@ -365,25 +358,16 @@ def refined_sign_nodes(f, N: int):
     return out
 
 
-def periodic_l1_quadrature(lam: float, N: int, poly: TrigPoly | None = None,
-                           order: int = 24, refine: bool = False) -> float:
-    """Circle L1 error of a polynomial against p(lam, .) by sign-split
-    quadrature; defaults to the optimal polynomial, where the nodes are
-    the canonical ones and the result reproduces periodic_l1_error."""
-    if poly is None:
-        poly = build_k(lam, N)
-    f = lambda x: eval_p(lam, x) - poly.eval(x)
-    if refine:
-        nodes = refined_sign_nodes(f, N)
-        if not nodes:
-            nodes = [(0.5) / (2 * N + 2)]
-    else:
-        L = 2 * N + 2
-        nodes = ((np.arange(L) + 0.5) / L).tolist()
-    return circle_l1_abs(f, nodes, order=order)
+def periodic_l1_quadrature(lam: float, N: int) -> float:
+    """Circle L1 error of the optimal polynomial build_k(lam, N) against
+    p(lam, .) by sign-split quadrature at the canonical nodes; reproduces
+    periodic_l1_error."""
+    poly = build_k(lam, N)
+    L = 2 * N + 2
+    return circle_l1_abs(lambda x: eval_p(lam, x) - poly.eval(x), (np.arange(L) + 0.5) / L)
 
 
-def _circle_l1_mu(spec, poly: TrigPoly, order: int = 24) -> float:
+def _circle_l1_mu(spec, poly: TrigPoly) -> float:
     """int_0^1 |q_mu - poly| for an even real poly of degree N, with cells
     at the canonical nodes of L = 2N+2.  Where f_mu is singular at x = 0
     (Haar, power) the two cells touching it take f_mu's exact integral
@@ -395,20 +379,20 @@ def _circle_l1_mu(spec, poly: TrigPoly, order: int = 24) -> float:
     h = xs[0]
     f_cell0 = spec.cell0_integral(h)
     if f_cell0 is None:
-        return circle_l1_abs(lambda x: eval_q_mu(spec, x) - poly.eval(x), xs, order=order)
+        return circle_l1_abs(lambda x: eval_q_mu(spec, x) - poly.eval(x), xs)
     # one panel set: the edge cell [0, h], then the cells between the nodes
     cells = np.column_stack([np.r_[0.0, xs[:-1]], xs])
-    pts, wts, half = panel_nodes(cells, order)
+    pts, wts, half = panel_nodes(cells, _ORDER)
     q, p = eval_q_mu(spec, pts), poly.eval(pts)
-    smooth = half[0] * float(np.dot(wts, q[:order] - f_mu(spec, pts[:order])))
-    edge = abs(f_cell0 + smooth - half[0] * float(np.dot(wts, p[:order])))
-    body = reduce_cells_abs(q[order:] - p[order:], wts, half[1:], order)
+    smooth = half[0] * float(np.dot(wts, q[:_ORDER] - f_mu(spec, pts[:_ORDER])))
+    edge = abs(f_cell0 + smooth - half[0] * float(np.dot(wts, p[:_ORDER])))
+    body = reduce_cells_abs(q[_ORDER:] - p[_ORDER:], wts, half[1:], _ORDER)
     # the mirror cell [x_{L-1}, 1] contributes the same by evenness
     return body + 2.0 * edge
 
 
-def l1_vs_log_circle(poly: TrigPoly, order: int = 24) -> float:
+def l1_vs_log_circle(poly: TrigPoly) -> float:
     """int_0^1 |log|2 sin pi x| - poly(x)| dx for an even real poly, the
     circle L1 error against the log target: q_mu of the Haar measure is
     -log|2 sin pi x|, with the log integrated exactly next to x = 0."""
-    return _circle_l1_mu(HaarLog(), -poly, order)
+    return _circle_l1_mu(HaarLog(), -poly)

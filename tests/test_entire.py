@@ -1,6 +1,7 @@
-"""Measure-integrated entire approximants: values, errors, transforms."""
+"""Measure-integrated entire approximants: values and errors."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from xapprox import (
     HaarLog,
     PointMasses,
     PowerSigma,
+    QuadratureNonConvergence,
     TargetForm,
-    error_fourier_transform,
     error_mu_pointwise,
     eval_K_mu,
     f_mu,
@@ -108,6 +109,16 @@ def test_pointwise_error_point_masses():
     assert error_mu_pointwise(a, 1.1) == pytest.approx(direct, abs=1e-10)
 
 
+def test_pointwise_error_near_sigma_two_raises_without_warning():
+    # the lam^{-1.95} endpoint defeats QUADPACK on [0, 0.05]: the route
+    # must raise its own error, not let an IntegrationWarning escape
+    a = EntireApproximant(PowerSigma(1.95), 1.0, TargetForm.POWER)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureNonConvergence):
+            error_mu_pointwise(a, 0.3)
+
+
 def test_error_at_zero_branches(ref):
     with pytest.raises(DivergentAtZero):
         error_mu_pointwise(HAAR_LOG, 0.0)
@@ -153,32 +164,3 @@ def test_point_mass_l1_is_weighted_sum():
     expect = 2.0 * l1_error_exp(1.0) + 0.5 * l1_error_exp(3.0)
     assert l1_error_mu_raw(spec, 1.0) == pytest.approx(expect, rel=1e-14)
 
-
-def test_error_transform_frozen_samples(ref):
-    for row in ref["error_ft_samples"]:
-        if row["kind"] == "haar":
-            spec = HaarLog()
-        else:
-            spec = PowerSigma(row["sigma"])
-        val = error_fourier_transform(spec, 1.0, row["t"])
-        assert val == pytest.approx(row["value"], abs=1e-9)
-
-
-def test_error_transform_continuity():
-    spec = HaarLog()
-    # across the support edge t = delta/2 (K_hat vanishes there)
-    left = error_fourier_transform(spec, 1.0, 0.5 - 1e-9)
-    right = error_fourier_transform(spec, 1.0, 0.5 + 1e-9)
-    assert left == pytest.approx(right, abs=1e-6)
-    # and down to the combined t = 0 integrand
-    near = error_fourier_transform(spec, 1.0, 1e-8)
-    at0 = error_fourier_transform(spec, 1.0, 0.0)
-    assert near == pytest.approx(at0, abs=1e-6)
-
-
-def test_error_transform_outside_support_is_target_transform():
-    # |t| > delta/2: only the measure side contributes
-    spec = PointMasses(((2.0, 1.0),))
-    t = 0.8
-    expect = 2.0 * 2.0 / (4.0 + 4.0 * math.pi**2 * t * t)
-    assert error_fourier_transform(spec, 1.0, t) == pytest.approx(expect, abs=1e-10)

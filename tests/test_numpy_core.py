@@ -14,7 +14,7 @@ import pytest
 
 import xapprox
 from xapprox import PowerSigma, eval_q_mu, measure_to_json
-from xapprox.measures import _exprel, _zeta
+from xapprox.measures import _exprel, _power_series, _zeta
 from xapprox.periodic import _dct2
 
 # Every exact route, then the CLI without --verify; no scipy module may be
@@ -135,3 +135,6 @@ def test_power_table_is_cached_per_object_and_invisible():
     assert reused == PowerSigma(1.5) and hash(reused) == hash(PowerSigma(1.5))
     assert measure_to_json(reused) == measure_to_json(PowerSigma(1.5))
     assert math.isfinite(first[0])
+    # equal objects share one read-only table
+    assert _power_series(1.5) is _power_series(reused.sigma)
+    assert not _power_series(1.5)[2].flags.writeable

@@ -24,7 +24,6 @@ from xapprox import (
     build_k_mu,
     circle_l1_abs,
     dual_lower_bound_exp,
-    dual_lower_bound_periodic,
     eval_p,
     eval_q_mu,
     interpolation_oracle,
@@ -201,9 +200,9 @@ def test_eval_p_frozen_samples(ref):
 def test_eval_p_is_periodic_and_mean_zero():
     assert eval_p(1.0, 0.25) == eval_p(1.0, 3.25)
     assert eval_p(1.0, -0.75) == eval_p(1.0, 0.25)
-    # mean zero: Gauss panels over one period
-    from xapprox import gauss_panel
-    total = sum(gauss_panel(lambda x: eval_p(0.7, x), a / 4.0, (a + 1) / 4.0)
+    # mean zero: 32-node Gauss-Legendre on each quarter period
+    nodes, weights = np.polynomial.legendre.leggauss(32)
+    total = sum(0.125 * float(weights @ eval_p(0.7, (a + 0.5 + 0.5 * nodes) / 4.0))
                 for a in range(4))
     assert abs(total) < 1e-12
     with pytest.raises(ValueError):
@@ -467,7 +466,9 @@ def test_quadrature_reproduces_periodic_error():
         assert periodic_l1_quadrature(lam, N) == pytest.approx(
             periodic_l1_error(lam, N), abs=1e-10)
     # refined node search lands on the same value
-    assert periodic_l1_quadrature(1.0, 1, refine=True) == pytest.approx(
+    poly = build_k(1.0, 1)
+    f = lambda x: eval_p(1.0, x) - poly.eval(x)
+    assert circle_l1_abs(f, refined_sign_nodes(f, 1)) == pytest.approx(
         periodic_l1_error(1.0, 1), abs=1e-10)
 
 
@@ -478,23 +479,16 @@ def test_log_circle_error_haar():
         periodic_l1_error_mu(HaarLog(), N), abs=1e-13)
 
 
-def test_dual_lower_bound_periodic():
-    closed = periodic_l1_error(1.0, 0)
-    b2 = dual_lower_bound_periodic(ExpPeriodized(1.0), 0, terms=10**2)
-    b4 = dual_lower_bound_periodic(ExpPeriodized(1.0), 0, terms=10**4)
-    assert b2 < b4 <= closed + 1e-12
-    assert closed - b4 < 1e-4
-    bh = dual_lower_bound_periodic(MeasurePeriodized(HaarLog()), 1, terms=10**4)
-    assert bh <= periodic_l1_error_mu(HaarLog(), 1) + 1e-12
-    with pytest.raises(ValueError):
-        dual_lower_bound_periodic(ExpPeriodized(1.0), 0, terms=0)
-
-
 @pytest.mark.parametrize("N", [0, 1, 3, 10, 64])
 @pytest.mark.parametrize("lam", [0.01, 0.3, 1.0, 4.0, 50.0])
 def test_dual_bounds_agree_on_the_line_and_circle(lam, N):
-    assert dual_lower_bound_exp(lam, 2 * N + 2, 10**4) == dual_lower_bound_periodic(
-        ExpPeriodized(lam), N, 10**4)
+    # the circle's duality bound, summed from p's Fourier coefficients at
+    # the frequencies (k+1/2)(2N+2), is the line bound at type 2N+2
+    k = np.arange(10**4)
+    sign = np.where(k % 2 == 0, 1.0, -1.0)
+    circle = float(np.sum((4.0 / math.pi) * sign / (2.0 * k + 1.0)
+                          * p_hat(lam, (2 * N + 2) * (k + 0.5))))
+    assert dual_lower_bound_exp(lam, 2 * N + 2, 10**4) == circle
 
 
 def test_circle_l1_abs_reproduces_periodic_error():
