@@ -37,6 +37,7 @@ from .expkernel import (
 from .entire import (
     EntireApproximant,
     TargetForm,
+    error_mu_pointwise,
     eval_K_mu,
     l1_error_mu,
     l1_error_mu_quadrature,
@@ -211,6 +212,18 @@ def _chk_power_half():
     f = lambda lam: (2.0 / lam) * float(one_minus_sech(0.5 * lam)) / math.sqrt(lam)
     computed = integrate_ray(f, tail_cut=200.0) / gamma_one_minus(0.5)
     return computed, l1_error_mu(PowerSigma(0.5), 1.0), 1e-13
+
+
+def _chk_pointwise_mu():
+    # the lam-integral of single-exponential errors (error_mu_pointwise) vs
+    # target minus approximant between the nodes, in the natural forms
+    worst = 0.0
+    for spec in (HaarLog(),) + tuple(PowerSigma(s) for s in (0.05, 0.5, 1.5, 1.95)):
+        a = EntireApproximant(spec, 1.0, spec.form)
+        for x in (0.3, 0.7, 2.2, 7.1):
+            direct = float(spec.natural_target(np.array([x]))[0]) - eval_K_mu(a, x)
+            worst = max(worst, abs(error_mu_pointwise(a, x) - direct))
+    return worst, 0.0, 1e-12
 
 
 # --- periodic checks --------------------------------------------------------
@@ -403,6 +416,7 @@ def _build_registry():
     reg.append(("haar_l1_2d", _chk_haar_2d))
     reg.append(("log_interpolation", _chk_log_interp))
     reg.append(("power_sigma_half", _chk_power_half))
+    reg.append(("pointwise_mu_oracle", _chk_pointwise_mu))
     for lam, N in _PERIODIC_GRID:
         tag = {0.5: "0p5", 1.0: "1", 2.0: "2"}[lam]
         reg.append((f"thm6_1_lambda{tag}_N{N}", partial(_chk_l1_periodic, lam, N)))

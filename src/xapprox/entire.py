@@ -25,16 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergentAtZero
-from .expkernel import (
-    ExpKernel,
-    _watson_c1_c3,
-    error_exp,
-    error_exp_integral_oracle,
-    k_value_at_zero,
-)
+from .errors import DivergentAtZero, QuadratureNonConvergence
+from .expkernel import ExpKernel, _oracle, _watson_c1_c3, error_exp
 from .measures import TargetForm, f_mu, integrate_measure, validate
-from .quadrature import _quad_pieces, integrate_ray, panel_nodes
+from .quadrature import _gauss_jacobi, _panel_rule, panel_nodes
 from .series import _cardinal_sum
 
 __all__ = [
@@ -92,47 +86,77 @@ def _form_map(a: EntireApproximant, raw_err: float) -> float:
     return raw_err if a.form is TargetForm.RAW else raw_err / a.spec.form_scale
 
 
+# The lam-rule of error_mu_pointwise, in l = lam/delta: Gauss-Jacobi nodes
+# on [0, _S0], then Gauss-Legendre nodes per doubling panel beyond; the
+# rule and its higher-order twin
+_S0 = 0.25
+_LAM_RULES = ((32, 24), (48, 32))
+
+
 def error_mu_pointwise(a: EntireApproximant, x: float) -> float:
     """Target-form pointwise error at x, via the quadrature identity
 
         f_mu(x) - raw(x) = integral of {e^{-lam|x|} - K(lam/d, d x)} dmu,
 
-    independent of the interpolation series (its test oracle).  For
-    lam/delta below 0.05 the integrand switches to the positive
-    integral representation of the single-exponential error, since the
-    direct series would need prohibitively many nodes there.  The
-    integral is held to 1e-10 absolute and 1e-10 relative error, or
-    QuadratureNonConvergence is raised.
+    independent of the interpolation series (its test oracle).  Point
+    masses give an exact weighted sum.  For the density lam^{-sigma}
+    (sigma = 1 for Haar) a fixed rule in l = lam/delta integrates
+    G(l) l^{-sigma}, G(l) = e^{-l w} - K(l, w) at w = delta|x|:
+    Gauss-Jacobi for the weight l^{1-sigma} applied to G/l on [0, 1/4],
+    with G from the positive integral representation of
+    error_exp_integral_oracle, where the series would need
+    prohibitively many nodes; then Gauss-Legendre panels [2^k/4,
+    2^{k+1}/4] until e^{-min(w, 1/2) l} is negligible, whose weighted sum
+    is the error of a point-mass measure and takes one series
+    evaluation.  At x = 0, G = (4/pi) arctan(tanh(l/4)) in closed form.
+    The integral is held to 1e-10 absolute and 1e-10 relative error
+    against a higher-order twin rule, or QuadratureNonConvergence is
+    raised; a non-finite x raises ValueError.
     """
     spec, delta = a.spec, a.delta
     ax = abs(float(x))
-
-    dens = spec.density
-    if dens is None:  # discrete measure: an exact weighted sum
+    if not math.isfinite(ax):
+        raise ValueError(f"x must be finite, got {x}")
+    sigma = spec.density_power
+    if sigma is None:  # discrete measure: an exact weighted sum
         raw = integrate_measure(
             spec, lambda lams: [float(error_exp(ExpKernel(l, delta), ax)) for l in lams])
         return _form_map(a, raw)
+    if ax == 0.0 and f_mu(spec, 0.0) == math.inf:
+        raise DivergentAtZero("target is infinite at x = 0 for this measure")
 
-    if ax == 0.0:
-        if f_mu(spec, 0.0) == math.inf:
-            raise DivergentAtZero("target is infinite at x = 0 for this measure")
-
-        def g0(lam):
-            return (1.0 - k_value_at_zero(lam, delta)) * dens(lam)
-        return _form_map(a, integrate_ray(g0))
-
-    def f_small(lam):  # lam/delta < s0: positive integral representation
-        return error_exp_integral_oracle(lam / delta, delta * ax) * dens(lam)
-
-    def f_main(lam):
-        return float(error_exp(ExpKernel(lam, delta), ax)) * dens(lam)
-
-    s0 = 0.05 * delta
-    rate = min(ax, 0.5 / delta)
-    T = max(50.0, 40.0 / rate + 5.0)
-    pieces = [(f_small, 0.0, s0), (f_main, s0, s0 + 1.0),
-              (f_main, s0 + 1.0, T), (f_main, T, np.inf)]
-    return _form_map(a, _quad_pieces(pieces, 1e-10 / 4, 1e-10))
+    w = delta * ax
+    beta = 1.0 - sigma
+    heads = [_gauss_jacobi(nj, beta) for nj, _ in _LAM_RULES]
+    ls = np.concatenate([0.5 * _S0 * (1.0 + t) for t, _ in heads])
+    if w == 0.0:
+        g = (4.0 / math.pi) * np.arctan(np.tanh(0.25 * ls))
+    else:
+        g = _oracle(ls, w)
+    g_over_l = np.split(g / ls, [_LAM_RULES[0][0]])
+    # doubling panels until e^{-r l}/r < e^{-42}, r the decay rate of G
+    r = 0.5 if w == 0.0 else min(w, 0.5)
+    k = max(1, math.ceil(math.log2((42.0 - math.log(r)) / (r * _S0))))
+    edges = _S0 * 2.0 ** np.arange(k + 1.0)
+    vals = []
+    for (_, ng), (_, wj), gl in zip(_LAM_RULES, heads, g_over_l):
+        head = (0.5 * _S0) ** (beta + 1.0) * float(gl @ wj)
+        lt, wt = _panel_rule(edges, ng)
+        wt = wt * lt ** (-sigma)
+        if w == 0.0:  # the 1 in G integrated exactly over [_S0, inf)
+            tail = (_S0 ** beta / (sigma - 1.0)
+                    - (4.0 / math.pi) * float(wt @ np.arctan(np.exp(-0.5 * lt))))
+        else:  # point masses wt at lt: their targets minus one series
+            def phi(xi, lt=lt, wt=wt):
+                return np.exp(-np.multiply.outer(xi, lt)) @ wt
+            tail = (float(wt @ np.exp(-lt * w))
+                    - float(_cardinal_sum(phi, np.array([w]), _S0)[0]))
+        vals.append(delta ** beta * (head + tail))
+    if not (math.isfinite(vals[1])
+            and abs(vals[1] - vals[0]) <= 1e-10 * (1.0 + abs(vals[1]))):
+        raise QuadratureNonConvergence(
+            f"pointwise error at x={x}: twin rules give {vals[0]!r} and {vals[1]!r}")
+    return _form_map(a, vals[1])
 
 
 def l1_error_mu_raw(spec, delta: float = 1.0) -> float:

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._stable import cospi, csch, one_minus_sech, sech, sinpi
-from .quadrature import _quad_pieces, panel_nodes, reduce_cells_abs
+from .errors import QuadratureNonConvergence
+from .quadrature import _panel_rule, panel_nodes, reduce_cells_abs
 from .series import _cardinal_sum
 
 __all__ = [
@@ -118,27 +119,65 @@ def error_exp(kernel: ExpKernel, x):
     return np.exp(-kernel.lam * np.abs(x)) - eval_K(kernel, x)
 
 
+# Gauss-Legendre nodes per panel of the w-rule of error_exp_integral_oracle
+# and of its higher-order twin
+_W_ORDERS = (16, 24)
+
+
 def error_exp_integral_oracle(lam: float, x: float) -> float:
     """Independent error representation at delta = 1, for x > 0:
 
         (cos pi x / pi) * int_0^inf {C(lam+w) - C(lam-w)} e^{-xw} dw,
 
     with C(w) = -(1/2) sech(w/2).  The integrand is positive, so this
-    also certifies the sign pattern.  The split points isolate the
-    e^{-xw} spike (width ~1/x) so large x cannot fool the subdivision.
-    Each of the (at most five) pieces runs at 1e-13/8 absolute and
-    1e-11 relative tolerance.
+    also certifies the sign pattern.  It is integrated by fixed
+    Gauss-Legendre panels of width at most 2, graded at scale 1/x near
+    w = 0 so that the e^{-xw} spike is resolved for large x, and held to
+    1e-13 absolute plus 1e-11 relative error against a higher-order twin
+    rule, or QuadratureNonConvergence is raised.  Raises ValueError unless
+    lam is finite and positive and x is finite and positive.
     """
-    if not x > 0:
-        raise ValueError("oracle requires x > 0")
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError(f"lam must be finite and positive, got {lam}")
+    if not (math.isfinite(x) and x > 0):
+        raise ValueError(f"oracle requires finite x > 0, got {x}")
+    return float(_oracle(np.array([float(lam)]), float(x))[0])
 
-    def integrand(w):
-        return 0.5 * (sech(0.5 * (lam - w)) - sech(0.5 * (lam + w))) * math.exp(-x * w)
 
-    cuts = [0.0] + sorted({min(2.0 / x, 1.0), min(4.0 / x, 2.0), lam + 2.0, lam + 40.0})
-    cuts.append(np.inf)
-    pieces = [(integrand, lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
-    return float(cospi(x)) / math.pi * _quad_pieces(pieces, 1e-13 / 8, 1e-11)
+def _oracle(lams, x):
+    """error_exp_integral_oracle for an array of lam > 0 at one x > 0.
+
+    The integrand is written as
+        sinh(w/2) sinh(lam/2) / (cosh((w-lam)/2) cosh((w+lam)/2)) e^{-xw}
+    in decaying exponentials, free of cancellation and overflow.  It is
+    below e^{-|w-lam|/2} and below e^{-xw}, so integration over
+    [max(0, min lam - 84), min((84 + max lam)/(1 + 2x), 42/x)] leaves at
+    most e^{-42} max(2, max lam/42) at either end.
+    """
+    lo = max(0.0, float(np.min(lams)) - 84.0)
+    top = min((84.0 + float(np.max(lams))) / (1.0 + 2.0 * x), 42.0 / x)
+    edges = [lo]
+    step = min(2.0, 1.0 / x)
+    while edges[-1] < top and step < 2.0:  # widths 1/x, 2/x, 4/x, .. up to 2
+        edges.append(edges[-1] + step)
+        step *= 2.0
+    n = max(0, math.ceil((top - edges[-1]) / 2.0))
+    edges = np.concatenate([edges, edges[-1] + 2.0 * np.arange(1.0, n + 1.0)])
+    lam = np.asarray(lams, dtype=float)[:, None]
+    em_lam, e_lam = -np.expm1(-lam), np.exp(-lam)
+    sums = []
+    for order in _W_ORDERS:
+        w, wts = _panel_rule(edges, order)
+        half = np.exp(-0.5 * np.abs(w - lam))  # e^{-|w-lam|/2}
+        f = (-np.expm1(-w) * np.exp(-x * w)) * em_lam * half
+        sums.append((f / ((1.0 + np.exp(-w) * e_lam) * (1.0 + half * half))) @ wts)
+    lo_sum, hi_sum = sums
+    if not (np.isfinite(hi_sum).all()
+            and (np.abs(hi_sum - lo_sum) <= 1e-13 + 1e-11 * np.abs(hi_sum)).all()):
+        raise QuadratureNonConvergence(
+            f"error integral at x={x:g}: twin rules differ by "
+            f"{float(np.max(np.abs(hi_sum - lo_sum))):.3e}")
+    return float(cospi(x)) / math.pi * hi_sum
 
 
 def dual_lower_bound_exp(lam: float, delta: float = 1.0, terms: int = 10**5) -> float:

@@ -62,7 +62,8 @@ class _Family:
 
     form, form_scale   natural form; its errors are raw errors / form_scale
     f_mu(ax)           raw target at |x| = ax (1-D array)
-    density(lam)       density against dlam; None for a discrete measure
+    density_power      s of the density lam^{-s} against dlam; None for a
+                       discrete measure
     integrate(g, tail_cut)  integral of g(lam) dmu, g taking ndarray input
     raw_frame(delta)   (phi, prefactor, offset, rate): the raw approximant
                        is prefactor * KK(phi, delta*z) + offset; rate is
@@ -74,7 +75,7 @@ class _Family:
 
     form = TargetForm.RAW
     form_scale = 1.0
-    density = None
+    density_power = None
 
     def natural(self, raw):
         return raw / self.form_scale
@@ -155,12 +156,10 @@ class HaarLog(_Family):
     kind = "haar"
     form = TargetForm.LOG
     form_scale = -1.0
+    density_power = 1.0
 
     def f_mu(self, ax):
         return -np.log(ax)
-
-    def density(self, lam):
-        return 1.0 / lam
 
     def integrate(self, g, tail_cut):
         return integrate_ray(lambda t: float(g(t)) / t, tail_cut)
@@ -215,8 +214,9 @@ class PowerSigma(_Family):
     def f_mu(self, ax):
         return gamma_one_minus(self.sigma) * (ax ** (self.sigma - 1.0) - 1.0)
 
-    def density(self, lam):
-        return lam ** (-self.sigma)
+    @property
+    def density_power(self):
+        return self.sigma
 
     def integrate(self, g, tail_cut):
         s = self.sigma

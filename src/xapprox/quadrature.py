@@ -1,17 +1,18 @@
-"""Adaptive ray integrals and fixed-order Gauss panels.
+"""Adaptive ray integrals and fixed-order Gauss rules.
 
-The library's QUADPACK routes all go through one piece loop,
-``_quad_pieces``: it integrates each piece at fixed tolerances, sums the
-values and the error estimates, and raises instead of returning a
-silently bad number (only two certificate checks, which need QUADPACK's
-algebraic weight or its own subdivision limit, call ``quad`` directly).  The ray integrator splits (0, inf) at 1 and at a
-finite ``tail_cut``, so that integrable endpoint singularities, the
+``integrate_ray`` is the library's one QUADPACK route (only two
+certificate checks, which need QUADPACK's algebraic weight or its own
+subdivision limit, call ``quad`` directly).  It splits (0, inf) at 1 and
+at a finite ``tail_cut``, so that integrable endpoint singularities, the
 mid-range bulk and the far tail each land in the regime QUADPACK handles
-best.  scipy is imported on the first call, so the package's exact
-routes never load it.
+best, and raises instead of returning a silently bad number.  scipy is
+imported on the first call, so the package's exact routes never load it.
 
-Gauss-Legendre panels of fixed order are used wherever the integrand is
-analytic on a known interval (sign-constant cells of the L1 integrals).
+Fixed rules serve wherever the integrand is analytic on a known
+interval: Gauss-Legendre panels (the sign-constant cells of the L1
+integrals, the oracles' w- and lambda-panels) and Gauss-Jacobi nodes for
+an algebraic endpoint weight (the lambda-rule of error_mu_pointwise).
+Their node tables are cached and read-only.
 """
 
 from __future__ import annotations
@@ -28,17 +29,25 @@ __all__ = ["integrate_ray"]
 _LIMIT = 48
 
 
-def _quad_pieces(pieces, epsabs: float, epsrel: float) -> float:
-    """Sum of QUADPACK integrals over pieces [(f, lo, hi), ...], each run
-    at epsabs absolute and epsrel relative tolerance.  Raises
-    QuadratureNonConvergence when a piece reports a failure (a roundoff
-    notice alone is accepted), when the sum is not finite, or when the
-    summed error estimate exceeds len(pieces) * epsabs + epsrel * |sum|."""
+def integrate_ray(f, tail_cut: float = 50.0) -> float:
+    """Integrate f over (0, infinity) adaptively.
+
+    Pieces: [0, 1] (endpoint singularities), [1, T] (bulk) and [T, inf)
+    (tail, QUADPACK's infinite-range transformation), T = max(1,
+    tail_cut); integrands that decay like e^{-r lam} are resolved by the
+    default when r is not small (callers pass larger cuts otherwise).
+    The integral is held to 1e-10 absolute and 1e-10 relative error:
+    QuadratureNonConvergence is raised when a piece reports a failure (a
+    roundoff notice alone is accepted), when the sum is not finite, or
+    when the summed error estimate exceeds that budget.
+    """
     from scipy.integrate import quad
 
+    t = max(1.0, tail_cut)
+    epsabs, epsrel = 1e-10 / 3, 1e-10
     total = 0.0
     err = 0.0
-    for f, lo, hi in pieces:
+    for lo, hi in ((0.0, 1.0), (1.0, t), (t, np.inf)):
         val, est, _, *msg = quad(f, lo, hi, epsabs=epsabs, epsrel=epsrel,
                                  limit=_LIMIT, full_output=True)
         if msg and "roundoff" not in msg[0]:
@@ -49,30 +58,48 @@ def _quad_pieces(pieces, epsabs: float, epsrel: float) -> float:
         err += est
     if not np.isfinite(total):
         raise QuadratureNonConvergence("integral is not finite")
-    if err > len(pieces) * epsabs + epsrel * abs(total) + 1e-300:
+    if err > 3 * epsabs + epsrel * abs(total) + 1e-300:
         raise QuadratureNonConvergence(
             f"error estimate {err:.3e} exceeds tolerance for value {total:.6e}"
         )
     return total
 
 
-def integrate_ray(f, tail_cut: float = 50.0) -> float:
-    """Integrate f over (0, infinity) adaptively.
-
-    Pieces: [0, 1] (endpoint singularities), [1, T] (bulk) and [T, inf)
-    (tail, QUADPACK's infinite-range transformation), T = max(1,
-    tail_cut); integrands that decay like e^{-r lam} are resolved by the
-    default when r is not small (callers pass larger cuts otherwise).
-    The integral is held to 1e-10 absolute and 1e-10 relative error.
-    """
-    t = max(1.0, tail_cut)
-    return _quad_pieces([(f, 0.0, 1.0), (f, 1.0, t), (f, t, np.inf)], 1e-10 / 3, 1e-10)
-
-
 @lru_cache(maxsize=8)
 def _leggauss(order: int):
     nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.flags.writeable = False  # shared by every caller of this order
+    weights.flags.writeable = False
     return nodes, weights
+
+
+@lru_cache(maxsize=64)
+def _gauss_jacobi(n: int, beta: float):
+    """Nodes and weights of the n-point Gauss rule on [-1, 1] for the
+    weight (1 + t)^beta, beta > -1, by Golub-Welsch: the nodes are the
+    eigenvalues of the symmetric Jacobi matrix of the Jacobi polynomials
+    P^{(0, beta)}, the weights the squared first eigenvector components
+    times the weight's mass 2^{beta+1}/(beta+1).  Cached by (n, beta) and
+    read-only, so every call returns the same bits."""
+    k = np.arange(1.0, n)
+    s = 2.0 * k + beta
+    diag = np.empty(n)
+    diag[0] = beta / (beta + 2.0)
+    diag[1:] = beta * beta / (s * (s + 2.0))
+    off = 2.0 * k * (k + beta) / (s * np.sqrt((s - 1.0) * (s + 1.0)))
+    nodes, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    weights = 2.0 ** (beta + 1.0) / (beta + 1.0) * vecs[0] ** 2
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
+def _panel_rule(edges, order: int):
+    """Nodes and weights of order-point Gauss-Legendre panels between
+    consecutive edges, flattened: the integral is f(nodes) @ weights."""
+    edges = np.asarray(edges, dtype=float)
+    pts, wts, half = panel_nodes(np.column_stack([edges[:-1], edges[1:]]), order)
+    return pts, (half[:, None] * wts).ravel()
 
 
 def panel_nodes(cells, order: int = 32):

@@ -22,6 +22,7 @@ from xapprox import (
     l1_error_mu_raw,
     power_l1_constant,
 )
+from xapprox import entire
 
 HAAR_LOG = EntireApproximant(HaarLog(), 1.0, TargetForm.LOG)
 
@@ -91,15 +92,20 @@ def test_raw_vs_presented_forms_are_affine():
     assert pres == pytest.approx(raw / math.gamma(0.5) + 1.0, rel=1e-13)
 
 
+def _direct_error(a, x):
+    # target minus approximant, for an approximant in its natural form
+    return float(a.spec.natural_target(np.array([abs(x)]))[0]) - eval_K_mu(a, x)
+
+
 def test_pointwise_error_matches_direct_difference():
     x = 0.3
     direct = math.log(x) - eval_K_mu(HAAR_LOG, x)
     oracle = error_mu_pointwise(HAAR_LOG, x)
-    assert oracle == pytest.approx(direct, abs=1e-9)
+    assert oracle == pytest.approx(direct, abs=1e-12)
 
     a = EntireApproximant(PowerSigma(1.5), 1.0, TargetForm.POWER)
     direct = 0.7 ** 0.5 - eval_K_mu(a, 0.7)
-    assert error_mu_pointwise(a, 0.7) == pytest.approx(direct, abs=1e-9)
+    assert error_mu_pointwise(a, 0.7) == pytest.approx(direct, abs=1e-12)
 
 
 def test_pointwise_error_point_masses():
@@ -109,14 +115,41 @@ def test_pointwise_error_point_masses():
     assert error_mu_pointwise(a, 1.1) == pytest.approx(direct, abs=1e-10)
 
 
-def test_pointwise_error_near_sigma_two_raises_without_warning():
-    # the lam^{-1.95} endpoint defeats QUADPACK on [0, 0.05]: the route
-    # must raise its own error, not let an IntegrationWarning escape
+def test_pointwise_error_near_sigma_two_without_warning():
+    # the lam^{-1.95} endpoint is the Gauss-Jacobi weight's: no warning, and
+    # the value of the direct difference
     a = EntireApproximant(PowerSigma(1.95), 1.0, TargetForm.POWER)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        for x in (0.3, 2.2):
+            assert error_mu_pointwise(a, x) == pytest.approx(_direct_error(a, x), abs=1e-12)
+
+
+@pytest.mark.parametrize("spec", [HaarLog()] + [PowerSigma(s) for s in
+                                                (0.05, 0.5, 0.999, 1.001, 1.5, 1.95)],
+                         ids=repr)
+def test_pointwise_error_grid(spec):
+    for delta in (0.5, 1.0, 2.0):
+        a = EntireApproximant(spec, delta, spec.form)
+        for x in (0.05, 0.3, 0.7, 2.2, 7.1, 50.0):
+            assert error_mu_pointwise(a, x) == pytest.approx(_direct_error(a, x), abs=1e-12)
+
+
+def test_pointwise_error_rejects_non_finite_x():
+    for spec in (HaarLog(), PowerSigma(1.5), PointMasses(((1.0, 1.0),))):
+        a = EntireApproximant(spec, 1.0)
+        for x in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError):
+                error_mu_pointwise(a, x)
+
+
+def test_pointwise_error_raises_when_twin_rules_disagree(monkeypatch):
+    # a two-node twin cannot reach the 1e-10 agreement
+    monkeypatch.setattr(entire, "_LAM_RULES", ((32, 24), (2, 2)))
+    for x in (0.7, 0.0):
+        a = EntireApproximant(PowerSigma(1.5), 1.0, TargetForm.POWER)
         with pytest.raises(QuadratureNonConvergence):
-            error_mu_pointwise(a, 0.3)
+            error_mu_pointwise(a, x)
 
 
 def test_error_at_zero_branches(ref):
@@ -127,7 +160,7 @@ def test_error_at_zero_branches(ref):
             EntireApproximant(PowerSigma(0.5), 1.0, TargetForm.POWER), 0.0)
     row = ref["power_error_at_zero"]
     a = EntireApproximant(PowerSigma(row["sigma"]), 1.0, TargetForm.POWER)
-    assert error_mu_pointwise(a, 0.0) == pytest.approx(row["value"], abs=1e-9)
+    assert error_mu_pointwise(a, 0.0) == pytest.approx(row["value"], abs=1e-13)
 
 
 def test_l1_constants_against_frozen(ref):

@@ -11,6 +11,7 @@ from xapprox import (
     EntireApproximant,
     ExpKernel,
     PointMasses,
+    QuadratureNonConvergence,
     SeriesNonConvergence,
     K_hat,
     dual_lower_bound_exp,
@@ -22,6 +23,7 @@ from xapprox import (
     l1_error_exp,
     l1_error_exp_quadrature,
 )
+from xapprox import expkernel
 from xapprox._stable import cospi
 
 
@@ -119,12 +121,27 @@ def test_error_grid_against_integral_oracle(ref):
         k = ExpKernel(lam)
         for x, expect in zip(grid["xs"], row):
             assert error_exp(k, x) == pytest.approx(expect, abs=2e-13)
-            assert error_exp_integral_oracle(lam, x) == pytest.approx(expect, abs=1e-10)
+            assert error_exp_integral_oracle(lam, x) == pytest.approx(expect, abs=1e-14)
 
 
 def test_oracle_requires_positive_x():
     with pytest.raises(ValueError):
         error_exp_integral_oracle(1.0, 0.0)
+
+
+def test_oracle_rejects_non_finite_or_non_positive_arguments():
+    bad = [(1.0, math.inf), (1.0, math.nan), (1.0, -1.0), (-1.0, 1.0), (0.0, 1.0),
+           (math.inf, 1.0), (math.nan, 1.0)]
+    for lam, x in bad:
+        with pytest.raises(ValueError):
+            error_exp_integral_oracle(lam, x)
+
+
+def test_oracle_raises_when_twin_rules_disagree(monkeypatch):
+    # two nodes per width-2 panel cannot meet 1e-13 + 1e-11 relative
+    monkeypatch.setattr(expkernel, "_W_ORDERS", (16, 2))
+    with pytest.raises(QuadratureNonConvergence):
+        error_exp_integral_oracle(1.0, 0.7)
 
 
 def test_khat_frozen_samples(ref):

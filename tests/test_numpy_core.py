@@ -16,9 +16,11 @@ import xapprox
 from xapprox import PowerSigma, eval_q_mu, measure_to_json
 from xapprox.measures import _exprel, _power_series, _zeta
 from xapprox.periodic import _dct2
+from xapprox.quadrature import _gauss_jacobi
 
-# Every exact route, then the CLI without --verify; no scipy module may be
-# loaded afterwards.  Then one independent route, which must load it.
+# Every exact route, the fixed-rule oracles (error_exp_integral_oracle and
+# error_mu_pointwise), then the CLI without --verify; no scipy module may be
+# loaded afterwards.  Then one QUADPACK route, which must load it.
 _SCRIPT = r"""
 import contextlib, io, json, sys
 import numpy as np
@@ -49,6 +51,11 @@ for N in (0, 3, 64):
     X.interpolation_oracle(X.ExpPeriodized(1.0), N)
 X.l1_error_exp(1.0); X.power_l1_constant(0.5); X.gamma_one_minus(0.5)
 X.f_mu(X.PowerSigma(0.5), xs)
+X.error_exp_integral_oracle(1.0, 0.3); X.error_exp_integral_oracle(0.05, 40.0)
+for spec in specs:
+    X.error_mu_pointwise(X.EntireApproximant(spec, 1.0, spec.form), 0.7)
+    X.error_mu_pointwise(X.EntireApproximant(spec, 2.0), -2.2)
+X.error_mu_pointwise(X.EntireApproximant(X.PowerSigma(1.5)), 0.0)
 
 power = json.dumps({"kind": "power", "sigma": 0.5})
 for argv in (["eval", "--kernel", "exp", "--lambda", "1", "--x", "0.3"],
@@ -138,3 +145,40 @@ def test_power_table_is_cached_per_object_and_invisible():
     # equal objects share one read-only table
     assert _power_series(1.5) is _power_series(reused.sigma)
     assert not _power_series(1.5)[2].flags.writeable
+
+
+def _jacobi_mp(n, a, b, t):
+    # P_n^{(a, b)}(t) by the three-term recurrence, in mpmath
+    p0, p1 = mpmath.mpf(1), (a + 1) + (a + b + 2) * (t - 1) / 2
+    if n == 0:
+        return p0
+    for k in range(2, n + 1):
+        c = 2 * k + a + b
+        p0, p1 = p1, ((c - 1) * (c * (c - 2) * t + a * a - b * b) * p1
+                      - 2 * (k + a - 1) * (k + b - 1) * c * p0) / (2 * k * (k + a + b) * (c - 2))
+    return p1
+
+
+@pytest.mark.parametrize("beta", [-0.95, -0.5, 0.0, 0.5, 0.95])
+def test_gauss_jacobi_nodes_and_weights(beta):
+    # Golub-Welsch against scipy's nodes, and against 40-digit weights:
+    # Newton-polished roots of P_n^{(0, beta)} and the closed form
+    # 2^{beta+1}/((1 - t^2) P_n'(t)^2).  scipy's weights are not the
+    # reference: at beta = -0.95, n = 48 they are 2.4e-11 off.
+    from scipy.special import roots_jacobi
+
+    for n in (16, 32, 48):
+        t, w = _gauss_jacobi(n, beta)
+        assert not t.flags.writeable and not w.flags.writeable
+        assert np.max(np.abs(t - roots_jacobi(n, 0.0, beta)[0])) <= 1e-14
+        ref = []
+        with mpmath.workdps(40):
+            b = mpmath.mpf(beta)
+            for tj in t:
+                tj = mpmath.mpf(tj)
+                for _ in range(2):
+                    tj -= _jacobi_mp(n, 0, b, tj) / ((n + b + 1) / 2 * _jacobi_mp(n - 1, 1, b + 1, tj))
+                d = (n + b + 1) / 2 * _jacobi_mp(n - 1, 1, b + 1, tj)
+                ref.append(float(2 ** (b + 1) / ((1 - tj * tj) * d * d)))
+        mass = 2.0 ** (beta + 1.0) / (beta + 1.0)
+        assert np.max(np.abs(w - np.array(ref))) <= 5e-14 * mass
