@@ -13,7 +13,7 @@ from .errors import (
     XapproxError,
 )
 from .quadrature import integrate_ray
-from .series import averaged_alternating, catalan, dirichlet_beta
+from .series import catalan, dirichlet_beta
 from .measures import (
     HaarLog,
     PointMasses,
@@ -83,7 +83,7 @@ __all__ = [
     "UnknownCheckName",
     # numerics
     "integrate_ray",
-    "averaged_alternating", "dirichlet_beta", "catalan",
+    "dirichlet_beta", "catalan",
     # measures
     "PointMasses", "HaarLog", "PowerSigma", "TargetForm", "validate", "f_mu",
     "gamma_one_minus", "power_l1_constant", "integrate_measure",

@@ -81,13 +81,16 @@ def sinc(x):
 def sinc_complex(z):
     """sin(pi*z)/(pi*z) for complex z (z = 0 -> 1).
 
-    No exact-zero guarantee is needed off the real axis; a short series
-    takes over near the origin to dodge 0/0.
+    sin(pi z) = sinpi(x) cosh(pi y) + i cospi(x) sinh(pi y) for z = x + iy,
+    so it is exactly zero at nonzero real integers, as sinc is; a short
+    series takes over near the origin to dodge 0/0.
     """
     za = np.asarray(z, dtype=complex)
     small = np.abs(za) < 1e-8
     safe = np.where(small, 1.0, za)
-    out = np.sin(_PI * safe) / (_PI * safe)
+    x, y = za.real, _PI * za.imag
+    num = sinpi(x) * np.cosh(y) + 1j * (cospi(x) * np.sinh(y))
+    out = num / (_PI * safe)
     w = _PI * za
     series = 1.0 - w * w / 6.0
     out = np.where(small, series, out)

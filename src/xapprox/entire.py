@@ -13,7 +13,9 @@ cardinal form
 which is stable at the nodes, plus a constant split using the exact
 identity KK(1, w) = 1, so the node data phi is either decaying (point
 masses) or slowly growing (log / power), never constant-offset.  KK is
-summed by series._cardinal_sum, the engine eval_K uses too.  The node
+summed by series._cardinal_sum, the engine eval_K uses too: one fixed
+linear map of the node data (a direct head and a 24-term CRVZ tail), the
+same for every family, with no tolerance or stopping test.  The node
 data, the closed-form constants and the presentation forms (TargetForm)
 come from the measure family objects in measures.py.
 """
@@ -57,11 +59,11 @@ class EntireApproximant:
             raise ValueError(f"{self.form.value} form does not apply to {self.spec!r}")
 
 
-def _eval_raw(spec, delta, z, tol):
+def _eval_raw(spec, delta, z):
     # raw(z) = prefactor * KK(phi, delta*z) + offset, with phi never
     # constant-offset (the constant part is summed exactly via KK(1, .) = 1)
-    phi, pref, off, rate = spec.raw_frame(delta)
-    vals = _cardinal_sum(phi, np.atleast_1d(np.asarray(z)) * delta, rate, tol)
+    phi, pref, off = spec.raw_frame(delta)
+    vals = _cardinal_sum(phi, np.atleast_1d(np.asarray(z)) * delta)
     return pref * vals + off
 
 
@@ -70,11 +72,13 @@ def eval_K_mu(a: EntireApproximant, z):
 
     raw form interpolates f_mu at (n-1/2)/delta; log form returns the
     entire function matching log|x| there; power form the one matching
-    |x|^{sigma-1}.
+    |x|^{sigma-1}.  The range and accuracy are eval_K's, with w = delta*z:
+    |Re w| <= 1e3 documented, and SeriesNonConvergence where cos pi w
+    overflows (|Im w| beyond ~225).
     """
     zz = np.asarray(z)
     scalar = zz.ndim == 0
-    raw = _eval_raw(a.spec, a.delta, zz, 1e-11)
+    raw = _eval_raw(a.spec, a.delta, zz)
     out = raw if a.form is TargetForm.RAW else a.spec.natural(raw)
     if scalar:
         out = out[0]
@@ -150,7 +154,7 @@ def error_mu_pointwise(a: EntireApproximant, x: float) -> float:
             def phi(xi, lt=lt, wt=wt):
                 return np.exp(-np.multiply.outer(xi, lt)) @ wt
             tail = (float(wt @ np.exp(-lt * w))
-                    - float(_cardinal_sum(phi, np.array([w]), _S0)[0]))
+                    - float(_cardinal_sum(phi, np.array([w]))[0]))
         vals.append(delta ** beta * (head + tail))
     if not (math.isfinite(vals[1])
             and abs(vals[1] - vals[0]) <= 1e-10 * (1.0 + abs(vals[1]))):
@@ -186,7 +190,7 @@ def l1_error_mu_quadrature(spec, delta: float = 1.0) -> float:
     bounds = np.concatenate([[0.0], (np.arange(51) + 0.5) / delta])
     cells = np.column_stack([bounds[:-1], bounds[1:]])
     pts, wts, half = panel_nodes(cells, 32)
-    raw_vals = _eval_raw(spec, delta, pts, 1e-9)
+    raw_vals = _eval_raw(spec, delta, pts)
     diff = f_mu(spec, pts) - raw_vals
     per_cell = np.abs(diff.reshape(-1, 32) @ wts * half)
     f_cell0 = spec.cell0_integral(bounds[1])

@@ -18,7 +18,8 @@ class QuadratureNonConvergence(XapproxError, ArithmeticError):
 
 
 class SeriesNonConvergence(XapproxError, ArithmeticError):
-    """Cardinal series not finite, or not converged within 2e6 node pairs."""
+    """Cardinal series not finite (cos pi w overflows beyond |Im w| ~ 225),
+    or asked at |Re w| above 2^20."""
 
 
 class DivergentAtZero(XapproxError, ValueError):

@@ -61,16 +61,17 @@ def eval_K(kernel: ExpKernel, z):
 
     Evaluation sums e^{-lam'|m|}(sinc(w-m) + sinc(w+m)) over the
     positive half-integers m, with w = delta*z, lam' = lam/delta, in the
-    shared cardinal-series engine.  The symmetric pairing makes the
-    result exactly even in z, and the sinc form is uniformly stable
-    including at the interpolation nodes.  Raises SeriesNonConvergence
-    where the sum overflows (|Im w| beyond ~225) or would need more than
-    2e6 pairs (lam' below ~2e-5).
+    shared cardinal-series engine: ceil(max |Re w|) + 32 terms per point,
+    whatever lam'.  The result is exactly even in z and exact at the
+    interpolation nodes.  Documented range: lam' >= 1e-6 and |Re w| <= 1e3,
+    where real values are within a few 1e-15 and complex ones within
+    ~1e-12 of max(|K|, 1e-3 cosh(pi Im w)); off the axis up to overflow of
+    cos pi w (|Im w| beyond ~225), which raises SeriesNonConvergence.
     """
     lam_p = kernel.lam / kernel.delta
     w = np.asarray(z) * kernel.delta
     scalar = w.ndim == 0
-    vals = _cardinal_sum(lambda xi: np.exp(-lam_p * xi), np.atleast_1d(w), lam_p)
+    vals = _cardinal_sum(lambda xi: np.exp(-lam_p * xi), np.atleast_1d(w))
     return vals[0] if scalar else vals
 
 

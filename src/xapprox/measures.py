@@ -65,9 +65,8 @@ class _Family:
     density_power      s of the density lam^{-s} against dlam; None for a
                        discrete measure
     integrate(g, tail_cut)  integral of g(lam) dmu, g taking ndarray input
-    raw_frame(delta)   (phi, prefactor, offset, rate): the raw approximant
-                       is prefactor * KK(phi, delta*z) + offset; rate is
-                       the geometric decay rate of phi, None for slow data
+    raw_frame(delta)   (phi, prefactor, offset): the raw approximant is
+                       prefactor * KK(phi, delta*z) + offset
     cell0_integral(b)  integral of f_mu over [0, b]; None if f_mu is smooth
     l1_raw(delta)      closed-form L1(R) error of the raw approximant
     q_hat(nn), q_mu(x)   the periodized target and its coefficients
@@ -129,7 +128,7 @@ class PointMasses(_Family):
     def raw_frame(self, delta):
         lam, wts = self._arrays()
         phi = lambda xi: np.exp(-np.multiply.outer(xi, lam / delta)) @ wts
-        return phi, 1.0, -float(np.dot(wts, np.exp(-lam))), lam[0] / delta
+        return phi, 1.0, -float(np.dot(wts, np.exp(-lam)))
 
     def cell0_integral(self, b):
         return None
@@ -165,7 +164,7 @@ class HaarLog(_Family):
         return integrate_ray(lambda t: float(g(t)) / t, tail_cut)
 
     def raw_frame(self, delta):
-        return (lambda xi: -np.log(xi)), 1.0, math.log(delta), None
+        return (lambda xi: -np.log(xi)), 1.0, math.log(delta)
 
     def cell0_integral(self, b):
         return b - b * math.log(b)
@@ -225,7 +224,7 @@ class PowerSigma(_Family):
     def raw_frame(self, delta):
         s = self.sigma
         g = gamma_one_minus(s)
-        return (lambda xi: xi ** (s - 1.0)), g * delta ** (1.0 - s), -g, None
+        return (lambda xi: xi ** (s - 1.0)), g * delta ** (1.0 - s), -g
 
     def cell0_integral(self, b):
         s = self.sigma

@@ -10,9 +10,11 @@ import pytest
 from xapprox import (
     EntireApproximant,
     ExpKernel,
+    HaarLog,
     PointMasses,
     QuadratureNonConvergence,
     SeriesNonConvergence,
+    TargetForm,
     K_hat,
     dual_lower_bound_exp,
     error_exp,
@@ -79,16 +81,49 @@ def test_complex_overflow_raises_instead_of_nan():
             eval_K(ExpKernel(1.0), [1.0 + 260.0j, 0.3 + 260.5j])
 
 
-def test_small_lambda_memory_is_bounded():
-    # the series is summed in blocks: memory must not scale like 1/lam'
-    x = np.linspace(-20.0, 20.0, 2001)
+def test_points_beyond_the_range_raise_before_allocating():
+    # each point costs |Re w| + 32 terms: beyond 2^20, or nan, it raises
+    for z in ([0.5, 3e6], [math.nan], [-math.inf]):
+        with pytest.raises(SeriesNonConvergence):
+            eval_K(ExpKernel(1.0), z)
+
+
+def _peak_mb(f):
     tracemalloc.start()
     try:
-        eval_K(ExpKernel(0.01), x)
-        peak = tracemalloc.get_traced_memory()[1]
+        f()
+        return tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2**20
+
+
+def test_small_lambda_memory_is_bounded():
+    # the number of terms does not depend on lam': memory must not scale like 1/lam'
+    x = np.linspace(-20.0, 20.0, 2001)
+    assert _peak_mb(lambda: eval_K(ExpKernel(0.01), x)) < 8.0
+
+
+def test_far_points_memory_is_bounded():
+    # |Re w| up to 1e3 takes ~1e3 terms per point, formed in blocks of points
+    x = np.linspace(-1e3, 1e3, 2001)
+    assert _peak_mb(lambda: eval_K(ExpKernel(1e-6), x)) < 24.0
+    assert _peak_mb(lambda: eval_K(ExpKernel(1e-6), x + 1j)) < 24.0
+
+
+def test_complex_arrays_are_exactly_even_and_exact_at_nodes():
+    # real-axis nodes among mirrored off-axis points, in one complex array
+    lam = 0.7
+    nodes = np.array([0.5, 4.5, 5.5, 7.5, 11.5]) + 0j
+    off = np.array([0.3 + 0.2j, 4.6 + 1j, 2.5 + 1e-9j, 0.25j, 7.1 - 3j, 9.5 + 0.1j, 3.0 + 0j])
+    z = np.concatenate([nodes, off, -off, -nodes])
+    vals = eval_K(ExpKernel(lam), z)
+    n, m = nodes.size, off.size
+    assert np.array_equal(vals[n:n + m], vals[n + m:n + 2 * m])
+    assert np.all(vals[:n] == np.exp(-lam * nodes.real))
+    assert np.all(vals[-n:] == np.exp(-lam * nodes.real))
+    haar = eval_K_mu(EntireApproximant(HaarLog(), 1.0, TargetForm.LOG), z)
+    assert np.array_equal(haar[n:n + m], haar[n + m:n + 2 * m])
+    assert np.all(haar[:n] == np.log(nodes.real))
 
 
 @pytest.mark.parametrize("delta", [0.5, 2.0])

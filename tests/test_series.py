@@ -1,51 +1,112 @@
-"""Alternating-series acceleration and the constants built on it."""
+"""The cardinal-series engine against an mpmath node series, and the
+constants summed with the same alternating-series weights."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from xapprox import SeriesNonConvergence, averaged_alternating, catalan, dirichlet_beta
+from xapprox import catalan, dirichlet_beta
+from xapprox.series import _cardinal_sum
 
 
-def test_averaged_alternating_log2():
-    # 1 - 1/2 + 1/3 - ... = log 2, 40 terms suffice after averaging
-    k = np.arange(40)
-    terms = np.where(k % 2 == 0, 1.0, -1.0) / (k + 1.0)
-    val, err = averaged_alternating(terms)
-    assert val == pytest.approx(math.log(2.0), abs=1e-13)
-    assert err < 1e-11
+def _crvz(a, n=120):
+    # Cohen-Rodriguez Villegas-Zagier, Algorithm 1: sum_{k>=0} (-1)^k a(k)
+    d = (3 + mp.sqrt(8)) ** n
+    d = (d + 1 / d) / 2
+    b, c, s = mp.mpf(-1), -d, mp.mpf(0)
+    for k in range(n):
+        c = b - c
+        s += c * a(k)
+        b *= (k + n) * (k - n) / ((k + mp.mpf(1) / 2) * (k + 1))
+    return s / d
 
 
-def test_averaged_alternating_error_estimate_is_sane():
-    k = np.arange(24)
-    terms = np.where(k % 2 == 0, 1.0, -1.0) / (2.0 * k + 1.0)
-    val, err = averaged_alternating(terms)
-    assert abs(val - math.pi / 4.0) <= max(err * 10.0, 1e-14)
+def _node_series(phi, z):
+    """KK(phi, z) = (cos pi z/pi) sum_{n>=0} (-1)^n phi(xi) 2 xi/((xi - z)(xi + z)),
+    xi = n + 1/2, at 40 digits: 10 direct terms past |Re z|, then CRVZ."""
+    with mp.workdps(40):
+        z = mp.mpc(z)
+        n0 = int(mp.ceil(abs(z.real))) + 10
+
+        def term(n):
+            xi = n + mp.mpf(1) / 2
+            return phi(xi) * 2 * xi / ((xi - z) * (xi + z))
+
+        head = mp.fsum((-1) ** n * term(n) for n in range(n0))
+        tail = (-1) ** n0 * _crvz(lambda k: term(n0 + k))
+        return complex(mp.cos(mp.pi * z) / mp.pi * (head + tail))
 
 
-def test_averaged_alternating_depth_control():
-    k = np.arange(32)
-    terms = np.where(k % 2 == 0, 1.0, -1.0) / (k + 1.0)
-    v0, _ = averaged_alternating(terms, depth=0)
-    v5, _ = averaged_alternating(terms, depth=5)
-    assert abs(v5 - math.log(2.0)) < abs(v0 - math.log(2.0))
+def _exp_data(lam):
+    return lambda xi: np.exp(-lam * xi), lambda xi: mp.exp(-mp.mpf(lam) * xi)
 
 
-def test_averaged_alternating_needs_terms():
-    with pytest.raises(ValueError):
-        averaged_alternating([1.0, -0.5, 0.25])
+def _power_data(sigma):
+    return (lambda xi: xi ** (sigma - 1.0),
+            lambda xi: xi ** (mp.mpf(sigma) - 1))
 
 
-def test_averaged_alternating_nonfinite():
-    with pytest.raises(SeriesNonConvergence):
-        averaged_alternating([1.0, -np.inf, 1.0, -1.0, 1.0])
+_HAAR = (lambda xi: -np.log(xi)), (lambda xi: -mp.log(xi))
+
+
+def _errors(data, z, scale):
+    phi, phi_mp = data
+    z = np.asarray(z)
+    got = _cardinal_sum(phi, z)
+    out = []
+    for zi, v in zip(z, got):
+        ref = _node_series(phi_mp, zi)
+        out.append(abs(v - ref) / scale(v, zi))
+    return np.array(out)
+
+
+_NEAR_DATA = {"exp 1": _exp_data(1.0), "exp 0.01": _exp_data(0.01),
+              "haar": _HAAR, "sigma 1.95": _power_data(1.95)}
+
+
+@pytest.mark.parametrize("name", sorted(_NEAR_DATA))
+def test_near_nodes_against_mpmath(name):
+    # within 0.3 of a node cos pi w has lost relative digits; the node's
+    # term must come from the sinc form
+    offs = np.concatenate([10.0 ** -np.arange(1.0, 16.0), [0.2, 0.3]])
+    offs = np.concatenate([offs, -offs])
+    z = np.concatenate([xi + offs for xi in (0.5, 2.5, 11.5)])
+    err = _errors(_NEAR_DATA[name], z, lambda v, zi: max(abs(v), 1.0))
+    assert err.max() <= 1e-15, (name, z[err.argmax()], err.max())
+
+
+_COMPLEX_CASES = [
+    ("haar", _HAAR, 1 + 50j),
+    ("sigma 1.95", _power_data(1.95), 1 + 4j),
+    ("sigma 1.5", _power_data(1.5), 1 + 8j),
+] + [(f"exp {lam:g}", _exp_data(lam), z)
+     for lam in (1e-6, 1e-4, 0.01) for z in (1 + 50j, 40.2 + 10j)]
+
+
+@pytest.mark.parametrize("name,data,z", _COMPLEX_CASES, ids=[
+    f"{c[0]} at {c[2]}" for c in _COMPLEX_CASES])
+def test_complex_points_against_mpmath(name, data, z):
+    # the digits scale: cos pi w is of size cosh(pi Im w)
+    zs = np.array([z, -z, z.conjugate(), z + 0.37])
+    err = _errors(data, zs, lambda v, zi: max(abs(v), 1e-3 * math.cosh(math.pi * zi.imag)))
+    assert err.max() <= 1e-12, (name, zs[err.argmax()], err.max())
 
 
 def test_dirichlet_beta_known_values(ref):
     assert dirichlet_beta(1.0) == pytest.approx(math.pi / 4.0, abs=1e-14)
     for s_txt, val in ref["dirichlet_beta"].items():
         assert dirichlet_beta(float(s_txt)) == pytest.approx(val, abs=2e-14)
+
+
+def test_dirichlet_beta_against_mpmath():
+    for s in np.concatenate([np.geomspace(1e-6, 0.05, 8), np.linspace(0.05, 3.0, 60)]):
+        with mp.workdps(30):
+            expect = float(mp.mpf(4) ** -mp.mpf(s)
+                           * (mp.zeta(s, mp.mpf(1) / 4) - mp.zeta(s, mp.mpf(3) / 4))
+                           if s != 1.0 else mp.pi / 4)
+        assert abs(dirichlet_beta(s) - expect) <= 1e-15, s
 
 
 def test_dirichlet_beta_rejects_nonpositive():

@@ -55,6 +55,9 @@ def test_sinc_complex_matches_real_axis_and_series():
     z = 1e-10 + 1e-10j
     assert abs(sinc_complex(z) - 1.0) < 1e-18
     assert sinc_complex(0j) == 1.0 + 0j
+    # exact zeros at nonzero real integers, as sinc has
+    k = np.arange(1.0, 60.0)
+    assert np.all(sinc_complex(np.concatenate([k, -k]) + 0j) == 0.0)
 
 
 @pytest.mark.parametrize("x", [1e-12, 0.05, 0.0999, 0.1001, 0.7, 3.0, 40.0, 690.0])
