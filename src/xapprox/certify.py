@@ -20,8 +20,8 @@ from functools import partial
 
 import numpy as np
 
-from ._stable import cospi, one_minus_sech, one_minus_x_csch
-from .errors import UnknownCheckName
+from ._stable import cospi, one_minus_sech, one_minus_x_csch, sech
+from .errors import QuadratureNonConvergence, UnknownCheckName
 from .expkernel import (
     ExpKernel,
     K_hat,
@@ -42,7 +42,7 @@ from .entire import (
     l1_error_mu,
     l1_error_mu_quadrature,
 )
-from .measures import HaarLog, PowerSigma, _zeta, gamma_one_minus, integrate_measure
+from .measures import HaarLog, PowerSigma, _zeta, gamma_one_minus
 from .periodic import (
     ExpPeriodized,
     _dct2,
@@ -58,7 +58,7 @@ from .periodic import (
     periodic_l1_quadrature,
     refined_sign_nodes,
 )
-from .quadrature import integrate_ray
+from .quadrature import _density_integral, _panel_rule
 from .series import catalan
 
 __all__ = [
@@ -130,15 +130,23 @@ def _chk_sign_exp():
     return good / (4000.0 * len(_EXP_LAMBDAS)), 1.0, 0.0
 
 
-def _chk_khat_int():
-    from scipy.integrate import quad
+# Gauss-Legendre panels on [-1/2, 1/2], halving toward t = 0, where the
+# poles of K-hat at t = +-i lam/(2 pi) come nearest the axis
+_KHAT_EDGES = np.concatenate([-(0.5 ** np.arange(1.0, 6.0)), [0.0],
+                              0.5 ** np.arange(5.0, 0.0, -1.0)])
 
+
+def _chk_khat_int():
+    # the transform's mass is K(lam, 0); orders 16 and 24 must agree to 1e-14
     worst = 0.0
     for lam in _EXP_LAMBDAS:
         k = ExpKernel(lam)
-        val, _ = quad(lambda t: K_hat(k, t), -0.5, 0.5,
-                      epsabs=1e-13, epsrel=1e-13, limit=200)
-        worst = max(worst, abs(val - k_value_at_zero(lam)))
+        lo, hi = (float(K_hat(k, t) @ w) for t, w in
+                  (_panel_rule(_KHAT_EDGES, n) for n in (16, 24)))
+        if not abs(hi - lo) <= 1e-14:
+            raise QuadratureNonConvergence(
+                f"K-hat mass at lam={lam}: twin rules give {lo!r} and {hi!r}")
+        worst = max(worst, abs(hi - k_value_at_zero(lam)))
     return worst, 0.0, 1e-13
 
 
@@ -185,10 +193,18 @@ def _chk_catalan_digits():
     return catalan(), 0.91596559417721901505, 1e-15
 
 
+def _l1_exp_moment(sigma, what):
+    # int (2/lam)(1 - sech(lam/2)) lam^{-sigma} dlam, the per-lambda optimal
+    # error against the density; beyond the rule's head its 2/lam part is
+    # integrated exactly
+    return float(_density_integral(
+        lambda lam: (2.0 / lam) * one_minus_sech(0.5 * lam), sigma, 0.5, what,
+        far=lambda lam: -(2.0 / lam) * sech(0.5 * lam), slow=2.0))
+
+
 def _chk_haar_1d():
     # per-lambda optimal error integrated against d(lam)/lam = 4G/pi
-    f = lambda lam: (2.0 / lam) * float(one_minus_sech(0.5 * lam)) / lam
-    return integrate_ray(f), 4.0 * catalan() / math.pi, 1e-13
+    return _l1_exp_moment(1.0, "Haar identity"), 4.0 * catalan() / math.pi, 1e-13
 
 
 def _chk_haar_2d():
@@ -209,8 +225,7 @@ def _chk_power_half():
     # quadrature of the per-lambda error against lam^{-1/2} d(lam),
     # presented in the |x|^{sigma-1} normalization (validates the
     # gamma, sine and alternating-series factors together)
-    f = lambda lam: (2.0 / lam) * float(one_minus_sech(0.5 * lam)) / math.sqrt(lam)
-    computed = integrate_ray(f, tail_cut=200.0) / gamma_one_minus(0.5)
+    computed = _l1_exp_moment(0.5, "power identity") / gamma_one_minus(0.5)
     return computed, l1_error_mu(PowerSigma(0.5), 1.0), 1e-13
 
 
@@ -277,21 +292,36 @@ def _chk_cross_exp():
 
 
 def _coeffs_by_quadrature(spec, N):
-    """Optimal degree-N coefficients for q_mu by the theorem's route, one
-    adaptive quadrature per coefficient: c_n = int Khat(lam/L, n/L)/L dmu."""
+    """Optimal degree-N coefficients for q_mu by the theorem's route,
+    c_n = int Khat(lam/L, n/L)/L dmu, L = 2N + 2, all n = 0..N from one
+    matrix of Khat values against the weights of quadrature's fixed
+    density rule (point masses: an exact weighted sum).  c_0 is
+    -int (2/lam)(1 - x csch x) dmu, x = lam/(2L); beyond the rule's head
+    that is Khat(lam/L, 0)/L - 2/lam, with the 2/lam part integrated
+    exactly.  The poles of Khat lie on the imaginary axis, as the rule
+    needs, and Khat decays like e^{-lam/(2L)}.  Independent of
+    build_k_mu: no q_mu, no DCT."""
     L = 2 * N + 2
-    tail = max(50.0, 60.0 * L)
-    c = np.zeros(2 * N + 1, dtype=complex)
-    c[N] = -integrate_measure(
-        spec, lambda l: (2.0 / l) * one_minus_x_csch(0.5 * l / L), tail_cut=tail)
-    for n in range(1, N + 1):
-        u = n / L
-        def g(l, u=u):
-            return _khat(l / L, u) / L
-        cn = integrate_measure(spec, g, tail_cut=tail)
-        c[N + n] = cn
-        c[N - n] = cn
-    return c
+    u = np.arange(N + 1) / L
+
+    def khat(lam):
+        return _khat(lam[:, None] / L, u) / L
+
+    def head(lam):
+        m = khat(lam)
+        m[:, 0] = -(2.0 / lam) * one_minus_x_csch(0.5 * lam / L)
+        return m
+
+    sigma = spec.density_power
+    if sigma is None:
+        lam, w = np.array(spec.masses).T
+        c = w @ head(lam)
+    else:
+        slow = np.zeros(N + 1)
+        slow[0] = -2.0
+        c = _density_integral(head, sigma, 0.5 / L,
+                              f"{spec!r} coefficients at N={N}", far=khat, slow=slow)
+    return np.concatenate([c[:0:-1], c]).astype(complex)
 
 
 def _chk_cross_measure(specs, degrees, tol):
@@ -428,8 +458,9 @@ def _build_registry():
     reg.append(("cross_oracle_haar",
                 partial(_chk_cross_measure, (HaarLog(),), (0, 1, 2, 4, 8), 1e-13)))
     reg.append(("cross_oracle_power",
-                partial(_chk_cross_measure, (PowerSigma(0.05), PowerSigma(1.95)), (0, 1, 4),
-                        1e-10)))
+                partial(_chk_cross_measure,
+                        tuple(PowerSigma(s) for s in (0.05, 0.5, 1.5, 1.95)), (0, 1, 4, 16, 64),
+                        1e-13)))
     reg.append(("power_q_mu_closed_form", _chk_power_q_mu))
     reg.append(("zeta_numpy", _chk_zeta_numpy))
     reg.append(("dct_numpy", _chk_dct_numpy))

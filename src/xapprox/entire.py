@@ -30,8 +30,8 @@ import numpy as np
 from .errors import DivergentAtZero, QuadratureNonConvergence
 from .expkernel import ExpKernel, _oracle, _watson_c1_c3, error_exp
 from .measures import TargetForm, f_mu, integrate_measure, validate
-from .quadrature import _gauss_jacobi, _panel_rule, panel_nodes
-from .series import _cardinal_sum
+from .quadrature import _density_integral, _gauss_jacobi, _panel_rule, panel_nodes
+from .series import _cardinal_sum, _dilate
 
 __all__ = [
     "EntireApproximant",
@@ -63,7 +63,7 @@ def _eval_raw(spec, delta, z):
     # raw(z) = prefactor * KK(phi, delta*z) + offset, with phi never
     # constant-offset (the constant part is summed exactly via KK(1, .) = 1)
     phi, pref, off = spec.raw_frame(delta)
-    vals = _cardinal_sum(phi, np.atleast_1d(np.asarray(z)) * delta)
+    vals = _cardinal_sum(phi, _dilate(z, delta))
     return pref * vals + off
 
 
@@ -74,7 +74,7 @@ def eval_K_mu(a: EntireApproximant, z):
     entire function matching log|x| there; power form the one matching
     |x|^{sigma-1}.  The range and accuracy are eval_K's, with w = delta*z:
     |Re w| <= 1e3 documented, and SeriesNonConvergence where cos pi w
-    overflows (|Im w| beyond ~225).
+    overflows (|Im w| beyond ~225) or z has an infinite or nan part.
     """
     zz = np.asarray(z)
     scalar = zz.ndim == 0
@@ -184,7 +184,12 @@ def l1_error_mu_quadrature(spec, delta: float = 1.0) -> float:
     consecutive interpolation nodes (m+1/2)/delta out to (50+1/2)/delta,
     one batched series evaluation for the approximant, the exact
     integral of the target over the singular first cell, and the
-    measure-integrated large-x tail model beyond the last node.
+    measure-integrated large-x tail model beyond the last node.  The
+    tail's two Watson constants int C^{(k)}(lam/delta) dmu, k = 1, 3, are
+    exact sums for point masses; for a density they are delta^{1-sigma}
+    int C^{(k)}(u) u^{-sigma} du, both from one evaluation of the fixed
+    density rule in quadrature.py (C has its poles on the imaginary
+    axis, as the rule needs), so no route here needs scipy.
     """
     validate(spec)
     bounds = np.concatenate([[0.0], (np.arange(51) + 0.5) / delta])
@@ -200,9 +205,14 @@ def l1_error_mu_quadrature(spec, delta: float = 1.0) -> float:
         k_cell0 = float(raw_vals[:32] @ wts) * half[0]
         per_cell[0] = abs(f_cell0 - k_cell0)
     body = float(np.sum(per_cell))
-    tail_cut = max(50.0, 60.0 * delta)
-    c2 = integrate_measure(spec, lambda l: _watson_c1_c3(l / delta)[0], tail_cut)
-    c4 = integrate_measure(spec, lambda l: _watson_c1_c3(l / delta)[1], tail_cut)
+    sigma = spec.density_power
+    if sigma is None:  # point masses: exact weighted sums
+        c2 = integrate_measure(spec, lambda l: _watson_c1_c3(l / delta)[0])
+        c4 = integrate_measure(spec, lambda l: _watson_c1_c3(l / delta)[1])
+    else:  # lam = delta u: delta^{1-sigma} int C^{(k)}(u) u^{-sigma} du
+        c2, c4 = map(float, delta ** (1.0 - sigma) * _density_integral(
+            lambda u: np.column_stack(_watson_c1_c3(u)), sigma, 0.5,
+            f"{spec!r} Watson constants at delta={delta}"))
     tw = 50.5
     tail = (4.0 / math.pi**2) * (c2 / tw + c4 / (3.0 * tw**3)) / delta
     return 2.0 * body + 2.0 * tail

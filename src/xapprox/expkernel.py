@@ -26,7 +26,7 @@ import numpy as np
 from ._stable import cospi, csch, one_minus_sech, sech, sinpi
 from .errors import QuadratureNonConvergence
 from .quadrature import _panel_rule, panel_nodes, reduce_cells_abs
-from .series import _cardinal_sum
+from .series import _cardinal_sum, _dilate
 
 __all__ = [
     "ExpKernel",
@@ -66,13 +66,12 @@ def eval_K(kernel: ExpKernel, z):
     interpolation nodes.  Documented range: lam' >= 1e-6 and |Re w| <= 1e3,
     where real values are within a few 1e-15 and complex ones within
     ~1e-12 of max(|K|, 1e-3 cosh(pi Im w)); off the axis up to overflow of
-    cos pi w (|Im w| beyond ~225), which raises SeriesNonConvergence.
+    cos pi w (|Im w| beyond ~225), which raises SeriesNonConvergence, as
+    does a z with an infinite or nan part.
     """
     lam_p = kernel.lam / kernel.delta
-    w = np.asarray(z) * kernel.delta
-    scalar = w.ndim == 0
-    vals = _cardinal_sum(lambda xi: np.exp(-lam_p * xi), np.atleast_1d(w))
-    return vals[0] if scalar else vals
+    vals = _cardinal_sum(lambda xi: np.exp(-lam_p * xi), _dilate(z, kernel.delta))
+    return vals[0] if np.ndim(z) == 0 else vals
 
 
 def k_value_at_zero(lam: float, delta: float = 1.0) -> float:

@@ -1,22 +1,28 @@
 """Adaptive ray integrals and fixed-order Gauss rules.
 
-``integrate_ray`` is the library's one QUADPACK route (only two
-certificate checks, which need QUADPACK's algebraic weight or its own
-subdivision limit, call ``quad`` directly).  It splits (0, inf) at 1 and
-at a finite ``tail_cut``, so that integrable endpoint singularities, the
-mid-range bulk and the far tail each land in the regime QUADPACK handles
-best, and raises instead of returning a silently bad number.  scipy is
-imported on the first call, so the package's exact routes never load it.
+``integrate_ray`` is the library's one QUADPACK route.  It serves the
+public ``integrate_measure`` (Haar and power measures) and callers' own
+integrands; no library computation runs it, and one certificate check
+(power_q_mu_closed_form, which needs QUADPACK's algebraic weight) calls
+``quad`` directly.  It splits (0, inf) at 1 and at a finite
+``tail_cut``, so that integrable endpoint singularities, the mid-range
+bulk and the far tail each land in the regime QUADPACK handles best, and
+raises instead of returning a silently bad number.  scipy is imported on
+the first call, so the package's other routes never load it.
 
 Fixed rules serve wherever the integrand is analytic on a known
 interval: Gauss-Legendre panels (the sign-constant cells of the L1
 integrals, the oracles' w- and lambda-panels) and Gauss-Jacobi nodes for
-an algebraic endpoint weight (the lambda-rule of error_mu_pointwise).
-Their node tables are cached and read-only.
+an algebraic endpoint weight (the lambda-rule of error_mu_pointwise, and
+the density rule behind the certificate's measure integrals: the
+coefficients of the theorem's K-hat route, the Watson constants of the
+line L1 tail and the two 1-D identities).  Their node tables are cached
+and read-only.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -100,6 +106,51 @@ def _panel_rule(edges, order: int):
     edges = np.asarray(edges, dtype=float)
     pts, wts, half = panel_nodes(np.column_stack([edges[:-1], edges[1:]]), order)
     return pts, (half[:, None] * wts).ravel()
+
+
+# Gauss orders of the density rule and of its twin, head and panels alike
+_DENSITY_ORDERS = (16, 24)
+
+
+def _density_integral(g, sigma, rate, what, far=None, slow=0.0):
+    """int_0^inf g(lam) lam^{-sigma} dlam, 0 < sigma < 2, by a fixed rule.
+
+    g maps an array of n nodes to n values, or to an (n, k) array of k
+    integrands at once (the result is then a length-k array); g/lam must
+    be analytic near [0, a], a = 4.  On [0, a] Gauss-Jacobi nodes for the
+    weight lam^{1-sigma} are applied to g/lam.  Beyond a, doubling
+    Gauss-Legendre panels [a 2^k, a 2^{k+1}] run out to where
+    e^{-rate lam}, g's exponential part, is below e^{-40}.  g's complex
+    poles must lie on the imaginary axis (as those of K-hat and sech do):
+    each panel then sees them no nearer, in units of its half-width, than
+    lam = 0 (three half-widths from its centre), so no panel width
+    depends on g.  There g may be given as
+    far(lam) + slow/lam: far is integrated by the panels and the slowly
+    decaying slow/lam exactly, slow a^{-sigma}/sigma.  Orders 16 (head
+    and panels) and a twin of order 24 must agree within 1e-10 absolute
+    plus 1e-10 relative and be finite, or QuadratureNonConvergence is
+    raised, naming `what`, sigma and both estimates.
+    """
+    a = 4.0
+    edges = a * 2.0 ** np.arange(max(1, math.ceil(math.log2(40.0 / (rate * a)))) + 1.0)
+    heads = [_gauss_jacobi(n, 1.0 - sigma) for n in _DENSITY_ORDERS]
+    panels = [_panel_rule(edges, n) for n in _DENSITY_ORDERS]
+    lh = [0.5 * a * (1.0 + t) for t, _ in heads]
+    # one evaluation over the head nodes of both rules, one over their panels
+    gh = np.split(g(np.concatenate(lh)), [lh[0].size])
+    gf = np.split((far or g)(np.concatenate([lt for lt, _ in panels])), [panels[0][0].size])
+    est = []
+    for (_, wj), lam, vh, (lt, wt), vf in zip(heads, lh, gh, panels, gf):
+        head = (0.5 * a) ** (2.0 - sigma) * (wj / lam) @ vh
+        est.append(head + (wt * lt ** (-sigma)) @ vf + slow * a ** (-sigma) / sigma)
+    lo, hi = est
+    bad = ~(np.isfinite(hi) & (np.abs(hi - lo) <= 1e-10 + 1e-10 * np.abs(hi)))
+    if np.any(bad):
+        i = int(np.argmax(bad))  # the first integrand that fails
+        raise QuadratureNonConvergence(
+            f"{what}, sigma={sigma:g}: twin rules give "
+            f"{np.ravel(lo)[i]!r} and {np.ravel(hi)[i]!r}")
+    return hi
 
 
 def panel_nodes(cells, order: int = 32):

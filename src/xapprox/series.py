@@ -55,6 +55,18 @@ _BLOCK = 2**19  # bytes of terms per block of points, about an L2 cache
 _MAX_RE = 2.0**20  # |Re w| beyond this raises: each point costs |Re w| + 32 terms
 
 
+def _dilate(z, delta):
+    """delta * z as a 1-D array.  An infinite part of a complex z would
+    meet the zero imaginary part of delta in the product (inf * 0, a
+    RuntimeWarning) before the series could refuse the point, so a
+    non-finite complex z raises SeriesNonConvergence here; a real one
+    passes, and the series raises on it."""
+    z = np.atleast_1d(np.asarray(z))
+    if np.iscomplexobj(z) and not np.isfinite(z).all():
+        raise SeriesNonConvergence(f"cardinal series at non-finite z = {z[~np.isfinite(z)][0]}")
+    return z * delta
+
+
 def _cardinal_sum(phi, w):
     """KK(phi, w) for a 1-D array w (real or complex).
 

@@ -1,18 +1,25 @@
 """The certification suite's plumbing: registry, determinism, reporting."""
 
+import collections
 import json
 
+import mpmath
+import numpy as np
 import pytest
 
 from xapprox import (
     CertReport,
+    HaarLog,
+    PowerSigma,
     UnknownCheckName,
+    build_k_mu,
     check_names,
     reports_passed,
     reports_to_json,
     reports_to_table,
     run_cert_suite,
 )
+from xapprox.certify import _coeffs_by_quadrature
 
 FAST = ["thm1_1_lambda1", "catalan_digits", "thm6_1_lambda1_N0", "khat_edge_zero"]
 
@@ -92,3 +99,72 @@ def test_table_rendering():
     assert len(lines) == 1 + len(FAST)
     assert "PASS" in text and "FAIL" not in text
     assert "catalan_digits" in text
+
+
+def _mp_coeffs(sigma, N):
+    """c_n = int Khat(lam/L, n/L)/L lam^{-sigma} dlam, n = 0..N, at 30
+    digits; c_0 = -int (2/lam)(1 - x csch x) lam^{-sigma} dlam, x = lam/2L,
+    split at 4 (below: the difference by its series; above: Khat(lam/L, 0)/L
+    - 2/lam with the 2/lam part exact), u = v^m near 0 as for tanh-sinh."""
+    L = 2 * N + 2
+    s = mpmath.mpf(sigma)
+    m = 1 / (2 - s)
+    fact = [mpmath.factorial(2 * k + 1) for k in range(1, 14)]
+    out = []
+    for n in range(N + 1):
+        u = mpmath.mpf(n) / L
+
+        def khat(lam):
+            cs = mpmath.csch(lam / (2 * L))
+            return mpmath.cospi(u) * cs / (1 + (mpmath.sinpi(u) * cs) ** 2) / L
+
+        def head(lam):
+            if n:
+                return khat(lam)
+            x = lam / (2 * L)  # x <= 1: sinh x - x to 30 digits in 13 terms
+            sinh_minus_x = sum(x ** (2 * k + 3) / f for k, f in enumerate(fact))
+            return -(2 / lam) * sinh_minus_x / mpmath.sinh(x)
+
+        c = mpmath.quad(lambda v: head(v**m) * v ** (m * (1 - s) - 1) * m, [0, 1])
+        c += mpmath.quad(lambda lam: head(lam) * lam ** (-s), [1, 4])
+        c += mpmath.quad(lambda lam: khat(lam) * lam ** (-s), [4, 16, 64, 256, mpmath.inf])
+        out.append(c - (2 * 4 ** (-s) / s if n == 0 else 0))
+    return out
+
+
+@pytest.mark.parametrize("spec, N", [(HaarLog(), 2), (PowerSigma(0.05), 4),
+                                     (PowerSigma(0.5), 4)], ids=repr)
+def test_coefficient_quadrature_against_mpmath(spec, N):
+    # the K-hat route of cross_oracle_haar/_power holds 1e-14 per
+    # coefficient; build_k_mu (interpolation) is held to 3e-15 of max |c_n|.
+    # At sigma = 0.05 the two differ by ~5e-14 in c_0, and build_k_mu's c_0
+    # is the further one from the reference (4.8e-14 against 1.3e-15)
+    quad = _coeffs_by_quadrature(spec, N)[N:]
+    interp = build_k_mu(spec, N).coeffs[N:]
+    assert np.all(quad.imag == 0.0)
+    with mpmath.workdps(30):
+        ref = _mp_coeffs(spec.density_power, N)
+        scale = max(abs(float(r)) for r in ref)
+        for q, i, r in zip(quad.real, interp.real, ref):
+            assert abs(float(q - r)) <= 1e-14 * abs(float(r))
+            assert abs(float(i - r)) <= 3e-15 * scale
+
+
+def test_only_the_q_mu_check_calls_quadpack(monkeypatch):
+    # the suite's measure integrals run fixed rules; only the Hurwitz
+    # closed form is checked against QUADPACK (its algebraic weight)
+    import scipy.integrate
+
+    quad = scipy.integrate.quad
+    calls = collections.Counter()
+    running = []
+
+    def counted(*args, **kwargs):
+        calls[running[-1]] += 1
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "quad", counted)
+    for name in check_names():
+        running.append(name)
+        assert reports_passed(run_cert_suite([name]))
+    assert set(calls) == {"power_q_mu_closed_form"}

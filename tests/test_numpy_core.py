@@ -87,6 +87,23 @@ def test_exact_routes_load_no_scipy():
     assert res.stdout.strip() == "ok"
 
 
+def test_measure_l1_quadrature_loads_no_scipy():
+    # its Watson constants run the fixed density rule, not QUADPACK; so
+    # does the CLI's check of the measure L1 errors
+    script = ("import contextlib, io, sys, xapprox as X, xapprox.cli\n"
+              "for spec in (X.HaarLog(), X.PowerSigma(0.5)):\n"
+              "    X.l1_error_mu_quadrature(spec); X.l1_error_mu_quadrature(spec, 2.0)\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    xapprox.cli.main(['error-table', '--measure', 'power', '--sigma', '1.5',\n"
+              "                      '--verify'])\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(xapprox.__file__)))
+    res = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr[-2000:]
+    assert res.stdout.strip() == "[]"
+
+
 # t from the pole through the 4-5 band, where Euler-Maclaurin at M = 6 is
 # 1.4e-14 off, to q_mu's largest argument
 _ZETA_T = ([1 + 1e-9, 1 + 1e-6, 1.05, 1.5, 2.05, 3.0, 4.3, 4.8, 5.1, 10.0, 33.0, 65.0]

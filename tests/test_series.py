@@ -2,12 +2,22 @@
 constants summed with the same alternating-series weights."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from xapprox import catalan, dirichlet_beta
+from xapprox import (
+    EntireApproximant,
+    ExpKernel,
+    HaarLog,
+    SeriesNonConvergence,
+    catalan,
+    dirichlet_beta,
+    eval_K,
+    eval_K_mu,
+)
 from xapprox.series import _cardinal_sum
 
 
@@ -92,6 +102,21 @@ def test_complex_points_against_mpmath(name, data, z):
     zs = np.array([z, -z, z.conjugate(), z + 0.37])
     err = _errors(data, zs, lambda v, zi: max(abs(v), 1e-3 * math.cosh(math.pi * zi.imag)))
     assert err.max() <= 1e-12, (name, zs[err.argmax()], err.max())
+
+
+@pytest.mark.parametrize("z", [complex(math.inf, 1.0), complex(-math.inf, 1.0),
+                               complex(math.nan, 1.0), complex(1.0, math.inf),
+                               complex(1.0, -math.inf), complex(1.0, math.nan)], ids=repr)
+def test_non_finite_complex_points_raise_without_warning(z):
+    # both lines dilate z by delta before summing; an infinite or nan part
+    # must reach the library error, not a RuntimeWarning from inf * 0
+    for f, obj in ((eval_K, ExpKernel(1.0, 2.0)), (eval_K_mu, EntireApproximant(HaarLog(), 2.0))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SeriesNonConvergence):
+                f(obj, [z])
+            with pytest.raises(SeriesNonConvergence):
+                f(obj, np.array([0.5, z]))
 
 
 def test_dirichlet_beta_known_values(ref):
