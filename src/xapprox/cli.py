@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -56,6 +57,7 @@ class CliError(Exception):
 
 # --- flag plumbing ----------------------------------------------------------
 
+@lru_cache(maxsize=1)  # parsing leaves the parser as it was
 def _build_parser():
     ap = argparse.ArgumentParser(
         prog="xapprox",

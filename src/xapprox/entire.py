@@ -30,8 +30,8 @@ import numpy as np
 from .errors import DivergentAtZero, QuadratureNonConvergence
 from .expkernel import ExpKernel, _oracle, _watson_c1_c3, error_exp
 from .measures import TargetForm, f_mu, integrate_measure, validate
-from .quadrature import _density_integral, _gauss_jacobi, _panel_rule, panel_nodes
-from .series import _cardinal_sum, _dilate
+from .quadrature import _density_integral, _gauss_jacobi, _panel_rule
+from .series import _cardinal_sum, _cell_integrals, _cell_operator, _dilate
 
 __all__ = [
     "EntireApproximant",
@@ -180,30 +180,35 @@ def l1_error_mu(spec, delta: float = 1.0) -> float:
 
 def l1_error_mu_quadrature(spec, delta: float = 1.0) -> float:
     """L1 error recomputed from pointwise values, independent of the
-    closed form: sign-split 32-node Gauss panels on the 50 cells between
-    consecutive interpolation nodes (m+1/2)/delta out to (50+1/2)/delta,
-    one batched series evaluation for the approximant, the exact
-    integral of the target over the singular first cell, and the
-    measure-integrated large-x tail model beyond the last node.  The
+    closed form: sign-split 32-node Gauss panels on the 51 cells [0, 1/2]
+    and [m - 1/2, m + 1/2], m = 1..50, of w = delta*x (the nodes are
+    (m+1/2)/delta), with the target evaluated at the panel nodes and the
+    approximant's panel integrals (prefactor * M phi + offset * width)/delta
+    from the cached matrix M of series._cell_operator and raw_frame(delta);
+    the exact integral of the target over the singular first cell; and
+    the measure-integrated large-x tail model beyond the last node.  The
     tail's two Watson constants int C^{(k)}(lam/delta) dmu, k = 1, 3, are
     exact sums for point masses; for a density they are delta^{1-sigma}
     int C^{(k)}(u) u^{-sigma} du, both from one evaluation of the fixed
     density rule in quadrature.py (C has its poles on the imaginary
-    axis, as the rule needs), so no route here needs scipy.
+    axis, as the rule needs), so no route here needs scipy.  Raises
+    ValueError unless delta is finite and positive.
     """
     validate(spec)
-    bounds = np.concatenate([[0.0], (np.arange(51) + 0.5) / delta])
-    cells = np.column_stack([bounds[:-1], bounds[1:]])
-    pts, wts, half = panel_nodes(cells, 32)
-    raw_vals = _eval_raw(spec, delta, pts)
-    diff = f_mu(spec, pts) - raw_vals
-    per_cell = np.abs(diff.reshape(-1, 32) @ wts * half)
-    f_cell0 = spec.cell0_integral(bounds[1])
+    if not (math.isfinite(delta) and delta > 0):
+        raise ValueError(f"delta must be positive, got {delta}")
+    K = 50
+    pts, wts, _ = _cell_operator(K)
+    target = np.einsum("cj,cj->c", wts, f_mu(spec, pts / delta)) / delta
+    phi, pref, off = spec.raw_frame(delta)
+    widths = np.concatenate([[0.5], np.ones(K)])
+    approx = (pref * _cell_integrals(phi, K) + off * widths) / delta
+    per_cell = np.abs(target - approx)
+    f_cell0 = spec.cell0_integral(0.5 / delta)
     if f_cell0 is not None:
         # first cell: target integrated exactly (it absorbs the x = 0
-        # singularity), approximant by panel
-        k_cell0 = float(raw_vals[:32] @ wts) * half[0]
-        per_cell[0] = abs(f_cell0 - k_cell0)
+        # singularity)
+        per_cell[0] = abs(f_cell0 - approx[0])
     body = float(np.sum(per_cell))
     sigma = spec.density_power
     if sigma is None:  # point masses: exact weighted sums
@@ -213,6 +218,6 @@ def l1_error_mu_quadrature(spec, delta: float = 1.0) -> float:
         c2, c4 = map(float, delta ** (1.0 - sigma) * _density_integral(
             lambda u: np.column_stack(_watson_c1_c3(u)), sigma, 0.5,
             f"{spec!r} Watson constants at delta={delta}"))
-    tw = 50.5
+    tw = K + 0.5
     tail = (4.0 / math.pi**2) * (c2 / tw + c4 / (3.0 * tw**3)) / delta
     return 2.0 * body + 2.0 * tail

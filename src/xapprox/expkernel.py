@@ -25,8 +25,8 @@ import numpy as np
 
 from ._stable import cospi, csch, one_minus_sech, sech, sinpi
 from .errors import QuadratureNonConvergence
-from .quadrature import _panel_rule, panel_nodes, reduce_cells_abs
-from .series import _cardinal_sum, _dilate
+from .quadrature import _panel_rule
+from .series import _cardinal_sum, _cell_integrals, _cell_operator, _dilate
 
 __all__ = [
     "ExpKernel",
@@ -217,21 +217,23 @@ def l1_tail_exp(lam_p: float, T: float) -> float:
 
 def l1_error_exp_quadrature(lam: float, delta: float = 1.0) -> float:
     """L1 error recomputed from the pointwise error, independent of the
-    closed form: 32-node Gauss panels on the 200 cells of [0, 200 + 1/2]
-    in w = delta*x units (cells between consecutive half-integers, where
-    the sign of the error is constant), doubled by evenness, plus the
-    tail estimate beyond the last node.  Agrees with l1_error_exp to
-    ~1e-10 for lam/delta of order one.
+    closed form: 32-node Gauss panels on the 201 cells [0, 1/2],
+    [1/2, 3/2], .., [199 + 1/2, 200 + 1/2] in w = delta*x units (the sign
+    of the error is constant on each), doubled by evenness, plus the tail
+    estimate beyond the last node.  The panels' integrals of the kernel
+    come from series._cell_operator, a cached matrix applied to the node
+    data e^{-lam' xi}, with the same values as a Gauss sum over eval_K at
+    every panel node.  Agrees with l1_error_exp to ~1e-10 for lam/delta
+    of order one.  Raises ValueError unless lam/delta is finite and
+    positive.
     """
     lam_p = lam / delta
-    kern = ExpKernel(lam_p, 1.0)
-    bounds = np.concatenate([[0.0], np.arange(201) + 0.5])
-    # single batched kernel evaluation over every panel node
-    cells = np.column_stack([bounds[:-1], bounds[1:]])
-    pts, wts, half = panel_nodes(cells, 32)
-    vals = np.exp(-lam_p * pts) - eval_K(kern, pts)
-    body = reduce_cells_abs(vals, wts, half, 32)
-    tail = l1_tail_exp(lam_p, bounds[-1])
+    ExpKernel(lam_p, 1.0)  # the checks of lam' > 0
+    K = 200
+    pts, wts, _ = _cell_operator(K)
+    target = np.einsum("cj,cj->c", wts, np.exp(-lam_p * pts))
+    body = float(np.sum(np.abs(target - _cell_integrals(lambda xi: np.exp(-lam_p * xi), K))))
+    tail = l1_tail_exp(lam_p, K + 0.5)
     return (2.0 * body + 2.0 * tail) / delta
 
 

@@ -14,6 +14,13 @@ point are summed directly, and the alternating remainder beyond them by
 the 24 weights of Cohen, Rodriguez Villegas and Zagier (Exp. Math. 9
 (2000), Algorithm 1).  There is no rate, tolerance or stopping test.
 
+Because the map is fixed, its integrals over fixed cells are too:
+_cell_operator(K) folds the 32-node Gauss rule on the K + 1 sign-constant
+cells [0, 1/2], [1/2, 3/2], .., [K - 1/2, K + 1/2] into one cached
+(K + 1) x (K + 33) matrix, which the line L1 quadratures apply to the
+node data of each lam', sigma or delta.  It and _cardinal_sum share one
+form of the terms, the node coefficients and the near-node band.
+
 dirichlet_beta sums its alternating series with the same weights.
 """
 
@@ -21,11 +28,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from ._stable import cospi, sinc, sinc_complex, sinpi
 from .errors import SeriesNonConvergence
+from .quadrature import panel_nodes
 
 __all__ = ["dirichlet_beta", "catalan"]
 
@@ -67,6 +76,50 @@ def _dilate(z, delta):
     return z * delta
 
 
+def _numerators(top, phi):
+    """The nodes xi_n = n + 1/2, n < H + 24 with H = ceil(top) + 8, the
+    node data phi(xi), and the series' numerators g_n = 2 xi_n phi(xi_n)
+    s_n, s_n = (-1)^n for the direct head n < H and (-1)^H times the CRVZ
+    weights for the alternating remainder (phi = 1 gives the coefficients
+    2 xi_n s_n of the map itself)."""
+    H = math.ceil(top) + _HEAD_PAST
+    xi = np.arange(H + _CRVZ.size) + 0.5
+    ph = np.asarray(phi(xi), dtype=float)
+    g = 2.0 * xi * ph
+    g[1:H:2] *= -1.0
+    g[H:] *= (-1) ** H * _CRVZ
+    return xi, ph, g
+
+
+def _near_band(v, re, sinc_of):
+    """The nearest node m = rint(Re v - 1/2) of each point v (Re v >= 0),
+    the indices of the points within 0.3 of it, where cos pi v has lost
+    relative digits, and at those points the sinc pair
+    sinc(v - xi_m) + sinc(v + xi_m) that takes the node's term."""
+    m = np.rint(re - 0.5).astype(np.intp)
+    d = v - (m + 0.5)
+    near = np.flatnonzero(np.abs(d) < 0.3)
+    mn = m[near]
+    pair = sinc_of(np.concatenate([d[near], v[near] + (mn + 0.5)]))
+    return m, near, pair[:mn.size] + pair[mn.size:]
+
+
+def _term_blocks(coef, xi, v, m, near, rows):
+    """The far-field terms coef_n / ((xi_n - v)(xi_n + v)) in blocks of
+    `rows` points, each point's band term set to 0; yields (first point,
+    block).  Every block is formed in one buffer, so a block is
+    overwritten by the next one."""
+    buf = np.empty((min(rows, v.size), xi.size), dtype=np.result_type(xi, v))
+    for i in range(0, v.size, rows):
+        vb = v[i:i + rows, None]
+        t = np.subtract(xi, vb, out=buf[:vb.shape[0]])
+        t *= xi + vb
+        np.divide(coef, t, out=t)
+        band = near[(near >= i) & (near < i + rows)]
+        t[band - i, m[band]] = 0.0
+        yield i, t
+
+
 def _cardinal_sum(phi, w):
     """KK(phi, w) for a 1-D array w (real or complex).
 
@@ -100,28 +153,14 @@ def _cardinal_sum(phi, w):
     top = float(re.max()) if P else 0.0
     if not top <= _MAX_RE:
         raise SeriesNonConvergence(f"cardinal series at |Re w| = {top:g}, above {_MAX_RE:g}")
-    H = math.ceil(top) + _HEAD_PAST
-    n = np.arange(H + _CRVZ.size)
-    xi = n + 0.5
-    ph = np.asarray(phi(xi), dtype=float)
-    g = 2.0 * xi * ph
-    g[1:H:2] *= -1.0
-    g[H:] *= (-1) ** H * _CRVZ
+    xi, ph, g = _numerators(top, phi)
 
-    m = np.rint(re - 0.5).astype(np.intp)  # the nearest node
-    d = v - (m + 0.5)
-    near = np.flatnonzero(np.abs(d) < 0.3)
     s = np.empty(P, dtype=v.dtype)
-    rows = max(1, _BLOCK // (n.size * v.itemsize))
-    # 0/0 at a node is overwritten below; overflow off the axis raises
+    rows = max(1, _BLOCK // (xi.size * v.itemsize))
+    # 0/0 at a node is overwritten; overflow off the axis raises below
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for i in range(0, P, rows):
-            vb = v[i:i + rows, None]
-            t = xi - vb
-            t *= xi + vb
-            np.divide(g, t, out=t)
-            band = near[(near >= i) & (near < i + rows)]
-            t[band - i, m[band]] = 0.0
+        m, near, pair = _near_band(v, re, sinc_of)
+        for i, t in _term_blocks(g, xi, v, m, near, rows):
             s[i:i + rows] = t.sum(axis=1)
         if np.iscomplexobj(v):
             pb = math.pi * v.imag
@@ -129,12 +168,61 @@ def _cardinal_sum(phi, w):
         else:
             cpw = cospi(v)
         out = cpw / math.pi * s
-        mn = m[near]
-        pair = sinc_of(np.concatenate([d[near], v[near] + (mn + 0.5)]))
-        out[near] += ph[mn] * (pair[:mn.size] + pair[mn.size:])
+        out[near] += ph[m[near]] * pair
     if not np.isfinite(out).all():
         raise SeriesNonConvergence(
             f"cardinal series not finite at w={w[~np.isfinite(out)][0]}")
+    return out
+
+
+_CELL_ORDER = 32  # Gauss-Legendre nodes per cell of the L1 quadratures
+
+
+@lru_cache(maxsize=4)
+def _cell_operator(K):
+    """The 32-node Gauss rule on the K + 1 sign-constant cells [0, 1/2],
+    [1/2, 3/2], .., [K - 1/2, K + 1/2] of the line L1 integrals (w units),
+    and the matrix that takes the node data to the cells' integrals of
+    the series.
+
+    Returns (pts, W, M): the rule's nodes and weights, each of shape
+    (K + 1, 32), and M of shape (K + 1, K + 33), built so that
+    sum_j W[c, j] KK(phi, pts[c, j]) is (M @ phi(xi))[c], with
+    xi = arange(K + 33) + 1/2.  The head, the CRVZ tail and the near-band
+    sinc terms of _cardinal_sum are folded in as its own helpers form
+    them, so the cell integrals agree with a Gauss sum over its pointwise
+    values to rounding.  M is formed in blocks of whole cells of at most
+    512 KB of terms.  Cached per K; the arrays are read-only, as every
+    caller shares them.
+    """
+    lo = np.concatenate([[0.0], np.arange(K) + 0.5])
+    pts, wts, half = panel_nodes(np.column_stack([lo, np.arange(K + 1) + 0.5]), _CELL_ORDER)
+    W = half[:, None] * wts
+    xi, _, coef = _numerators(float(pts.max()), np.ones_like)
+    m, near, pair = _near_band(pts, pts, sinc)
+    # the factor of each point's far-field terms: its weight times cos pi w / pi
+    rw = W.ravel() * cospi(pts) / math.pi
+    M = np.zeros((K + 1, xi.size))
+    rows = _CELL_ORDER * max(1, _BLOCK // (_CELL_ORDER * xi.size * pts.itemsize))
+    for i, t in _term_blocks(coef, xi, pts, m, near, rows):
+        t *= rw[i:i + rows, None]
+        c = i // _CELL_ORDER
+        M[c:c + t.shape[0] // _CELL_ORDER] = t.reshape(-1, _CELL_ORDER, xi.size).sum(axis=1)
+    np.add.at(M, (near // _CELL_ORDER, m[near]), W.ravel()[near] * pair)
+    pts = pts.reshape(W.shape)
+    for a in (pts, W, M):
+        a.flags.writeable = False
+    return pts, W, M
+
+
+def _cell_integrals(phi, K):
+    """The Gauss integrals of KK(phi, w) over the K + 1 cells of
+    _cell_operator(K), one matrix-vector product; a result that is not
+    finite raises SeriesNonConvergence."""
+    M = _cell_operator(K)[2]
+    out = M @ np.asarray(phi(np.arange(M.shape[1]) + 0.5), dtype=float)
+    if not np.isfinite(out).all():
+        raise SeriesNonConvergence(f"cell integrals of the cardinal series not finite, K={K}")
     return out
 
 

@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 
 import pytest
 
+import xapprox
 from xapprox.cli import main
 
 
@@ -298,3 +303,37 @@ def test_seventeen_digit_floats(capsys):
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+# a good call, an argparse error, repeated --x, verify --only lists; then the
+# same flags once each, which must not see the earlier calls' appended values
+_SEQUENCE = (
+    ["eval", "--measure", "haar", "--x", "0.3"],
+    ["eval", "--measure", "haar", "--x", "0.3", "--format", "xml"],
+    ["eval", "--kernel", "exp", "--lambda", "1", "--x", "0.3", "--x", "-0.7"],
+    ["eval", "--kernel", "exp", "--lambda", "1", "--x", "2.5"],
+    ["verify", "--only", "khat_edge_zero,catalan_digits", "--only", "interp_exp_nodes",
+     "--format", "json"],
+    ["verify", "--only", "catalan_digits", "--format", "json"],
+)
+
+
+def _unclocked(text):
+    # a check's runtime_ms is a wall time, the one field no rerun repeats
+    return re.sub(r'"runtime_ms": [^\n]*', '"runtime_ms": _', text)
+
+
+def test_consecutive_calls_match_fresh_processes(capsys):
+    # main reuses one parser for every call in a process
+    in_process = []
+    for argv in _SEQUENCE:
+        code = main(list(argv))
+        cap = capsys.readouterr()
+        in_process.append((code, _unclocked(cap.out), cap.err))
+    assert [c for c, _, _ in in_process] == [0, 2, 0, 0, 0, 0]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(xapprox.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv, got in zip(_SEQUENCE, in_process):
+        res = subprocess.run([sys.executable, "-m", "xapprox.cli", *argv], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert got == (res.returncode, _unclocked(res.stdout), res.stderr), argv

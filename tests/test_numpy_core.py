@@ -104,6 +104,28 @@ def test_measure_l1_quadrature_loads_no_scipy():
     assert res.stdout.strip() == "[]"
 
 
+# the exp L1 quadrature and the CLI paths that run it for many lam at once
+_EXP_QUAD_CALLS = (
+    "X.l1_error_exp_quadrature(1.0, 2.0)",
+    "assert xapprox.cli.main(['verify', '--only', 'thm1_1_lambda1']) == 0",
+    "assert xapprox.cli.main(['error-table', '--kernel', 'exp', '--lambda', '0.2:5:0.2',"
+    " '--verify']) == 0",
+)
+
+
+@pytest.mark.parametrize("call", _EXP_QUAD_CALLS)
+def test_exp_l1_quadrature_loads_no_scipy(call):
+    script = ("import contextlib, io, sys, xapprox as X, xapprox.cli\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"    {call}\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(xapprox.__file__)))
+    res = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr[-2000:]
+    assert res.stdout.strip() == "[]"
+
+
 # t from the pole through the 4-5 band, where Euler-Maclaurin at M = 6 is
 # 1.4e-14 off, to q_mu's largest argument
 _ZETA_T = ([1 + 1e-9, 1 + 1e-6, 1.05, 1.5, 2.05, 3.0, 4.3, 4.8, 5.1, 10.0, 33.0, 65.0]
