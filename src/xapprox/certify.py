@@ -180,10 +180,17 @@ def _chk_duality_exp(lam):
 # --- series and measure-family checks --------------------------------------
 
 def _chk_catalan_series():
-    # brute partial sums to n = 1e6, tail Euler-averaged, vs catalan()
-    n = np.arange(1_000_001)
-    t = np.where(n % 2 == 0, 1.0, -1.0) * (2.0 * n + 1.0) ** -2.0
-    s = np.cumsum(t)[-33:]
+    # brute partial sums to n = 1e6, tail Euler-averaged, vs catalan(); the
+    # cumsum runs in chunks of 2^15 terms, each chunk's first term taking
+    # the carry: the same sequential sums as one cumsum, in 1/16 the memory
+    carry, s = 0.0, np.empty(0)
+    for start in range(0, 1_000_001, 2**15):
+        n = np.arange(start, min(start + 2**15, 1_000_001))
+        t = np.where(n % 2 == 0, 1.0, -1.0) * (2.0 * n + 1.0) ** -2.0
+        t[0] += carry
+        c = np.cumsum(t)
+        carry = c[-1]
+        s = np.concatenate([s, c])[-33:]
     while s.size > 1:
         s = 0.5 * (s[:-1] + s[1:])
     return (4.0 / math.pi) * float(s[0]), 4.0 * catalan() / math.pi, 1e-12

@@ -18,12 +18,13 @@ here too: the measure families and the circle builders integrate it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._stable import cospi, csch, one_minus_sech, sech, sinpi
+from ._stable import cospi, csch, one_minus_sech, one_minus_x_csch, sech, sinpi
 from .errors import QuadratureNonConvergence
 from .quadrature import _panel_rule
 from .series import _cardinal_sum, _cell_integrals, _cell_operator, _dilate
@@ -189,11 +190,16 @@ def dual_lower_bound_exp(lam: float, delta: float = 1.0, terms: int = 10**5) -> 
     symmetric frequencies +-(k+1/2) are already paired)."""
     if terms < 1:
         raise ValueError("terms must be >= 1")
-    k = np.arange(terms)
-    m = delta * (k + 0.5)
-    qh = 2.0 * lam / (lam * lam + 4.0 * math.pi**2 * m * m)
-    sign = np.where(k % 2 == 0, 1.0, -1.0)
-    return float(np.sum((4.0 / math.pi) * sign / (2.0 * k + 1.0) * qh))
+    # the terms in blocks of 2^13, whose temporaries stay below malloc's
+    # mmap threshold, then one pairwise sum
+    vals = np.empty(terms)
+    for start in range(0, terms, 2**13):
+        k = np.arange(start, min(start + 2**13, terms))
+        m = delta * (k + 0.5)
+        qh = 2.0 * lam / (lam * lam + 4.0 * math.pi**2 * m * m)
+        sign = np.where(k % 2 == 0, 1.0, -1.0)
+        vals[start:start + k.size] = (4.0 / math.pi) * sign / (2.0 * k + 1.0) * qh
+    return float(np.sum(vals))
 
 
 def _watson_c1_c3(u):
@@ -224,44 +230,55 @@ def l1_error_exp_quadrature(lam: float, delta: float = 1.0) -> float:
     come from series._cell_operator, a cached matrix applied to the node
     data e^{-lam' xi}, with the same values as a Gauss sum over eval_K at
     every panel node.  Agrees with l1_error_exp to ~1e-10 for lam/delta
-    of order one.  Raises ValueError unless lam/delta is finite and
-    positive.
+    of order one.  Raises ValueError unless lam and delta are finite and
+    positive, and QuadratureNonConvergence when the result is not finite
+    (lam/delta under- or overflows, or the tail's e^{-lam' T}/lam' does).
     """
+    ExpKernel(lam, delta)  # the checks of lam > 0 and delta > 0
     lam_p = lam / delta
-    ExpKernel(lam_p, 1.0)  # the checks of lam' > 0
-    K = 200
-    pts, wts, _ = _cell_operator(K)
-    target = np.einsum("cj,cj->c", wts, np.exp(-lam_p * pts))
-    body = float(np.sum(np.abs(target - _cell_integrals(lambda xi: np.exp(-lam_p * xi), K))))
-    tail = l1_tail_exp(lam_p, K + 0.5)
-    return (2.0 * body + 2.0 * tail) / delta
+    out = math.inf
+    if 0.0 < lam_p < math.inf:  # else lam/delta under- or overflowed
+        K = 200
+        pts, wts, _ = _cell_operator(K)
+        target = np.einsum("cj,cj->c", wts, np.exp(-lam_p * pts))
+        body = float(np.sum(np.abs(target - _cell_integrals(lambda xi: np.exp(-lam_p * xi), K))))
+        tail = l1_tail_exp(lam_p, K + 0.5)
+        out = (2.0 * body + 2.0 * tail) / delta
+    if not math.isfinite(out):
+        raise QuadratureNonConvergence(
+            f"exp L1 quadrature at lam={lam!r}, delta={delta!r}: result {out}")
+    return out
 
 
-def _frac(x):
-    return x - np.floor(x)
+@functools.lru_cache(maxsize=64)
+def _p_constants(lam):
+    # eval_p's lam-dependent factors, -expm1(-lam) and (2/lam)(1 - (lam/2)
+    # csch(lam/2)): callers evaluate one lam at many points
+    return -math.expm1(-lam), one_minus_x_csch(0.5 * lam) * (2.0 / lam)
 
 
 def eval_p(lam: float, x):
     """p(lam, x) = cosh(lam({x}-1/2))/sinh(lam/2) - 2/lam, period 1: the
     periodization of e^{-lam|x|} minus its mean.
 
-    Written as (e^{lam(a-1)} + e^{-lam a})/(-expm1(-lam)) - 2/lam with
-    a = {x}, which never overflows; below lam = 0.02 the difference of
-    the two large halves loses digits, so a small-lam expansion in
-    u = a - 1/2 takes over.
+    Written as e^{-lam v} t^2/(-expm1(-lam)) - (2/lam)(1 - (lam/2)
+    csch(lam/2)) with t = expm1(-lam(1/2 - v)) and v = |x - rint x|, the
+    exact distance to the nearest integer: both terms are O(lam) where p
+    is, so nothing large cancels at small lam, and no exponential
+    overflows at large lam.  Within ~4e-14 of max(|p|, 1e-3) for lam in
+    [1e-4, 2000], ~5e-17 absolute where p crosses zero.  Raises
+    ValueError unless lam is finite and positive.
     """
-    if not lam > 0:
-        raise ValueError("lam must be positive")
-    a = _frac(np.asarray(x, dtype=float))
-    scalar = a.ndim == 0
-    a = np.atleast_1d(a)
-    if lam < 0.02:
-        u2 = (a - 0.5) ** 2
-        out = (lam * (u2 - 1.0 / 12.0)
-               + lam**3 * (u2 * u2 / 12.0 - u2 / 24.0 + 7.0 / 2880.0)
-               + lam**5 * (u2**3 / 360.0 - u2 * u2 / 288.0
-                           + 7.0 * u2 / 5760.0 - 31.0 / 483840.0))
-    else:
-        out = ((np.exp(lam * (a - 1.0)) + np.exp(-lam * a))
-               / (-math.expm1(-lam)) - 2.0 / lam)
-    return float(out[0]) if scalar else out
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError(f"lam must be finite and positive, got {lam}")
+    den, c2 = _p_constants(float(lam))
+    xa = np.asarray(x, dtype=float)
+    q = np.abs(xa - np.rint(xa))
+    q *= -lam
+    t = np.expm1(-0.5 * lam - q)
+    out = np.exp(q)
+    out *= t
+    t /= den
+    out *= t
+    out -= c2
+    return float(out) if out.ndim == 0 else out

@@ -8,8 +8,10 @@ have explicit Fourier coefficients: the sampled line-kernel transform
 one DCT of q_mu).  A direct cosine-sum interpolation is the reference for
 both; circle L1 quadrature respects the corner of p at x = 0 and the log
 singularity of the Haar target.  Every circle value goes through
-TrigPoly.eval, Reinsch's modified Clenshaw recurrence: O(P) memory for P
-points, as accurate as the direct sum, and exactly even for even
+TrigPoly.eval: Reinsch's modified Clenshaw recurrence, which from degree
+192 on keeps only the frequencies below 32 and sums the rest of an even
+polynomial as one BLAS matrix product per block of points.  O(P) memory
+for P points, as accurate as the direct sum, and exactly even for even
 polynomials.
 """
 
@@ -92,10 +94,11 @@ class TrigPoly:
         return self._c.copy()
 
     def eval(self, x):
-        """Value at x (scalar or array) by Reinsch's modified Clenshaw
-        recurrence (Reinsch 1967; Oliver, J. IMA 1977).
+        """Value at x (scalar or array); scalar x gives a Python float.
 
-        With a_k = 2 Re c_k and b = d = 0 above N, run k = N..1:
+        Reinsch's modified Clenshaw recurrence (Reinsch 1967; Oliver,
+        J. IMA 1977): with a_k = 2 Re c_k and b = d = 0 above the top
+        frequency, run k down to 1:
 
             d_k = a_k + m b_{k+1} + s d_{k+1},   b_k = d_k + s b_{k+1};
 
@@ -104,21 +107,44 @@ class TrigPoly:
         s = -1 and m = 4 cos^2(pi x): m is small exactly where plain
         Clenshaw's 2 cos 2 pi x sits near +-2 and loses digits.  When some
         Im c_k != 0 the sine twin, coefficients -2 Im c_k, runs the same
-        loop and adds b_1 sin 2 pi x.  Memory is O(len(x)).  sinpi is odd
-        and cospi even bit for bit, so an even polynomial evaluates exactly
-        evenly.  Scalar x gives a Python float.
+        loop and adds b_1 sin 2 pi x.  sinpi is odd and cospi even bit for
+        bit, so an even polynomial evaluates exactly evenly.
+
+        The recurrence costs six array operations per frequency.  So an
+        even polynomial of degree >= _BLAS_DEGREE runs it only over the
+        frequencies below _BLOCK, which hold the large coefficients, and
+        adds the rest from _high_sum, one real matrix product per block of
+        points.  It folds x to u = |x - rint x| and evaluates each distinct
+        u once, so evenness stays exact there too, and a scalar rounds as
+        the same point of an array does.  Memory is O(len(x)) either way.
         """
         c0 = float(self._c[self.degree].real)
         scalar = np.ndim(x) == 0
         if self.degree == 0:
             return c0 if scalar else np.full(np.shape(x), c0)
+        if self.degree >= _BLAS_DEGREE and self._sin is None:
+            xa = np.asarray(x, dtype=float)
+            u, inv = np.unique(np.abs(xa - np.rint(xa)).ravel(), return_inverse=True)
+            # m and s first: cospi's temporaries peak before high exists
+            m, s = _recurrence_ms(cospi(u), sinpi(u))
+            high = _high_sum(2.0 * self._c[self.degree + _BLOCK:].real, u)
+            del u
+            b, d = _reinsch(self._cos[-(_BLOCK - 1):], m, s)
+            # ((c0 + (m/2) b) + s d) + high, in place, with no temporaries
+            m *= b
+            m *= 0.5
+            m += c0
+            s *= d
+            m += s
+            m += high
+            del b, d, s, high
+            out = m[inv].reshape(xa.shape)
+            return float(out) if scalar else out
         cx, sx = cospi(x), sinpi(x)
         if scalar:
             s, m = (1.0, -4.0 * sx * sx) if abs(cx) >= abs(sx) else (-1.0, 4.0 * cx * cx)
         else:
-            pos = np.abs(cx) >= np.abs(sx)
-            s = np.where(pos, 1.0, -1.0)
-            m = np.where(pos, -4.0 * sx * sx, 4.0 * cx * cx)
+            m, s = _recurrence_ms(cx, sx)
         b, d = _reinsch(self._cos, m, s)
         out = c0 + 0.5 * m * b + s * d
         if self._sin is not None:
@@ -149,6 +175,72 @@ class TrigPoly:
         obj = json.loads(text) if isinstance(text, (str, bytes)) else text
         coeffs = {int(n): complex(re, im) for n, re, im in obj["coeffs"]}
         return cls(int(obj["degree"]), coeffs)
+
+
+# TrigPoly.eval hands the frequencies k >= _BLOCK of an even polynomial of
+# degree >= _BLAS_DEGREE to _high_sum.  The crossover was measured on 2001
+# points: below it the recurrence alone is faster.
+_BLOCK = 32
+_BLAS_DEGREE = 192
+
+
+def _high_sum(a, u):
+    """sum_k a_k cos(2 pi (k + _BLOCK) u) for a 1-d array u, as one BLAS
+    product per block of points.
+
+    Frequency k + _BLOCK = q _BLOCK + r goes to row q - 1, column r of the
+    (Q, _BLOCK) matrix A.  The sum is then Re sum_q F_q (A E)_q, with
+    E_r = e(r u) and F_q = e(q _BLOCK u), and A E is one real product
+    with E viewed as (re, im) columns.  Both tables come by doubling from
+    e(2^j u), each taken at the exactly reduced argument 2^j u -
+    rint(2^j u): phase errors grow like log2 of the degree, not like the
+    degree.  Every block has the same padded shape, so a point's value
+    does not depend on how many points come with it.
+    """
+    Q = -(-a.size // _BLOCK)
+    A = np.zeros(Q * _BLOCK)
+    A[:a.size] = a
+    A = A.reshape(Q, _BLOCK)
+    # points per block: a multiple of 8, since BLAS kernels round the
+    # columns of a ragged edge differently; up to Q = 512 (degree ~16000)
+    # at most 4096/Q, so a product is at most 2^18 multiply-adds, which
+    # OpenBLAS runs on one thread (a threaded product of this size stalled
+    # for up to 16 ms on a busy 2-CPU machine); and at most 256, so a
+    # block's temporaries stay under 512 KB
+    width = 8 * max(1, min(32, 512 // Q))
+    n = u.size
+    padded = np.zeros(-(-n // width) * width)
+    padded[:n] = u
+    bits = (_BLOCK - 1).bit_length()
+    scales = np.ldexp(1.0, np.arange(bits + Q.bit_length()))[:, None]
+    out = np.empty(padded.size)
+    for i in range(0, padded.size, width):
+        y = scales * padded[i:i + width]
+        y -= np.rint(y)
+        y *= 2.0 * np.pi
+        w = np.exp(1j * y)
+        G = (A @ _powers(w[:bits], _BLOCK).view(float)).view(complex)
+        out[i:i + width] = (_powers(w[bits:], Q + 1)[1:] * G).real.sum(axis=0)
+    return out[:n]
+
+
+def _powers(w, n):
+    """Rows z^k, k < n, from w[j] = z^(2^j) by doubling: rows [m, 2m)
+    are rows [0, m) times w[log2 m]."""
+    T = np.empty((n, w.shape[1]), dtype=complex)
+    T[0] = 1.0
+    m = 1
+    for z in w:
+        np.multiply(T[:min(m, n - m)], z, out=T[m:2 * m])
+        m *= 2
+    return T
+
+
+def _recurrence_ms(cx, sx):
+    """(m, s) of TrigPoly.eval's recurrence from the arrays cos(pi x) and
+    sin(pi x)."""
+    pos = np.abs(cx) >= np.abs(sx)
+    return np.where(pos, -4.0 * sx * sx, 4.0 * cx * cx), np.where(pos, 1.0, -1.0)
 
 
 def _reinsch(coeffs, m, s):

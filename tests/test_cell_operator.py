@@ -15,6 +15,7 @@ from xapprox import (
     ExpKernel,
     HaarLog,
     PowerSigma,
+    QuadratureNonConvergence,
     eval_K,
     f_mu,
     l1_error_exp_quadrature,
@@ -83,6 +84,19 @@ def test_mu_operator_matches_pointwise_route(spec, rel, delta):
 def test_exp_quadrature_rejects_bad_lambda(lam):
     with pytest.raises(ValueError):
         l1_error_exp_quadrature(lam)
+
+
+@pytest.mark.parametrize("delta", [0.0, -1.0, math.nan, math.inf])
+def test_exp_quadrature_rejects_bad_delta(delta):
+    with pytest.raises(ValueError, match="delta"):
+        l1_error_exp_quadrature(1.0, delta)
+
+
+@pytest.mark.parametrize("lam, delta", [(5e-324, 1.0), (1e-300, 1e300), (1e300, 1e-300)])
+def test_exp_quadrature_raises_on_a_non_finite_result(lam, delta):
+    # lam/delta underflows, overflows, or the tail's e^{-lam' T}/lam' does
+    with pytest.raises(QuadratureNonConvergence, match="lam="):
+        l1_error_exp_quadrature(lam, delta)
 
 
 @pytest.mark.parametrize("delta", [0.0, -1.0, math.nan, math.inf])

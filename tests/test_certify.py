@@ -2,6 +2,7 @@
 
 import collections
 import json
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -19,7 +20,7 @@ from xapprox import (
     reports_to_table,
     run_cert_suite,
 )
-from xapprox.certify import _coeffs_by_quadrature
+from xapprox.certify import _chk_catalan_series, _coeffs_by_quadrature
 
 FAST = ["thm1_1_lambda1", "catalan_digits", "thm6_1_lambda1_N0", "khat_edge_zero"]
 
@@ -148,6 +149,20 @@ def test_coefficient_quadrature_against_mpmath(spec, N):
         for q, i, r in zip(quad.real, interp.real, ref):
             assert abs(float(q - r)) <= 1e-14 * abs(float(r))
             assert abs(float(i - r)) <= 3e-15 * scale
+
+
+def test_catalan_series_check_runs_in_chunks():
+    # one cumsum over the 1e6 + 1 terms peaks at 30.5 MB; the chunked
+    # cumsum gives its bits
+    tracemalloc.start()
+    try:
+        got, want, tol = _chk_catalan_series()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == 1.1662436161232974  # the single cumsum's value
+    assert abs(got - want) <= tol
+    assert peak < 4 * 2**20
 
 
 def test_only_the_q_mu_check_calls_quadpack(monkeypatch):

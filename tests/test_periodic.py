@@ -153,8 +153,9 @@ def test_trigpoly_eval_sine_twin():
     assert p.eval(0.3) != p.eval(-0.3)
 
 
-@pytest.mark.parametrize("p", [build_k(1.0, 0), build_k(1.0, 5).with_bumped_coeff(5, 1e-3j)],
-                         ids=["N0", "N5"])
+@pytest.mark.parametrize("p", [build_k(1.0, 0), build_k(1.0, 5).with_bumped_coeff(5, 1e-3j),
+                               build_k(1.0, 300)],
+                         ids=["N0", "N5", "N300"])
 def test_trigpoly_eval_scalar_is_python_float(p):
     xs = np.array([-0.7, 0.0, 0.3125, 1.9])
     for x, v in zip(xs, p.eval(xs)):
@@ -176,8 +177,43 @@ def test_trigpoly_eval_memory_is_linear_in_points():
     assert peak < 4 * 2**20
 
 
+def test_trigpoly_eval_memory_at_many_points():
+    # distinct |x - rint x|, so no point is shared; the recurrence over
+    # all 1000 frequencies peaks at 12.4 MB here
+    p = build_k(1.0, 1000)
+    x = np.random.default_rng(5).uniform(-2.0, 2.0, 200_000)
+    p.eval(x[:10])
+    tracemalloc.start()
+    try:
+        p.eval(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 13.4 * 2**20
+
+
+@pytest.mark.parametrize("N", [191, 192, 255, 256, 1000])
+def test_trigpoly_eval_matches_exact_sum_around_the_crossover(N):
+    # below degree 192 the recurrence alone, from 192 on the recurrence
+    # plus the block product; values of one point do not depend on the
+    # points evaluated with it
+    rng = np.random.default_rng(N)
+    pos = rng.normal(size=N)
+    c = np.concatenate([pos[::-1], [rng.normal()], pos]) + 0j
+    p = TrigPoly(N, c)
+    xs = np.concatenate([rng.uniform(-2.0, 2.0, 12), [0.0, 0.25, 0.5, -0.5, 1e-9, 0.5 - 1e-12]])
+    vals = p.eval(xs)
+    tol = 4e-15 * float(np.sum(np.abs(c)))
+    for x, v in zip(xs, vals):
+        assert abs(v - _exact_sum(c, N, x)) <= tol
+    assert np.array_equal(p.eval(-xs), vals)
+    assert np.array_equal(p.eval(xs[3:6]), vals[3:6])
+    many = np.concatenate([rng.uniform(-2.0, 2.0, 3000), xs])
+    assert np.array_equal(p.eval(many)[-xs.size:], vals)
+
+
 @settings(max_examples=60, deadline=None)
-@given(N=st.integers(0, 200), seed=st.integers(0, 2**32 - 1), even=st.booleans(),
+@given(N=st.integers(0, 1000), seed=st.integers(0, 2**32 - 1), even=st.booleans(),
        xs=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4))
 def test_trigpoly_eval_matches_direct_sum(N, seed, even, xs):
     rng = np.random.default_rng(seed)
@@ -209,9 +245,24 @@ def test_eval_p_is_periodic_and_mean_zero():
         eval_p(0.0, 0.3)
 
 
+def test_eval_p_against_mpmath():
+    # relative to max(|p|, 1e-3); a form that subtracts the two ~2/lam
+    # halves of p is 1.7e-11 off at lam = 0.0201 and 2.5e-12 at 0.115
+    lams = np.concatenate([np.geomspace(1e-4, 2000.0, 24), [0.0201, 0.115, 1.0]])
+    xs = np.concatenate([np.linspace(0.0, 1.0, 21),
+                         [1e-9, 0.2113, 0.5 - 1e-12, 1.0 - 1e-10, -0.3, 3.25]])
+    with mpmath.workdps(30):
+        for lam in lams:
+            lm = mpmath.mpf(float(lam))
+            for x, v in zip(xs, eval_p(float(lam), xs)):
+                a = mpmath.mpf(float(x)) - mpmath.floor(float(x))
+                ref = mpmath.cosh(lm * (a - 0.5)) / mpmath.sinh(lm / 2) - 2 / lm
+                assert abs(mpmath.mpf(float(v)) - ref) <= 1e-13 * max(abs(ref), 1e-3)
+
+
 def test_eval_p_branch_continuity():
-    # series / closed switch at lam = 0.02; the step across the seam must
-    # stay tiny (dp/dlam ~ 0.08, so the function itself moves ~2e-14 here)
+    # p is smooth in lam: no step across lam = 0.02 (dp/dlam ~ 0.08, so
+    # p itself moves ~2e-14 here)
     for x in (0.1, 0.35, 0.5):
         lo = eval_p(0.02 - 1e-13, x)
         hi = eval_p(0.02 + 1e-13, x)

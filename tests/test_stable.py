@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -86,14 +87,26 @@ def test_one_minus_sech_small_and_large(x):
 
 
 def test_one_minus_x_csch_branch_continuity():
-    # series / direct switch at 0.1; evaluate the series side right below
-    # the seam against the direct formula at the same point (the x**8
-    # truncation peaks there at ~1e-12 relative)
+    # the series side of x = 0.1 against the direct formula, which cancels
+    # there to ~1e-13 relative
     x = 0.1 - 1e-12
     assert one_minus_x_csch(x) == pytest.approx(1.0 - x * csch(x), rel=5e-12)
     assert one_minus_x_csch(1e-8) == pytest.approx(1e-16 / 6.0, rel=1e-10)
     assert one_minus_x_csch(0.0) == 0.0
     assert one_minus_x_csch(2.0) == pytest.approx(1.0 - 2.0 / math.sinh(2.0), rel=1e-14)
+
+
+def test_one_minus_x_csch_against_mpmath():
+    # series below x = 1, direct above; a series cut at x^8 is 1.3e-12
+    # off at x = 0.0999; scalars and arrays alike
+    xs = np.concatenate([np.linspace(0.0, 1.0, 401),
+                         [1e-8, 0.0999, 0.5, 1.0 - 1e-12, 1.0 + 1e-12]])
+    # 50 digits, since 1 - x/sinh x cancels 16 of them at x = 1e-8
+    with mpmath.workdps(50):
+        ref = [1 - mpmath.mpf(x) / mpmath.sinh(mpmath.mpf(x)) if x else mpmath.mpf(0) for x in xs]
+        for vals in (one_minus_x_csch(xs), [one_minus_x_csch(float(x)) for x in xs]):
+            for v, r in zip(vals, ref):
+                assert abs(mpmath.mpf(float(v)) - r) <= 2e-15 * r
 
 
 def test_scalar_in_scalar_out():
