@@ -20,7 +20,7 @@ from functools import partial
 
 import numpy as np
 
-from ._stable import cospi, one_minus_sech, one_minus_x_csch, sech
+from ._stable import cospi, csch, one_minus_sech, one_minus_x_csch, sech
 from .errors import QuadratureNonConvergence, UnknownCheckName
 from .expkernel import (
     ExpKernel,
@@ -58,7 +58,7 @@ from .periodic import (
     periodic_l1_quadrature,
     refined_sign_nodes,
 )
-from .quadrature import _density_integral, _panel_rule
+from .quadrature import _DENSITY_HEAD, _density_integral, _panel_rule
 from .series import catalan
 
 __all__ = [
@@ -182,11 +182,16 @@ def _chk_duality_exp(lam):
 def _chk_catalan_series():
     # brute partial sums to n = 1e6, tail Euler-averaged, vs catalan(); the
     # cumsum runs in chunks of 2^15 terms, each chunk's first term taking
-    # the carry: the same sequential sums as one cumsum, in 1/16 the memory
+    # the carry: the same sequential sums as one cumsum, in 1/16 the memory.
+    # A term is sign/x^2, x = 2n + 1 exact in a float arange and x^2 exact
+    # below 2^53; every chunk starts at an even n, so one +-1 vector signs it
+    size = 2**15
+    sign = np.ones(size)
+    sign[1::2] = -1.0
     carry, s = 0.0, np.empty(0)
-    for start in range(0, 1_000_001, 2**15):
-        n = np.arange(start, min(start + 2**15, 1_000_001))
-        t = np.where(n % 2 == 0, 1.0, -1.0) * (2.0 * n + 1.0) ** -2.0
+    for start in range(0, 1_000_001, size):
+        x = np.arange(2.0 * start + 1.0, 2.0 * min(start + size, 1_000_001), 2.0)
+        t = sign[:x.size] / (x * x)
         t[0] += carry
         c = np.cumsum(t)
         carry = c[-1]
@@ -343,33 +348,33 @@ def _chk_cross_measure(specs, degrees, tol):
 
 
 def _q_mu_by_quadrature(sigma, x):
-    """Periodized power target at scalar x by quadrature of its defining
-    integral, int p(lam, x) lam^{-sigma} dlam (sigma > 1 at integers)."""
-    from scipy.integrate import quad
-
-    s = sigma
+    """Periodized power target at scalar x by quadrature's fixed density
+    rule on its defining integral, int p(lam, x) lam^{-sigma} dlam
+    (sigma > 1 at integers).  p(lam, x) = e^{-lam v} t^2/(-expm1(-lam))
+    - (2/lam)(1 - (lam/2) csch(lam/2)), t = expm1(-lam(1/2 - v)) and v the
+    distance from x to the nearest integer, vectorised over lam in stable
+    exponentials: both terms are O(lam) at small lam, where the rule's
+    head takes p/lam.  Beyond the head, p + 2/lam decays like e^{-lam v}
+    and its -2/lam part is integrated exactly; at integers the first term
+    tends to 1 instead, so there the constant 1 is integrated exactly too,
+    int_4^inf lam^{-sigma} dlam = 4^{1-sigma}/(sigma - 1), and the rest
+    decays like e^{-lam/2}.  Independent of eval_q_mu: no Hurwitz zeta,
+    no series."""
     xf = float(x)
-    a = float(xf - np.floor(xf))
-    dist = min(a, 1.0 - a)
+    v = abs(xf - round(xf))
 
-    def p_part(l):  # cosh(l(a-1/2))/sinh(l/2), stable exponentials
-        return (math.exp(l * (a - 1.0)) + math.exp(-l * a)) / (-math.expm1(-l))
+    def first(lam):  # cosh(lam(1/2 - v))/sinh(lam/2) - csch(lam/2)
+        t = np.expm1(-lam * (0.5 - v))
+        return np.exp(-lam * v) * t * t / -np.expm1(-lam)
 
-    def p_over_l(l):  # smooth on [0, 1]: p(l, a)/l -> (a-1/2)^2 - 1/12
-        return float(eval_p(l, a)) / l if l > 0.0 else (a - 0.5) ** 2 - 1.0 / 12.0
+    def p(lam):
+        return first(lam) - (2.0 / lam) * one_minus_x_csch(0.5 * lam)
 
-    # the l^{1-s} endpoint singularity goes into QUADPACK's algebraic
-    # weight; [1, T] gets one breakpoint per decade since the decay scale
-    # 1/dist can reach 1e6; at integers p_part -> 1, an analytic tail
-    T = 40.0 / dist + 50.0 if dist else 60.0
-    v1, _ = quad(p_over_l, 0.0, 1.0, weight="alg", wvar=(1.0 - s, 0.0),
-                 epsabs=0.5e-10, epsrel=1e-10, limit=48)
-    v2, _ = quad(lambda l: p_part(l) * l ** (-s), 1.0, T,
-                 points=np.geomspace(1.0, T, int(math.log10(T)) + 2)[1:-1],
-                 epsabs=0.5e-10, epsrel=1e-10, limit=48)
-    tail = 0.0 if dist else T ** (1.0 - s) / (s - 1.0)
-    # int_1^inf (-2/l) l^{-s} dl = -2/s exactly
-    return v1 + v2 + tail - 2.0 / s
+    def far(lam):  # p + 2/lam, less the constant 1 at integers
+        return (first(lam) if v else first(lam) - 1.0) + csch(0.5 * lam)
+
+    q = _density_integral(p, sigma, v or 0.5, f"q_mu at x={xf!r}", far=far, slow=-2.0)
+    return float(q) + (0.0 if v else _DENSITY_HEAD ** (1.0 - sigma) / (sigma - 1.0))
 
 
 def _chk_power_q_mu():
@@ -385,27 +390,58 @@ def _chk_power_q_mu():
     return worst, 0.0, 1e-11
 
 
-def _chk_zeta_numpy():
-    # the Euler-Maclaurin zeta behind q_mu's series vs scipy's, relative;
-    # t from the pole (sigma -> 2) through the 4-5 band, where the
-    # asymptotic Bernoulli tail is weakest, up to q_mu's largest argument
-    from scipy.special import zeta
+# zeta_numpy's arguments t, from the pole (sigma -> 2) through the 4-5 band,
+# where the asymptotic Bernoulli tail is weakest, up to q_mu's largest
+# argument, each with mpmath's zeta at that double to 30 digits (printed by
+# tools/gen_reference_values.py --zeta-numpy)
+_ZETA_REFERENCE = (
+    (1.000000001, 999999917.836851511852401825175),
+    (1.000001, 1000000.57729800435532656531022),
+    (1.05, 20.5808443020369848299843450341),
+    (1.5, 2.61237534868548834334856756792),
+    (2.05, 1.60042420415363891714246518940),
+    (3.0, 1.20205690315959428539973816151),
+    (4.3, 1.06428096432584001934127308875),
+    (4.8, 1.04314801333517896902998882820),
+    (5.1, 1.03418547468748963267227773673),
+    (10.0, 1.00099457512781808533714595890),
+    (33.0, 1.00000000011641550172700519776),
+    (65.0, 1.00000000000000000002710505431),
+)
 
-    t = np.array([1 + 1e-9, 1 + 1e-6, 1.05, 1.5, 2.05, 3.0, 4.3, 4.8, 5.1,
-                  10.0, 33.0, 65.0])
-    ref = zeta(t)
+
+def _chk_zeta_numpy():
+    # the Euler-Maclaurin zeta behind q_mu's series vs frozen 30-digit
+    # mpmath values, relative
+    t, ref = np.array(_ZETA_REFERENCE).T
     return float(np.max(np.abs(_zeta(t) - ref) / ref)), 0.0, 1e-15
 
 
-def _chk_dct_numpy():
-    # build_k_mu's FFT-based DCT-II vs scipy's, on the Haar q_mu values it
-    # transforms at degree N, relative to max |reference|
-    from scipy.fft import dct
+def _dct2_direct(x):
+    """DCT-II by its defining sum, y_k = 2 sum_n x_n cos(pi k (2n+1)/(2m)),
+    m = len(x), in O(m^2): the phases are the integers k(2n+1) mod 4m,
+    the cosines read from one table cospi(j/(2m)) of the 4m phases, and
+    rows go in blocks of max(1, 2^16 // m), so below m = 2^16 no block
+    temporary exceeds 512 KB."""
+    m = x.size
+    table = cospi(np.arange(4 * m) / (2.0 * m))
+    odd = 2 * np.arange(m) + 1
+    rows = max(1, 2**16 // m)
+    out = np.empty(m)
+    for k0 in range(0, m, rows):
+        j = np.outer(np.arange(k0, min(k0 + rows, m)), odd)
+        j %= 4 * m
+        out[k0:k0 + j.shape[0]] = table.take(j) @ x
+    return 2.0 * out
 
+
+def _chk_dct_numpy():
+    # build_k_mu's FFT-based DCT-II vs the direct cosine sum, on the Haar
+    # q_mu values it transforms at degree N, relative to max |reference|
     worst = 0.0
     for N in (0, 1, 4, 64, 1000):
         vals = eval_q_mu(HaarLog(), (np.arange(N + 1) + 0.5) / (2 * N + 2))
-        ref = dct(vals, type=2)
+        ref = _dct2_direct(vals)
         worst = max(worst, float(np.max(np.abs(_dct2(vals) - ref)) / np.max(np.abs(ref))))
     return worst, 0.0, 1e-15
 

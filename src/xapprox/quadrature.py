@@ -2,13 +2,12 @@
 
 ``integrate_ray`` is the library's one QUADPACK route.  It serves the
 public ``integrate_measure`` (Haar and power measures) and callers' own
-integrands; no library computation runs it, and one certificate check
-(power_q_mu_closed_form, which needs QUADPACK's algebraic weight) calls
-``quad`` directly.  It splits (0, inf) at 1 and at a finite
-``tail_cut``, so that integrable endpoint singularities, the mid-range
-bulk and the far tail each land in the regime QUADPACK handles best, and
-raises instead of returning a silently bad number.  scipy is imported on
-the first call, so the package's other routes never load it.
+integrands; no library computation and no certificate check runs it.  It
+splits (0, inf) at 1 and at a finite ``tail_cut``, so that integrable
+endpoint singularities, the mid-range bulk and the far tail each land in
+the regime QUADPACK handles best, and raises instead of returning a
+silently bad number.  scipy is imported on the first call, so the
+package's other routes, ``xapprox verify`` included, never load it.
 
 Fixed rules serve wherever the integrand is analytic on a known
 interval: Gauss-Legendre panels (the sign-constant cells of the L1
@@ -16,7 +15,8 @@ integrals, the oracles' w- and lambda-panels) and Gauss-Jacobi nodes for
 an algebraic endpoint weight (the lambda-rule of error_mu_pointwise, and
 the density rule behind the certificate's measure integrals: the
 coefficients of the theorem's K-hat route, the Watson constants of the
-line L1 tail and the two 1-D identities).  Their node tables are cached
+line L1 tail, the two 1-D identities and the defining integral of the
+periodized power target).  Their node tables are cached
 and read-only.
 """
 
@@ -108,8 +108,10 @@ def _panel_rule(edges, order: int):
     return pts, (half[:, None] * wts).ravel()
 
 
-# Gauss orders of the density rule and of its twin, head and panels alike
+# Gauss orders of the density rule and of its twin, head and panels alike,
+# and the end of its head [0, a]
 _DENSITY_ORDERS = (16, 24)
+_DENSITY_HEAD = 4.0
 
 
 def _density_integral(g, sigma, rate, what, far=None, slow=0.0):
@@ -117,7 +119,7 @@ def _density_integral(g, sigma, rate, what, far=None, slow=0.0):
 
     g maps an array of n nodes to n values, or to an (n, k) array of k
     integrands at once (the result is then a length-k array); g/lam must
-    be analytic near [0, a], a = 4.  On [0, a] Gauss-Jacobi nodes for the
+    be analytic near [0, a], a = _DENSITY_HEAD = 4.  On [0, a] Gauss-Jacobi nodes for the
     weight lam^{1-sigma} are applied to g/lam.  Beyond a, doubling
     Gauss-Legendre panels [a 2^k, a 2^{k+1}] run out to where
     e^{-rate lam}, g's exponential part, is below e^{-40}.  g's complex
@@ -131,7 +133,7 @@ def _density_integral(g, sigma, rate, what, far=None, slow=0.0):
     plus 1e-10 relative and be finite, or QuadratureNonConvergence is
     raised, naming `what`, sigma and both estimates.
     """
-    a = 4.0
+    a = _DENSITY_HEAD
     edges = a * 2.0 ** np.arange(max(1, math.ceil(math.log2(40.0 / (rate * a)))) + 1.0)
     heads = [_gauss_jacobi(n, 1.0 - sigma) for n in _DENSITY_ORDERS]
     panels = [_panel_rule(edges, n) for n in _DENSITY_ORDERS]

@@ -1,6 +1,6 @@
-"""The numpy-only core: the exact routes import no scipy, and the numpy
-primitives that replaced scipy's (zeta, exprel, the DCT-II) hold their
-accuracy."""
+"""The numpy-only core: the exact routes and the certification suite
+import no scipy, and the numpy primitives that replaced scipy's (zeta,
+exprel, the DCT-II) hold their accuracy."""
 
 import math
 import os
@@ -14,6 +14,7 @@ import pytest
 
 import xapprox
 from xapprox import PowerSigma, eval_q_mu, measure_to_json
+from xapprox.certify import _ZETA_REFERENCE, _dct2_direct
 from xapprox.measures import _exprel, _power_series, _zeta
 from xapprox.periodic import _dct2
 from xapprox.quadrature import _gauss_jacobi
@@ -104,6 +105,36 @@ def test_measure_l1_quadrature_loads_no_scipy():
     assert res.stdout.strip() == "[]"
 
 
+# a finder that refuses every scipy module, so that an import of one fails
+_NO_SCIPY = r"""
+import sys
+
+class _NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is refused")
+
+sys.meta_path.insert(0, _NoScipy())
+"""
+
+
+def test_verify_runs_without_scipy():
+    # every check of `xapprox verify`, in a fresh process that cannot import
+    # scipy, with RuntimeWarning and UserWarning as errors
+    script = _NO_SCIPY + (
+        "import contextlib, io, xapprox.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = xapprox.cli.main(['verify'])\n"
+        "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(xapprox.__file__)))
+    res = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-W",
+                          "error::UserWarning", "-c", script],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr[-2000:]
+    assert res.stdout.strip() == "0 []"
+
+
 # the exp L1 quadrature and the CLI paths that run it for many lam at once
 _EXP_QUAD_CALLS = (
     "X.l1_error_exp_quadrature(1.0, 2.0)",
@@ -142,6 +173,16 @@ def test_zeta_against_mpmath():
     assert [float(_zeta(t)) for t in _ZETA_T[:12]] == vals[:12].tolist()
 
 
+def test_zeta_reference_literals():
+    # zeta_numpy's frozen references: mpmath's zeta at each double t, which
+    # for t = 1 + 1e-9 next to the pole is not the zeta of the decimal
+    with mpmath.workdps(40):
+        for t, ref in _ZETA_REFERENCE:
+            assert float(mpmath.zeta(mpmath.mpf(t))) == ref
+    assert _ZETA_REFERENCE[0][0] == 1 + 1e-9
+    assert [t for t, _ in _ZETA_REFERENCE] == _ZETA_T[:12]
+
+
 @pytest.mark.parametrize("N", [0, 1, 4, 64, 256])
 def test_dct2_against_direct_cosine_sum(N):
     # build_k_mu's transform at degree N, of N+1 values; reference in
@@ -155,6 +196,9 @@ def test_dct2_against_direct_cosine_sum(N):
     out = _dct2(x)
     assert out.shape == (n,)
     assert float(np.max(np.abs(out - ref)) / np.max(np.abs(ref))) <= 1e-15
+    # the dct_numpy check's reference: the same sum in double, in row blocks
+    direct = _dct2_direct(x)
+    assert float(np.max(np.abs(direct - ref)) / np.max(np.abs(ref))) <= 1e-15
 
 
 def test_exprel_edges_raise_no_warning():

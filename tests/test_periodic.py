@@ -37,6 +37,7 @@ from xapprox import (
     q_hat_mu,
     refined_sign_nodes,
 )
+from xapprox.errors import QuadratureNonConvergence
 
 
 # --- TrigPoly mechanics -------------------------------------------------------
@@ -566,3 +567,107 @@ def test_refined_sign_nodes_near_canonical():
     assert len(nodes) == 4
     canonical = (np.arange(4) + 0.5) / 4.0
     assert np.allclose(sorted(nodes), canonical, atol=1e-8)
+
+
+def _brentq_nodes(f, N):
+    # the scalar route refined_sign_nodes replaced: scipy's brentq on each
+    # bracket in turn, with the same tolerances and the same bracket rules
+    from scipy.optimize import brentq
+
+    L = 2 * N + 2
+    out = []
+    for k in range(L):
+        a, b = (k + 0.05) / L, (k + 0.95) / L
+        fa, fb = f(a), f(b)
+        if fa == 0.0:
+            out.append(a)
+        elif fb == 0.0:
+            out.append(b)
+        elif fa * fb < 0.0:
+            out.append(brentq(f, a, b, xtol=1e-15, rtol=8.9e-16))
+    return out
+
+
+def _sign_changes(f, lo, hi, n):
+    t = np.linspace(lo, hi, n)
+    v = f(t)
+    return t[1:][np.signbit(v[1:]) != np.signbit(v[:-1])]
+
+
+@pytest.mark.parametrize("N", [0, 1, 3, 10, 64])
+@pytest.mark.parametrize("lam", [0.3, 1.0, 4.0])
+def test_refined_sign_nodes_match_brentq(lam, N):
+    # every coefficient of the optimal polynomial bumped by +-1e-3, as in
+    # the perturbation checks: the same nodes as brentq, each within 1e-14,
+    # in a few calls of f on arrays where brentq makes ~12 scalar calls a
+    # bracket.  Two kinds of node may differ by more: one where rounding
+    # makes f change sign many times within 1e-13 (its place is defined
+    # only to that zone, which must then hold both nodes), and one in a
+    # bracket with several sign changes (both are sign changes of f).
+    L = 2 * N + 2
+    poly = build_k(lam, N)
+    calls, loose = [], 0
+    for n in range(N + 1):
+        for eps in (1e-3, -1e-3):
+            pert = poly.with_bumped_coeff(n, eps)
+            f = lambda x: eval_p(lam, x) - pert.eval(x)
+
+            def counted(x):
+                calls[-1] += 1
+                return f(x)
+
+            calls.append(0)
+            nodes = refined_sign_nodes(counted, N)
+            ref = _brentq_nodes(f, N)
+            assert len(nodes) == len(ref)
+            for x, r in zip(nodes, ref):
+                assert isinstance(x, float)
+                if abs(x - r) <= 1e-14:
+                    continue
+                loose += 1
+                k = math.floor(r * L)
+                assert (k + 0.05) / L <= x <= (k + 0.95) / L
+                assert _sign_changes(f, x - 2e-15, x + 2e-15, 21).size
+                if _sign_changes(f, (k + 0.05) / L, (k + 0.95) / L, 4001).size == 1:
+                    zone = _sign_changes(f, r - 1e-13, r + 1e-13, 1001)
+                    assert zone.size > 1
+                    assert zone.min() - 1e-14 <= x <= zone.max() + 1e-14
+    assert loose <= 2
+    assert np.mean(calls) <= 10.0 and max(calls) <= 22
+
+
+def test_refined_sign_nodes_bracket_rules():
+    # N = 1: a zero at the left end of bracket 1 and at the right end of
+    # bracket 3 is that bracket's node, bracket 2 holds the root 0.6, and
+    # bracket 0 shows no sign change and is dropped
+    a1, b3 = 1.05 / 4, 3.95 / 4
+    assert (1 + 0.05) / 4 == a1 and (3 + 0.95) / 4 == b3
+    nodes = refined_sign_nodes(lambda x: (x - a1) * (x - 0.6) * (x - b3), 1)
+    assert nodes[0] == a1 and nodes[2] == b3
+    assert nodes[1] == pytest.approx(0.6, abs=1.6e-15)
+    assert refined_sign_nodes(lambda x: np.ones_like(x), 3) == []
+    # an exact zero at the canonical node ends that bracket's search
+    assert refined_sign_nodes(lambda x: x - 0.25, 0) == [0.25]
+
+
+def test_refined_sign_nodes_multiple_root_and_jump():
+    # secant steps converge only linearly on a triple root; after 30 of
+    # them bisection closes the bracket.  A jump in sign is bisected too.
+    for f, root in ((lambda x: (x - 0.2511) ** 3, 0.2511),
+                    (lambda x: np.where(x > 0.2512, 1.0, -1.0), 0.2512)):
+        (node,) = refined_sign_nodes(f, 0)
+        assert node == pytest.approx(root, abs=2e-15)
+
+
+def test_refined_sign_nodes_raise_when_open(monkeypatch):
+    import xapprox.periodic as periodic
+
+    f = lambda x: np.cos(2.0 * np.pi * (x - 0.01))
+    monkeypatch.setattr(periodic, "_NODE_MAX_ITER", 2)
+    with pytest.raises(QuadratureNonConvergence, match=r"N=0: brackets \[0, 1\] still open"):
+        refined_sign_nodes(f, 0)
+    monkeypatch.undo()
+    # a nan inside the bracket is never taken for a sign change
+    g = lambda x: np.where(np.abs(x - 0.25) < 0.2, np.nan, x - 0.3)
+    with pytest.raises(QuadratureNonConvergence, match="N=0: f is nan"):
+        refined_sign_nodes(g, 0)

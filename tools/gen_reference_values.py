@@ -11,6 +11,10 @@ compares library output against these at its own tolerances.
 Run from the repository root:
 
     python3 tools/gen_reference_values.py
+
+With --zeta-numpy it prints, instead, the (t, zeta(t)) literals of the
+certification check zeta_numpy (``_ZETA_REFERENCE`` in
+src/xapprox/certify.py), and writes nothing.
 """
 
 import json
@@ -345,6 +349,27 @@ def error_ft_power(sigma, t):
         [0, 1, 10, 100, mp.inf])
 
 
+# --- zeta_numpy's frozen references ----------------------------------------------
+
+# the check's arguments: from the pole (sigma -> 2) through the 4-5 band, where
+# the asymptotic Bernoulli tail is weakest, up to q_mu's largest argument
+ZETA_NUMPY_T = (1 + 1e-9, 1 + 1e-6, 1.05, 1.5, 2.05, 3.0, 4.3, 4.8, 5.1,
+                10.0, 33.0, 65.0)
+
+
+def zeta_numpy_literals():
+    """Lines of Python source, one (t, zeta(t)) pair each, zeta to 30
+    digits.  Each zeta is taken at the exact double t: 1 + 1e-9 is
+    1.00000000100000008..., and so close to the pole that the zeta of the
+    decimal 1.000000001 is 8e-8 relative away."""
+    lines = []
+    for t in ZETA_NUMPY_T:
+        z = mp.zeta(mp.mpf(t))
+        check(z, mp.zeta(mp.mpf(t), 1), f"zeta({t!r}) as Hurwitz zeta at 1")
+        lines.append(f"    ({t!r}, {mp.nstr(z, 30, strip_zeros=False, min_fixed=-1, max_fixed=40)}),")
+    return lines
+
+
 # --- assembly -------------------------------------------------------------------
 
 def main():
@@ -476,4 +501,7 @@ def main():
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--zeta-numpy"]:
+        print("\n".join(zeta_numpy_literals()))
+        sys.exit(0)
     sys.exit(main())
