@@ -24,8 +24,6 @@ import numpy as np
 __all__ = [
     "sinpi",
     "cospi",
-    "sinc",
-    "sinc_complex",
     "sech",
     "csch",
     "one_minus_sech",
@@ -66,39 +64,6 @@ def cospi(x):
     first makes the function even bit-for-bit.
     """
     return _restore(x, sinpi(np.abs(np.asarray(x, dtype=float)) + 0.5))
-
-
-def sinc(x):
-    """Normalized cardinal sine sin(pi*x)/(pi*x), = 1 at x = 0.
-
-    Exactly zero at nonzero integers (inherits sinpi's exact zeros),
-    which is what makes interpolation-node evaluations exact downstream.
-    """
-    xa = np.asarray(x, dtype=float)
-    safe = np.where(xa == 0.0, 1.0, xa)
-    out = sinpi(safe) / (_PI * safe)
-    return _restore(x, np.where(xa == 0.0, 1.0, out))
-
-
-def sinc_complex(z):
-    """sin(pi*z)/(pi*z) for complex z (z = 0 -> 1).
-
-    sin(pi z) = sinpi(x) cosh(pi y) + i cospi(x) sinh(pi y) for z = x + iy,
-    so it is exactly zero at nonzero real integers, as sinc is; a short
-    series takes over near the origin to dodge 0/0.
-    """
-    za = np.asarray(z, dtype=complex)
-    small = np.abs(za) < 1e-8
-    safe = np.where(small, 1.0, za)
-    x, y = za.real, _PI * za.imag
-    num = sinpi(x) * np.cosh(y) + 1j * (cospi(x) * np.sinh(y))
-    out = num / (_PI * safe)
-    w = _PI * za
-    series = 1.0 - w * w / 6.0
-    out = np.where(small, series, out)
-    if np.ndim(z) == 0:
-        return complex(out)
-    return out
 
 
 def sech(x):

@@ -19,7 +19,20 @@ _cell_operator(K) folds the 32-node Gauss rule on the K + 1 sign-constant
 cells [0, 1/2], [1/2, 3/2], .., [K - 1/2, K + 1/2] into one cached
 (K + 1) x (K + 33) matrix, which the line L1 quadratures apply to the
 node data of each lam', sigma or delta.  It and _cardinal_sum share one
-form of the terms, the node coefficients and the near-node band.
+form of the terms, the node coefficients (cached per head length) and
+the near-node band.
+
+Layout: the terms are formed one row per point, its nodes contiguous,
+in two buffers of rows x (H + 24) that stay under _BLOCK = 128 KB
+(glibc's mmap threshold), allocated once per call and reused by every
+block.  Each row is summed on its own, so a point's bits depend on the
+point and on H (through max |Re w|) only, never on the number of points
+or on where the point sits among them or in a block.
+
+cos pi w, which vanishes at the nodes, and the sinc pair that takes the
+nearest node's term come from one sine of d = w - xi_m, exact for
+Re w >= 1/4: cos pi w = (-1)^{m+1} sin pi d, so cos pi w keeps its
+relative digits up to the node.
 
 dirichlet_beta sums its alternating series with the same weights.
 """
@@ -32,7 +45,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._stable import cospi, sinc, sinc_complex, sinpi
 from .errors import SeriesNonConvergence
 from .quadrature import panel_nodes
 
@@ -60,68 +72,92 @@ def _crvz_weights(n):
 
 _CRVZ = _crvz_weights(24)  # tail error ~1e-18 of its first term
 _HEAD_PAST = 8  # direct nodes past the largest |Re w|
-_BLOCK = 2**19  # bytes of terms per block of points, about an L2 cache
+_BLOCK = 2**17  # bytes: each of the two term buffers stays below this
 _MAX_RE = 2.0**20  # |Re w| beyond this raises: each point costs |Re w| + 32 terms
 
 
 def _dilate(z, delta):
-    """delta * z as a 1-D array.  An infinite part of a complex z would
-    meet the zero imaginary part of delta in the product (inf * 0, a
-    RuntimeWarning) before the series could refuse the point, so a
-    non-finite complex z raises SeriesNonConvergence here; a real one
-    passes, and the series raises on it."""
+    """delta * z as a 1-D array of float64 or complex128, whatever the
+    precision of z (the series forms its terms in the type of its
+    points).  An infinite part of a complex z would meet the zero
+    imaginary part of delta in the product (inf * 0, a RuntimeWarning)
+    before the series could refuse the point, so a non-finite complex z
+    raises SeriesNonConvergence here; a real one passes, and the series
+    raises on it."""
     z = np.atleast_1d(np.asarray(z))
+    z = z.astype(np.promote_types(z.dtype, float), copy=False)
     if np.iscomplexobj(z) and not np.isfinite(z).all():
         raise SeriesNonConvergence(f"cardinal series at non-finite z = {z[~np.isfinite(z)][0]}")
     return z * delta
 
 
-def _numerators(top, phi):
-    """The nodes xi_n = n + 1/2, n < H + 24 with H = ceil(top) + 8, the
-    node data phi(xi), and the series' numerators g_n = 2 xi_n phi(xi_n)
-    s_n, s_n = (-1)^n for the direct head n < H and (-1)^H times the CRVZ
-    weights for the alternating remainder (phi = 1 gives the coefficients
-    2 xi_n s_n of the map itself)."""
-    H = math.ceil(top) + _HEAD_PAST
+@lru_cache(maxsize=64)
+def _map(H):
+    """The fixed map for a head of H direct nodes: the nodes
+    xi_n = n + 1/2, n < H + 24, the coefficients 2 xi_n s_n, with
+    s_n = (-1)^n for the head n < H and (-1)^H times the CRVZ weights for
+    the alternating remainder, and the signs (-1)^{n+1}.  Cached per H
+    and read-only; a call then takes its numerators g_n = 2 xi_n s_n
+    phi(xi_n) in one product."""
     xi = np.arange(H + _CRVZ.size) + 0.5
-    ph = np.asarray(phi(xi), dtype=float)
-    g = 2.0 * xi * ph
-    g[1:H:2] *= -1.0
-    g[H:] *= (-1) ** H * _CRVZ
-    return xi, ph, g
+    coef = 2.0 * xi
+    coef[1:H:2] *= -1.0
+    coef[H:] *= (-1) ** H * _CRVZ
+    sign = np.ones(xi.size)
+    sign[::2] = -1.0
+    for a in (xi, coef, sign):
+        a.flags.writeable = False
+    return xi, coef, sign
 
 
-def _near_band(v, re, sinc_of):
-    """The nearest node m = rint(Re v - 1/2) of each point v (Re v >= 0),
-    the indices of the points within 0.3 of it, where cos pi v has lost
-    relative digits, and at those points the sinc pair
-    sinc(v - xi_m) + sinc(v + xi_m) that takes the node's term."""
-    m = np.rint(re - 0.5).astype(np.intp)
-    d = v - (m + 0.5)
-    near = np.flatnonzero(np.abs(d) < 0.3)
-    mn = m[near]
-    pair = sinc_of(np.concatenate([d[near], v[near] + (mn + 0.5)]))
-    return m, near, pair[:mn.size] + pair[mn.size:]
+def _node_terms(v, xi, sign):
+    """For points v with Re v >= 0 (real or complex): the nearest node
+    xi_m, m = floor(Re v), cos(pi v)/pi, the sinc pair
+    sinc(v - xi_m) + sinc(v + xi_m), and the near band |v - xi_m| < 0.3,
+    where the pair takes the node's term.
+
+    All of them come from one sine of d = v - xi_m, which is exact for
+    Re v >= 1/4: cos pi v = (-1)^{m+1} sin pi d, and the pair is
+    (sin pi d/pi)(1/d - 1/(v + xi_m)), 1 at d = 0.  sin pi d keeps its
+    relative digits as d -> 0, so cos pi v does too, and it is 0 at the
+    node."""
+    m = v.real.astype(np.intp)
+    xm = xi[m]
+    d = v - xm
+    sn = math.pi * d
+    np.sin(sn, out=sn)
+    sn /= math.pi
+    pair = np.divide(sn, d, out=np.ones_like(sn), where=d != 0)
+    u = v + xm
+    pair -= np.divide(sn, u, out=u)
+    near = np.abs(d) < 0.3
+    sn *= sign[m]
+    return m, sn, pair, near
 
 
-def _term_blocks(coef, xi, v, m, near, rows):
+def _term_blocks(coef, xi, v, band, rows):
     """The far-field terms coef_n / ((xi_n - v)(xi_n + v)) in blocks of
-    `rows` points, each point's band term set to 0; yields (first point,
-    block).  Every block is formed in one buffer, so a block is
-    overwritten by the next one."""
-    buf = np.empty((min(rows, v.size), xi.size), dtype=np.result_type(xi, v))
+    `rows` points, one row per point with its nodes contiguous, and the
+    band's terms set to 0: band = (points, nodes), the points ascending.
+    Yields (first point, block).  The blocks are formed in two buffers of
+    min(rows, v.size) x xi.size, allocated once per call: each block
+    overwrites the one before, and no block allocates a temporary."""
+    a = np.empty((min(rows, v.size), xi.size), dtype=v.dtype)
+    b = np.empty_like(a)
     for i in range(0, v.size, rows):
-        vb = v[i:i + rows, None]
-        t = np.subtract(xi, vb, out=buf[:vb.shape[0]])
-        t *= xi + vb
+        u = b[:min(rows, v.size - i)]
+        np.copyto(u, v[i:i + rows, None])  # each row holds its point
+        t = np.subtract(xi, u, out=a[:u.shape[0]])
+        t *= np.add(xi, u, out=u)
         np.divide(coef, t, out=t)
-        band = near[(near >= i) & (near < i + rows)]
-        t[band - i, m[band]] = 0.0
+        j0, j1 = band[0].searchsorted((i, i + rows))
+        t[band[0][j0:j1] - i, band[1][j0:j1]] = 0.0
         yield i, t
 
 
 def _cardinal_sum(phi, w):
-    """KK(phi, w) for a 1-D array w (real or complex).
+    """KK(phi, w) for a 1-D array w of float64 or complex128 (_dilate
+    makes one of any input).
 
     phi maps an array of nodes xi to the node data.  With
     H = ceil(max |Re w|) + 8, the nodes n < H are summed directly and the
@@ -131,44 +167,44 @@ def _cardinal_sum(phi, w):
     xi^{sigma-1}) the result is within a few 1e-15 of max(|KK|, 1) on the
     real axis and within ~1e-12 of cosh(pi Im w)/1e3 off it.
 
-    KK is even, and each point is evaluated at the one of +-w with
-    Re w >= 0, each row summed on its own, so K(-w) == K(w) bit for bit.
-    Within 0.3 of a node xi_m (only m = rint(Re w - 1/2) can be that
-    close) the node's term is taken in the sinc form, where cos pi w has
-    lost relative digits; at a node it is phi(xi_m) exactly.  The terms
-    are formed in blocks of points of 512 KB (or one point), so memory
-    does not grow with the number of points.  A sum that is not finite
-    (|Im w| beyond ~225, where cos pi w overflows) raises
+    Each point is evaluated at the one of +-w with Re w >= 0, and its row
+    of terms is summed on its own, so its bits depend on w and on H
+    alone: not on the number of points, nor on the point's place among
+    them or in a block.  KK is even, so K(-w) == K(w) bit for bit.
+    Within 0.3 of its nearest node xi_m the node's term is taken in the
+    sinc form; at a node the value is phi(xi_m) exactly.  The terms are
+    formed in two buffers under 128 KB each (one row each where a row
+    alone is larger, |Re w| beyond ~16000 real or ~8000 complex), so
+    memory does not grow with the number of points.  A sum that is not
+    finite (|Im w| beyond ~225, where cos pi w overflows) raises
     SeriesNonConvergence, as does |Re w| above 2^20.
     """
     P = w.size
     if np.iscomplexobj(w):
         flip = (w.real < 0.0) | ((w.real == 0.0) & (w.imag < 0.0))
         v = np.where(flip, -w, w)
-        sinc_of = sinc_complex
     else:
         v = np.abs(w)
-        sinc_of = sinc
-    re = v.real
-    top = float(re.max()) if P else 0.0
+    top = float(v.real.max()) if P else 0.0
     if not top <= _MAX_RE:
         raise SeriesNonConvergence(f"cardinal series at |Re w| = {top:g}, above {_MAX_RE:g}")
-    xi, ph, g = _numerators(top, phi)
-
+    H = math.ceil(top) + _HEAD_PAST
+    # beyond the documented |Re w| <= 1e3 the map is built, not cached
+    xi, coef, sign = (_map if H <= 2048 else _map.__wrapped__)(H)
+    ph = np.asarray(phi(xi), dtype=float)
     s = np.empty(P, dtype=v.dtype)
-    rows = max(1, _BLOCK // (xi.size * v.itemsize))
+    rows = max(1, (_BLOCK - 1) // (xi.size * v.itemsize))
     # 0/0 at a node is overwritten; overflow off the axis raises below
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        m, near, pair = _near_band(v, re, sinc_of)
-        for i, t in _term_blocks(g, xi, v, m, near, rows):
-            s[i:i + rows] = t.sum(axis=1)
-        if np.iscomplexobj(v):
-            pb = math.pi * v.imag
-            cpw = cospi(re) * np.cosh(pb) - 1j * (sinpi(re) * np.sinh(pb))
-        else:
-            cpw = cospi(v)
-        out = cpw / math.pi * s
-        out[near] += ph[m[near]] * pair
+        m, cw, pair, near = _node_terms(v, xi, sign)
+        band = near.nonzero()[0]
+        for i, t in _term_blocks(coef * ph, xi, v, (band, m[band]), rows):
+            np.add.reduce(t, axis=1, out=s[i:i + rows])
+        # not s *= cw: numpy rounds an in-place complex product of one
+        # element differently from the same product in a longer array
+        out = cw * s
+        pair *= ph[m]
+        np.add(out, pair, out=out, where=near)
     if not np.isfinite(out).all():
         raise SeriesNonConvergence(
             f"cardinal series not finite at w={w[~np.isfinite(out)][0]}")
@@ -191,24 +227,27 @@ def _cell_operator(K):
     xi = arange(K + 33) + 1/2.  The head, the CRVZ tail and the near-band
     sinc terms of _cardinal_sum are folded in as its own helpers form
     them, so the cell integrals agree with a Gauss sum over its pointwise
-    values to rounding.  M is formed in blocks of whole cells of at most
-    512 KB of terms.  Cached per K; the arrays are read-only, as every
-    caller shares them.
+    values to rounding.  M is formed in blocks of whole cells, one row
+    per Gauss node, in _cardinal_sum's two buffers (under 128 KB each, or
+    one cell).  Cached per K; the arrays are read-only, as every caller
+    shares them.
     """
     lo = np.concatenate([[0.0], np.arange(K) + 0.5])
     pts, wts, half = panel_nodes(np.column_stack([lo, np.arange(K + 1) + 0.5]), _CELL_ORDER)
     W = half[:, None] * wts
-    xi, _, coef = _numerators(float(pts.max()), np.ones_like)
-    m, near, pair = _near_band(pts, pts, sinc)
+    xi, coef, sign = _map(math.ceil(pts.max()) + _HEAD_PAST)
+    m, cw, pair, near = _node_terms(pts, xi, sign)
+    band = near.nonzero()[0]
     # the factor of each point's far-field terms: its weight times cos pi w / pi
-    rw = W.ravel() * cospi(pts) / math.pi
-    M = np.zeros((K + 1, xi.size))
-    rows = _CELL_ORDER * max(1, _BLOCK // (_CELL_ORDER * xi.size * pts.itemsize))
-    for i, t in _term_blocks(coef, xi, pts, m, near, rows):
+    rw = W.ravel() * cw
+    M = np.empty((K + 1, xi.size))
+    rows = _CELL_ORDER * max(1, (_BLOCK - 1) // (_CELL_ORDER * xi.size * pts.itemsize))
+    for i, t in _term_blocks(coef, xi, pts, (band, m[band]), rows):
         t *= rw[i:i + rows, None]
         c = i // _CELL_ORDER
-        M[c:c + t.shape[0] // _CELL_ORDER] = t.reshape(-1, _CELL_ORDER, xi.size).sum(axis=1)
-    np.add.at(M, (near // _CELL_ORDER, m[near]), W.ravel()[near] * pair)
+        np.add.reduce(t.reshape(-1, _CELL_ORDER, xi.size), axis=1,
+                      out=M[c:c + t.shape[0] // _CELL_ORDER])
+    np.add.at(M, (band // _CELL_ORDER, m[band]), W.ravel()[band] * pair[band])
     pts = pts.reshape(W.shape)
     for a in (pts, W, M):
         a.flags.writeable = False

@@ -103,6 +103,17 @@ def test_small_lambda_memory_is_bounded():
     assert _peak_mb(lambda: eval_K(ExpKernel(0.01), x)) < 8.0
 
 
+@pytest.mark.parametrize("im", [0.0, 1.0], ids=["real", "complex"])
+def test_memory_per_call_stays_under_the_block_buffers(im):
+    # two term buffers under 128 KB each, reused by every block, plus the
+    # per-point arrays: no block allocates a temporary of its own size
+    x = np.linspace(-20.0, 20.0, 2001)
+    if im:
+        x = x + 1j * im
+    assert _peak_mb(lambda: eval_K(ExpKernel(0.3), x)) <= 0.75
+    assert _peak_mb(lambda: eval_K_mu(EntireApproximant(HaarLog()), x)) <= 0.75
+
+
 def test_far_points_memory_is_bounded():
     # |Re w| up to 1e3 takes ~1e3 terms per point, formed in blocks of points
     x = np.linspace(-1e3, 1e3, 2001)

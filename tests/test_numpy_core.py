@@ -265,3 +265,38 @@ def test_gauss_jacobi_nodes_and_weights(beta):
                 ref.append(float(2 ** (b + 1) / ((1 - tj * tj) * d * d)))
         mass = 2.0 ** (beta + 1.0) / (beta + 1.0)
         assert np.max(np.abs(w - np.array(ref))) <= 5e-14 * mass
+
+
+@pytest.mark.parametrize("n, beta", [(16, -0.95), (24, 0.5), (32, 0.95), (48, -0.5)])
+def test_gauss_jacobi_against_a_30_digit_eigendecomposition(n, beta):
+    # the rule of the very Jacobi matrix the routine builds: mpmath's
+    # eigenvalues, and mu_0 times the squared first eigenvector components
+    k = np.arange(1.0, n)
+    s = 2.0 * k + beta
+    diag = np.concatenate([[beta / (beta + 2.0)], beta * beta / (s * (s + 2.0))])
+    off = 2.0 * k * (k + beta) / (s * np.sqrt((s - 1.0) * (s + 1.0)))
+    J = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    with mpmath.workdps(30):
+        vals, vecs = mpmath.eigsy(mpmath.matrix(J.tolist()))
+        mass = 2 ** (mpmath.mpf(beta) + 1) / (mpmath.mpf(beta) + 1)
+        ref = sorted((vals[i], mass * vecs[0, i] ** 2) for i in range(n))
+    t, w = _gauss_jacobi(n, beta)
+    assert np.max(np.abs(t - np.array([float(x) for x, _ in ref]))) <= 1e-15
+    assert np.max(np.abs(w / np.array([float(v) for _, v in ref]) - 1.0)) <= 2e-14
+
+
+def test_gauss_jacobi_bits_do_not_depend_on_blas_threads():
+    # eigh of the Jacobi matrix ran 50x slower on two OpenBLAS threads than
+    # on one; the rule needs no eigenvectors, and its bits must not move
+    code = ("import hashlib; from xapprox.quadrature import _gauss_jacobi as g; "
+            "print(hashlib.sha256(b''.join(a.tobytes() for n in (16, 24, 32, 48) "
+            "for b in (-0.95, 0.0, 0.5) for a in g(n, b))).hexdigest())")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(xapprox.__file__)))
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert res.returncode == 0, res.stderr[-2000:]
+        out.append(res.stdout.strip())
+    assert out[0] and out[0] == out[1]

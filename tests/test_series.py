@@ -18,6 +18,7 @@ from xapprox import (
     eval_K,
     eval_K_mu,
 )
+from xapprox import series
 from xapprox.series import _cardinal_sum
 
 
@@ -117,6 +118,45 @@ def test_non_finite_complex_points_raise_without_warning(z):
                 f(obj, [z])
             with pytest.raises(SeriesNonConvergence):
                 f(obj, np.array([0.5, z]))
+
+
+def _block_rows(x):
+    # points per block of terms at these points (delta = 1, so w = x),
+    # from the engine's own constants
+    n = math.ceil(np.abs(x.real).max()) + series._HEAD_PAST + series._CRVZ.size
+    return max(1, (series._BLOCK - 1) // (n * x.itemsize))
+
+
+@pytest.mark.parametrize("im", [0.0, 3.0], ids=["real", "complex"])
+def test_bits_do_not_depend_on_block_or_position(im):
+    # P covers every block edge; the first point's mirror comes last, and
+    # one point sets max |Re x| (so H) for the array and alone
+    rng = np.random.default_rng(5)
+    top = 19.75
+    dtype = complex if im else float
+    rows = _block_rows(np.array([top], dtype=dtype))
+    for f, obj in ((eval_K, ExpKernel(0.3)), (eval_K_mu, EntireApproximant(HaarLog()))):
+        for P in (2, rows - 1, rows, rows + 1, 2 * rows + 1):
+            x = rng.uniform(-top, top, P).astype(dtype)
+            if im:
+                x += 1j * rng.uniform(-im, im, P)
+            k = P // 2 if P > 2 else 0
+            x[k] = np.copysign(top, x[k].real) + (x[k] - x[k].real)
+            x[-1] = -x[0]
+            assert _block_rows(x) == rows
+            vals = f(obj, x)
+            assert vals[0].tobytes() == vals[-1].tobytes(), (f.__name__, P)
+            assert f(obj, x[::-1])[::-1].tobytes() == vals.tobytes(), (f.__name__, P)
+            assert f(obj, x[k:k + 1]).tobytes() == vals[k:k + 1].tobytes(), (f.__name__, P)
+
+
+def test_single_precision_points_are_summed_in_double():
+    # the points are dilated and summed in double precision
+    x = np.linspace(-20.0, 20.0, 101).astype(np.float32)
+    k = ExpKernel(0.3, 0.7)
+    assert eval_K(k, x).tobytes() == eval_K(k, x.astype(float)).tobytes()
+    z = (x + 1j).astype(np.complex64)
+    assert eval_K(k, z).tobytes() == eval_K(k, z.astype(complex)).tobytes()
 
 
 def test_dirichlet_beta_known_values(ref):

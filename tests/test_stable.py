@@ -12,8 +12,6 @@ from xapprox._stable import (
     one_minus_sech,
     one_minus_x_csch,
     sech,
-    sinc,
-    sinc_complex,
     sinpi,
 )
 
@@ -29,12 +27,6 @@ def test_cospi_exact_zeros_at_half_integers():
         assert cospi(-(n + 0.5)) == 0.0
 
 
-def test_sinc_exact_zeros_at_nonzero_integers():
-    assert sinc(0.0) == 1.0
-    x = np.array([-4.0, -1.0, 1.0, 2.0, 17.0])
-    assert np.all(sinc(x) == 0.0)
-
-
 def test_sinpi_agrees_with_naive_away_from_zeros():
     rng = np.random.default_rng(7)
     x = rng.uniform(-30, 30, 500)
@@ -47,18 +39,6 @@ def test_symmetry_is_bitwise():
     x = rng.uniform(-9, 9, 200)
     assert np.all(sinpi(-x) == -sinpi(x))
     assert np.all(cospi(-x) == cospi(x))
-    assert np.all(sinc(-x) == sinc(x))
-
-
-def test_sinc_complex_matches_real_axis_and_series():
-    x = np.array([0.3, 1.7, -2.2])
-    assert np.allclose(sinc_complex(x + 0j).real, sinc(x), rtol=1e-14)
-    z = 1e-10 + 1e-10j
-    assert abs(sinc_complex(z) - 1.0) < 1e-18
-    assert sinc_complex(0j) == 1.0 + 0j
-    # exact zeros at nonzero real integers, as sinc has
-    k = np.arange(1.0, 60.0)
-    assert np.all(sinc_complex(np.concatenate([k, -k]) + 0j) == 0.0)
 
 
 @pytest.mark.parametrize("x", [1e-12, 0.05, 0.0999, 0.1001, 0.7, 3.0, 40.0, 690.0])
