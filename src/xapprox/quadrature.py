@@ -101,17 +101,21 @@ def _gauss_jacobi(n: int, beta: float):
     off = 2.0 * k * (k + beta) / (s * np.sqrt((s - 1.0) * (s + 1.0)))
     t = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     # off[j] p_{j+1} = (t - diag[j]) p_j - off[j-1] p_{j-1}, p_0 = 1; the
-    # last step, with off[n-1] taken as 1, gives a multiple of p_n
-    p_prev, p, dp_prev, dp = np.zeros(n), np.ones(n), np.zeros(n), np.zeros(n)
-    sq, dsq = np.ones(n), np.zeros(n)
-    for j in range(n):
-        back = off[j - 1] if j else 0.0
-        step = off[j] if j < n - 1 else 1.0
-        p_prev, p, dp_prev, dp = (p, ((t - diag[j]) * p - back * p_prev) / step,
-                                  dp, (p + (t - diag[j]) * dp - back * dp_prev) / step)
+    # last step, with off[n-1] taken as 1, gives a multiple of p_n.  The
+    # rows of x are p_j and p_j', run as one stacked recurrence; the rows
+    # of acc the sums of p_k^2 and p_k p_k'
+    x_prev, x = np.zeros((2, n)), np.zeros((2, n))
+    x[0] = 1.0
+    acc = x.copy()
+    for j, tj in enumerate(t - diag[:, None]):
+        y = tj * x
+        y[1] += x[0]
+        y -= (off[j - 1] if j else 0.0) * x_prev
+        y /= off[j] if j < n - 1 else 1.0
+        x_prev, x = x, y
         if j < n - 1:
-            sq += p * p
-            dsq += p * dp
+            acc += x[0] * x
+    (p, dp), (sq, dsq) = x, acc
     newton = p / dp
     nodes = t - newton
     weights = 2.0 ** (beta + 1.0) / (beta + 1.0) / (sq - 2.0 * newton * dsq)

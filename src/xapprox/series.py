@@ -24,8 +24,8 @@ the near-node band.
 
 Layout: the terms are formed one row per point, its nodes contiguous,
 in two buffers of rows x (H + 24) that stay under _BLOCK = 128 KB
-(glibc's mmap threshold), allocated once per call and reused by every
-block.  Each row is summed on its own, so a point's bits depend on the
+(glibc's mmap threshold), held per thread and reused by every block and
+every call.  Each row is summed on its own, so a point's bits depend on the
 point and on H (through max |Re w|) only, never on the number of points
 or on where the point sits among them or in a block.
 
@@ -40,7 +40,7 @@ dirichlet_beta sums its alternating series with the same weights.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+import threading
 from functools import lru_cache
 
 import numpy as np
@@ -58,15 +58,17 @@ def _crvz_weights(n):
     # are the coefficients of T_n(1 - 2x) in absolute value.  For a
     # completely monotone a the error is at most 2 (3 + sqrt 8)^{-n} times
     # the sum itself.
-    b = [Fraction(1)]
+    # the b_j are integers, so they are formed exactly with //, and each
+    # weight is one correctly rounded int / int division
+    b = [1]
     for j in range(n):
-        b.append(b[-1] * 2 * (n + j) * (n - j) / ((2 * j + 1) * (j + 1)))
+        b.append(b[-1] * 2 * (n + j) * (n - j) // ((2 * j + 1) * (j + 1)))
     total = sum(b)
     tail = total
     w = []
     for k in range(n):
         tail -= b[k]
-        w.append((-1) ** k * float(tail / total))
+        w.append((-1) ** k * (tail / total))
     return np.array(w)
 
 
@@ -135,15 +137,34 @@ def _node_terms(v, xi, sign):
     return m, sn, pair, near
 
 
+_SCRATCH = threading.local()
+
+
+def _term_buffers(shape, dtype):
+    """Two uninitialised arrays of shape and dtype in the calling
+    thread's two buffers of _BLOCK bytes, which live as long as the
+    thread; a shape of _BLOCK bytes or more gets two new arrays.  Fresh
+    buffers of ~128 KB on every call can end at the heap top, which glibc
+    then trims when they are freed, and the next call faults the pages in
+    again: ~0.1 ms a call, or not, depending on the heap's layout.  The
+    arrays are valid until the thread's next call."""
+    if shape[0] * shape[1] * dtype.itemsize >= _BLOCK:
+        return np.empty(shape, dtype), np.empty(shape, dtype)
+    try:
+        a, b = _SCRATCH.bufs
+    except AttributeError:
+        a, b = _SCRATCH.bufs = np.empty(_BLOCK, np.uint8), np.empty(_BLOCK, np.uint8)
+    return np.ndarray(shape, dtype, a), np.ndarray(shape, dtype, b)
+
+
 def _term_blocks(coef, xi, v, band, rows):
     """The far-field terms coef_n / ((xi_n - v)(xi_n + v)) in blocks of
     `rows` points, one row per point with its nodes contiguous, and the
     band's terms set to 0: band = (points, nodes), the points ascending.
-    Yields (first point, block).  The blocks are formed in two buffers of
-    min(rows, v.size) x xi.size, allocated once per call: each block
-    overwrites the one before, and no block allocates a temporary."""
-    a = np.empty((min(rows, v.size), xi.size), dtype=v.dtype)
-    b = np.empty_like(a)
+    Yields (first point, block).  The blocks are formed in two arrays of
+    min(rows, v.size) x xi.size from _term_buffers: each block overwrites
+    the one before, and no block allocates a temporary."""
+    a, b = _term_buffers((min(rows, v.size), xi.size), v.dtype)
     for i in range(0, v.size, rows):
         u = b[:min(rows, v.size - i)]
         np.copyto(u, v[i:i + rows, None])  # each row holds its point

@@ -157,6 +157,63 @@ def test_exp_l1_quadrature_loads_no_scipy(call):
     assert res.stdout.strip() == "[]"
 
 
+# `import xapprox` is lazy: a public name loads its home module, and the
+# modules that one imports, on first use
+_LAZY_SCRIPT = r"""
+import sys
+import xapprox as X
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("xapprox."))
+
+assert loaded() == [], loaded()
+X.error_exp_integral_oracle(1.0, 1.3)
+assert loaded() == ["xapprox._stable", "xapprox.errors", "xapprox.expkernel",
+                    "xapprox.quadrature", "xapprox.series"], loaded()
+assert set(X.__all__) <= set(dir(X))
+assert X.periodic is sys.modules["xapprox.periodic"]
+try:
+    X.nope
+except AttributeError as exc:
+    assert "nope" in str(exc)
+else:
+    raise AssertionError("X.nope resolved")
+try:
+    from xapprox import nope
+except ImportError:
+    pass
+else:
+    raise AssertionError("from xapprox import nope succeeded")
+print("ok")
+"""
+
+_STAR_SCRIPT = r"""
+import sys
+import xapprox
+from xapprox import *
+
+assert len(set(xapprox.__all__)) == len(xapprox.__all__)
+for name in xapprox.__all__:
+    if name == "__version__":
+        continue
+    obj = globals()[name]
+    home = obj.__module__
+    assert home.startswith("xapprox."), (name, home)
+    assert getattr(sys.modules[home], name) is obj, name
+    assert getattr(xapprox, name) is obj, name
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("script", [_LAZY_SCRIPT, _STAR_SCRIPT], ids=["first-call", "star"])
+def test_lazy_namespace_in_a_fresh_process(script):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(xapprox.__file__)))
+    res = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr[-2000:]
+    assert res.stdout.strip() == "ok"
+
+
 # t from the pole through the 4-5 band, where Euler-Maclaurin at M = 6 is
 # 1.4e-14 off, to q_mu's largest argument
 _ZETA_T = ([1 + 1e-9, 1 + 1e-6, 1.05, 1.5, 2.05, 3.0, 4.3, 4.8, 5.1, 10.0, 33.0, 65.0]

@@ -2,7 +2,12 @@
 constants summed with the same alternating-series weights."""
 
 import math
+import os
+import subprocess
+import sys
+import threading
 import warnings
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -150,6 +155,31 @@ def test_bits_do_not_depend_on_block_or_position(im):
             assert f(obj, x[k:k + 1]).tobytes() == vals[k:k + 1].tobytes(), (f.__name__, P)
 
 
+def test_threads_sum_in_their_own_term_buffers():
+    # the term buffers are per thread: threads that run the series at once
+    # (numpy releases the GIL inside each block) get the serial bits
+    rng = np.random.default_rng(11)
+    xs = [rng.uniform(-20.0, 20.0, 2001) + 1j * rng.uniform(-3.0, 3.0, 2001) * (i % 2)
+          for i in range(6)]
+    kern = ExpKernel(0.3)
+    want = [eval_K(kern, x).tobytes() for x in xs]
+    got = [None] * len(xs)
+
+    def work(i):
+        for _ in range(20):
+            got[i] = eval_K(kern, xs[i]).tobytes()
+            if got[i] != want[i]:
+                return
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(xs))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads)
+    assert got == want
+
+
 def test_single_precision_points_are_summed_in_double():
     # the points are dilated and summed in double precision
     x = np.linspace(-20.0, 20.0, 101).astype(np.float32)
@@ -157,6 +187,32 @@ def test_single_precision_points_are_summed_in_double():
     assert eval_K(k, x).tobytes() == eval_K(k, x.astype(float)).tobytes()
     z = (x + 1j).astype(np.complex64)
     assert eval_K(k, z).tobytes() == eval_K(k, z.astype(complex)).tobytes()
+
+
+def _crvz_weights_fraction(n):
+    b = [Fraction(1)]
+    for j in range(n):
+        b.append(b[-1] * 2 * (n + j) * (n - j) / ((2 * j + 1) * (j + 1)))
+    total = sum(b)
+    return [(-1) ** k * float(sum(b[k + 1:]) / total) for k in range(n)]
+
+
+def test_crvz_weights_match_exact_rationals():
+    # the b_j are integers, so integer arithmetic and one int / int division
+    # per weight round exactly as float(Fraction) does
+    for n in range(1, 41):
+        assert series._crvz_weights(n).tolist() == _crvz_weights_fraction(n), n
+    assert series._CRVZ.tolist() == _crvz_weights_fraction(24)
+
+
+def test_series_import_leaves_fractions_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(series.__file__)))
+    res = subprocess.run([sys.executable, "-c", "import sys, xapprox.series; "
+                          "print('fractions' in sys.modules)"],
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                         text=True, timeout=120)
+    assert res.returncode == 0, res.stderr[-2000:]
+    assert res.stdout.strip() == "False"
 
 
 def test_dirichlet_beta_known_values(ref):
