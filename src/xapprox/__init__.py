@@ -21,12 +21,11 @@ _HOME = {
         "UnknownCheckName",
     ),
     # numerics
-    "quadrature": ("integrate_ray",),
     "series": ("dirichlet_beta", "catalan"),
     "measures": (
         "PointMasses", "HaarLog", "PowerSigma", "TargetForm", "validate", "f_mu",
-        "gamma_one_minus", "power_l1_constant", "integrate_measure",
-        "measure_to_json", "measure_from_json",
+        "gamma_one_minus", "power_l1_constant", "measure_to_json",
+        "measure_from_json",
     ),
     # single-exponential kernel
     "expkernel": (
@@ -52,7 +51,7 @@ _HOME = {
     ),
 }
 _MODULE_OF = {name: module for module, names in _HOME.items() for name in names}
-_SUBMODULES = frozenset(_HOME) | {"_stable", "cli"}
+_SUBMODULES = frozenset(_HOME) | {"_stable", "quadrature", "cli"}
 
 __all__ = ["__version__", *_MODULE_OF]
 

@@ -333,7 +333,7 @@ def _coeffs_by_quadrature(spec, N):
         slow[0] = -2.0
         c = _density_integral(head, sigma, 0.5 / L,
                               f"{spec!r} coefficients at N={N}", far=khat, slow=slow)
-    return np.concatenate([c[:0:-1], c]).astype(complex)
+    return c
 
 
 def _chk_cross_measure(specs, degrees, tol):

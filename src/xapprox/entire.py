@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DivergentAtZero, QuadratureNonConvergence
 from .expkernel import ExpKernel, _oracle, _watson_c1_c3, error_exp
-from .measures import TargetForm, f_mu, integrate_measure, validate
+from .measures import TargetForm, f_mu, validate
 from .quadrature import _density_integral, _gauss_jacobi, _panel_rule
 from .series import _cardinal_sum, _cell_integrals, _cell_operator, _dilate
 
@@ -123,8 +123,8 @@ def error_mu_pointwise(a: EntireApproximant, x: float) -> float:
         raise ValueError(f"x must be finite, got {x}")
     sigma = spec.density_power
     if sigma is None:  # discrete measure: an exact weighted sum
-        raw = integrate_measure(
-            spec, lambda lams: [float(error_exp(ExpKernel(l, delta), ax)) for l in lams])
+        raw = spec.integrate(
+            lambda lams: [float(error_exp(ExpKernel(l, delta), ax)) for l in lams])
         return _form_map(a, raw)
     if ax == 0.0 and f_mu(spec, 0.0) == math.inf:
         raise DivergentAtZero("target is infinite at x = 0 for this measure")
@@ -212,8 +212,8 @@ def l1_error_mu_quadrature(spec, delta: float = 1.0) -> float:
     body = float(np.sum(per_cell))
     sigma = spec.density_power
     if sigma is None:  # point masses: exact weighted sums
-        c2 = integrate_measure(spec, lambda l: _watson_c1_c3(l / delta)[0])
-        c4 = integrate_measure(spec, lambda l: _watson_c1_c3(l / delta)[1])
+        c2 = spec.integrate(lambda l: _watson_c1_c3(l / delta)[0])
+        c4 = spec.integrate(lambda l: _watson_c1_c3(l / delta)[1])
     else:  # lam = delta u: delta^{1-sigma} int C^{(k)}(u) u^{-sigma} du
         c2, c4 = map(float, delta ** (1.0 - sigma) * _density_integral(
             lambda u: np.column_stack(_watson_c1_c3(u)), sigma, 0.5,

@@ -14,7 +14,7 @@ class InvalidPointMass(XapproxError, ValueError):
 
 
 class QuadratureNonConvergence(XapproxError, ArithmeticError):
-    """Adaptive quadrature failed to meet tolerance within its budget."""
+    """A quadrature rule or sign-node search failed to meet its tolerance."""
 
 
 class SeriesNonConvergence(XapproxError, ArithmeticError):

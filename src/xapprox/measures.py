@@ -26,7 +26,6 @@ import numpy as np
 from ._stable import sinpi
 from .errors import DivergentAtZero, InvalidPointMass, InvalidSigma
 from .expkernel import eval_p, l1_error_exp
-from .quadrature import integrate_ray
 from .series import catalan, dirichlet_beta
 
 __all__ = [
@@ -38,7 +37,6 @@ __all__ = [
     "gamma_one_minus",
     "power_l1_constant",
     "f_mu",
-    "integrate_measure",
     "measure_to_json",
     "measure_from_json",
 ]
@@ -63,8 +61,7 @@ class _Family:
     form, form_scale   natural form; its errors are raw errors / form_scale
     f_mu(ax)           raw target at |x| = ax (1-D array)
     density_power      s of the density lam^{-s} against dlam; None for a
-                       discrete measure
-    integrate(g, tail_cut)  integral of g(lam) dmu, g taking ndarray input
+                       discrete measure, which has integrate(g) instead
     raw_frame(delta)   (phi, prefactor, offset): the raw approximant is
                        prefactor * KK(phi, delta*z) + offset
     cell0_integral(b)  integral of f_mu over [0, b]; None if f_mu is smooth
@@ -121,7 +118,8 @@ class PointMasses(_Family):
         lam, w = self._arrays()
         return (np.exp(-np.multiply.outer(ax, lam)) - np.exp(-lam)) @ w
 
-    def integrate(self, g, tail_cut):
+    def integrate(self, g):
+        """The exact weighted sum of g(lam) dmu, g taking ndarray input."""
         lam, w = self._arrays()
         return float(np.dot(w, np.asarray(g(lam), dtype=float)))
 
@@ -159,9 +157,6 @@ class HaarLog(_Family):
 
     def f_mu(self, ax):
         return -np.log(ax)
-
-    def integrate(self, g, tail_cut):
-        return integrate_ray(lambda t: float(g(t)) / t, tail_cut)
 
     def raw_frame(self, delta):
         return (lambda xi: -np.log(xi)), 1.0, math.log(delta)
@@ -216,10 +211,6 @@ class PowerSigma(_Family):
     @property
     def density_power(self):
         return self.sigma
-
-    def integrate(self, g, tail_cut):
-        s = self.sigma
-        return integrate_ray(lambda t: float(g(t)) * t ** (-s), tail_cut)
 
     def raw_frame(self, delta):
         s = self.sigma
@@ -387,18 +378,6 @@ def f_mu(spec, x):
     with np.errstate(divide="ignore"):
         out = spec.f_mu(np.atleast_1d(ax))
     return float(out[0]) if scalar else out
-
-
-def integrate_measure(spec, g, tail_cut: float = 50.0) -> float:
-    """integral of g(lam) dmu(lam) over (0, inf).
-
-    Exact weighted sum for point masses; integrate_ray with the density
-    folded in otherwise.  g must accept ndarray input (scalars arrive as
-    0-d arrays from the quadrature driver).  tail_cut is integrate_ray's
-    tail split; slowly decaying integrands need a larger one.
-    """
-    validate(spec)
-    return spec.integrate(g, tail_cut)
 
 
 # --- JSON wire format ------------------------------------------------------

@@ -5,14 +5,15 @@ Periodizing e^{-lam|x|} gives p(lam, x) = cosh(lam({x}-1/2))/sinh(lam/2)
 Haar case is -log|2 sin pi x|.  The optimal degree-N approximations
 have explicit Fourier coefficients: the sampled line-kernel transform
 (build_k), equally the interpolant at the 2N+2 shifted nodes (build_k_mu,
-one DCT of q_mu).  A direct cosine-sum interpolation is the reference for
-both; circle L1 quadrature respects the corner of p at x = 0 and the log
-singularity of the Haar target.  Every circle value goes through
-TrigPoly.eval: Reinsch's modified Clenshaw recurrence, which from degree
-192 on keeps only the frequencies below 32 and sums the rest of an even
-polynomial as one BLAS matrix product per block of points.  O(P) memory
-for P points, as accurate as the direct sum, and exactly even for even
-polynomials.
+one DCT of q_mu).  Every target is even and real, and so is every
+polynomial: TrigPoly stores its cosine coefficients c_0..c_N.  A direct
+cosine-sum interpolation is the reference for both builders; circle L1
+quadrature respects the corner of p at x = 0 and the log singularity of
+the Haar target, and treats p as the q_mu of a unit point mass.  Every
+circle value goes through TrigPoly.eval: Reinsch's modified Clenshaw
+recurrence, which from degree 192 on keeps only the frequencies below 32
+and sums the rest as one BLAS matrix product per block of points.  O(P)
+memory for P points, as accurate as the direct sum, and exactly even.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from ._stable import cospi, one_minus_x_csch, sinpi
 from .entire import l1_error_mu_raw
 from .errors import QuadratureNonConvergence
 from .expkernel import _khat, eval_p, l1_error_exp
-from .measures import HaarLog, f_mu, validate
+from .measures import HaarLog, PointMasses, f_mu, validate
 from .quadrature import panel_nodes, reduce_cells_abs
 
 __all__ = [
@@ -50,55 +51,36 @@ __all__ = [
 
 
 class TrigPoly:
-    """Real-valued trig polynomial sum_{|n|<=N} c_n e(nx) on R/Z.
+    """Even real trig polynomial c_0 + 2 sum_{n=1}^{N} c_n cos 2 pi n x on
+    R/Z, stored as its N+1 coefficients c_0..c_N (a 1-D float array)."""
 
-    Coefficients are stored as a dense complex array indexed n = -N..N
-    and are symmetrized exactly on construction (c_{-n} <- conj barred
-    average), after checking the input was Hermitian to 1e-8.
-    """
+    __slots__ = ("degree", "_c", "_cos")
 
-    __slots__ = ("degree", "_c", "_cos", "_sin")
+    def __init__(self, coeffs):
+        if np.iscomplexobj(coeffs):
+            raise ValueError("coefficients must be real")
+        c = np.array(coeffs, dtype=float)
+        if c.ndim != 1 or c.size == 0:
+            raise ValueError(f"need a non-empty 1-D array of c_0..c_N, got shape {c.shape}")
+        self.degree = c.size - 1
+        self._c = c
+        # eval's recurrence coefficients 2 c_k, frequency N first
+        self._cos = (2.0 * c[:0:-1]).tolist()
 
-    def __init__(self, degree: int, coeffs):
-        n = int(degree)
-        if n < 0 or n != degree:
-            raise ValueError(f"degree must be a nonnegative integer, got {degree}")
-        if isinstance(coeffs, dict):
-            arr = np.zeros(2 * n + 1, dtype=complex)
-            for k, v in coeffs.items():
-                if abs(int(k)) > n:
-                    raise ValueError(f"coefficient index {k} exceeds degree {n}")
-                arr[int(k) + n] = v
-        else:
-            arr = np.asarray(coeffs, dtype=complex)
-            if arr.shape != (2 * n + 1,):
-                raise ValueError(f"need {2*n+1} coefficients for degree {n}")
-        scale = max(1.0, float(np.max(np.abs(arr))) if arr.size else 1.0)
-        if not np.allclose(arr, arr[::-1].conj(), rtol=0.0, atol=1e-8 * scale):
-            raise ValueError("coefficients are not Hermitian-symmetric")
-        self.degree = n
-        self._c = 0.5 * (arr + arr[::-1].conj())
-        # eval's recurrence coefficients, frequency N first: 2 Re c_k, and
-        # -2 Im c_k for the sine twin unless every Im c_k is 0
-        self._cos = (2.0 * self._c[:n:-1].real).tolist()
-        im = self._c[:n:-1].imag
-        self._sin = (-2.0 * im).tolist() if np.any(im) else None
-
-    def coeff(self, n: int) -> complex:
-        if abs(n) > self.degree:
-            return 0.0 + 0.0j
-        return complex(self._c[n + self.degree])
+    def coeff(self, n: int) -> float:
+        """c_n = c_{-n}; 0.0 beyond the degree."""
+        return float(self._c[abs(n)]) if abs(n) <= self.degree else 0.0
 
     @property
     def coeffs(self):
-        """Dense coefficient array, index i <-> frequency i - degree."""
+        """c_0..c_N, a copy."""
         return self._c.copy()
 
     def eval(self, x):
         """Value at x (scalar or array); scalar x gives a Python float.
 
         Reinsch's modified Clenshaw recurrence (Reinsch 1967; Oliver,
-        J. IMA 1977): with a_k = 2 Re c_k and b = d = 0 above the top
+        J. IMA 1977): with a_k = 2 c_k and b = d = 0 above the top
         frequency, run k down to 1:
 
             d_k = a_k + m b_{k+1} + s d_{k+1},   b_k = d_k + s b_{k+1};
@@ -106,29 +88,27 @@ class TrigPoly:
         the value is c_0 + (m/2) b_1 + s d_1.  Where cos 2 pi x >= 0
         (|cospi x| >= |sinpi x|) s = +1 and m = -4 sin^2(pi x), elsewhere
         s = -1 and m = 4 cos^2(pi x): m is small exactly where plain
-        Clenshaw's 2 cos 2 pi x sits near +-2 and loses digits.  When some
-        Im c_k != 0 the sine twin, coefficients -2 Im c_k, runs the same
-        loop and adds b_1 sin 2 pi x.  sinpi is odd and cospi even bit for
-        bit, so an even polynomial evaluates exactly evenly.
+        Clenshaw's 2 cos 2 pi x sits near +-2 and loses digits.  sinpi is
+        odd and cospi even bit for bit, so the value is exactly even.
 
-        The recurrence costs six array operations per frequency.  So an
-        even polynomial of degree >= _BLAS_DEGREE runs it only over the
+        The recurrence costs six array operations per frequency.  So a
+        polynomial of degree >= _BLAS_DEGREE runs it only over the
         frequencies below _BLOCK, which hold the large coefficients, and
         adds the rest from _high_sum, one real matrix product per block of
         points.  It folds x to u = |x - rint x| and evaluates each distinct
         u once, so evenness stays exact there too, and a scalar rounds as
         the same point of an array does.  Memory is O(len(x)) either way.
         """
-        c0 = float(self._c[self.degree].real)
+        c0 = float(self._c[0])
         scalar = np.ndim(x) == 0
         if self.degree == 0:
             return c0 if scalar else np.full(np.shape(x), c0)
-        if self.degree >= _BLAS_DEGREE and self._sin is None:
+        if self.degree >= _BLAS_DEGREE:
             xa = np.asarray(x, dtype=float)
             u, inv = np.unique(np.abs(xa - np.rint(xa)).ravel(), return_inverse=True)
             # m and s first: cospi's temporaries peak before high exists
             m, s = _recurrence_ms(cospi(u), sinpi(u))
-            high = _high_sum(2.0 * self._c[self.degree + _BLOCK:].real, u)
+            high = _high_sum(2.0 * self._c[_BLOCK:], u)
             del u
             b, d = _reinsch(self._cos[-(_BLOCK - 1):], m, s)
             # ((c0 + (m/2) b) + s d) + high, in place, with no temporaries
@@ -147,35 +127,41 @@ class TrigPoly:
         else:
             m, s = _recurrence_ms(cx, sx)
         b, d = _reinsch(self._cos, m, s)
-        out = c0 + 0.5 * m * b + s * d
-        if self._sin is not None:
-            out = out + 2.0 * sx * cx * _reinsch(self._sin, m, s)[0]
-        return out
+        return c0 + 0.5 * m * b + s * d
 
     def __neg__(self):
-        return TrigPoly(self.degree, -self._c)
+        return TrigPoly(-self._c)
 
-    def with_bumped_coeff(self, n: int, eps: complex):
-        """New polynomial with c_n += eps and c_{-n} += conj(eps)."""
+    def with_bumped_coeff(self, n: int, eps: float):
+        """New polynomial with c_n and c_{-n} each raised by eps."""
         if abs(n) > self.degree:
             raise ValueError("index exceeds degree")
-        arr = self._c.copy()
-        arr[self.degree + n] += eps
-        if n != 0:
-            arr[self.degree - n] += np.conj(eps)
-        return TrigPoly(self.degree, arr)
+        c = self._c.copy()
+        c[abs(n)] += eps
+        return TrigPoly(c)
 
     def to_json(self) -> str:
-        rows = [[n, self._c[n + self.degree].real, self._c[n + self.degree].imag]
-                for n in range(-self.degree, self.degree + 1)]
+        """{"degree": N, "coeffs": [[n, Re c_n, Im c_n], n = -N..N]}."""
+        rows = [[n, self._c[abs(n)], 0.0] for n in range(-self.degree, self.degree + 1)]
         return json.dumps({"degree": self.degree, "coeffs": rows},
                           separators=(",", ":"))
 
     @classmethod
     def from_json(cls, text):
+        """Parse to_json's format (a JSON string or a decoded dict); rows
+        left out are 0.  Raises ValueError unless the coefficients are real
+        and even to within 1e-8 max(1, max |c_n|)."""
         obj = json.loads(text) if isinstance(text, (str, bytes)) else text
-        coeffs = {int(n): complex(re, im) for n, re, im in obj["coeffs"]}
-        return cls(int(obj["degree"]), coeffs)
+        N = int(obj["degree"])
+        arr = np.zeros(2 * N + 1, dtype=complex)
+        for n, re, im in obj["coeffs"]:
+            if abs(int(n)) > N:
+                raise ValueError(f"coefficient index {n} exceeds degree {N}")
+            arr[int(n) + N] = complex(re, im)
+        scale = max(1.0, float(np.max(np.abs(arr))))
+        if not np.allclose(arr, arr[::-1].real, rtol=0.0, atol=1e-8 * scale):
+            raise ValueError("coefficients are not real and even")
+        return cls(arr[N:].real)
 
 
 # TrigPoly.eval hands the frequencies k >= _BLOCK of an even polynomial of
@@ -342,14 +328,10 @@ def build_k(lam: float, N: int) -> TrigPoly:
     if N < 0 or int(N) != N:
         raise ValueError("N must be a nonnegative integer")
     L = 2 * N + 2
-    c = np.zeros(2 * N + 1, dtype=complex)
-    c[N] = -(2.0 / lam) * float(one_minus_x_csch(0.5 * lam / L))
-    if N > 0:
-        n = np.arange(1, N + 1)
-        cn = _khat(lam / L, n / L) / L
-        c[N + n] = cn
-        c[N - n] = cn
-    return TrigPoly(N, c)
+    c = np.empty(N + 1)
+    c[0] = -(2.0 / lam) * float(one_minus_x_csch(0.5 * lam / L))
+    c[1:] = _khat(lam / L, np.arange(1, N + 1) / L) / L
+    return TrigPoly(c)
 
 
 def build_k_mu(spec, N: int) -> TrigPoly:
@@ -360,8 +342,7 @@ def build_k_mu(spec, N: int) -> TrigPoly:
         raise ValueError("N must be a nonnegative integer")
     L = 2 * N + 2
     vals = eval_q_mu(spec, (np.arange(N + 1) + 0.5) / L)
-    cn = _dct2(vals) / L
-    return TrigPoly(N, np.concatenate([cn[:0:-1], cn]))
+    return TrigPoly(_dct2(vals) / L)
 
 
 def _dct2(x):
@@ -401,8 +382,7 @@ def interpolation_oracle(target, N: int) -> TrigPoly:
         vals = np.asarray(target.value(xs), dtype=float)
     else:
         vals = np.array([float(target(x)) for x in xs])
-    cn = cospi(2.0 * np.outer(np.arange(N + 1), xs)) @ vals / L
-    return TrigPoly(N, np.concatenate([cn[:0:-1], cn]))
+    return TrigPoly(cospi(2.0 * np.outer(np.arange(N + 1), xs)) @ vals / L)
 
 
 # --- circle L1 quadrature helpers -----------------------------------------
@@ -518,11 +498,9 @@ def refined_sign_nodes(f, N: int):
 
 def periodic_l1_quadrature(lam: float, N: int) -> float:
     """Circle L1 error of the optimal polynomial build_k(lam, N) against
-    p(lam, .) by sign-split quadrature at the canonical nodes; reproduces
-    periodic_l1_error."""
-    poly = build_k(lam, N)
-    L = 2 * N + 2
-    return circle_l1_abs(lambda x: eval_p(lam, x) - poly.eval(x), (np.arange(L) + 0.5) / L)
+    p(lam, .), the q_mu of a unit point mass at lam, by the sign-split
+    quadrature of _circle_l1_mu; reproduces periodic_l1_error."""
+    return _circle_l1_mu(PointMasses(((lam, 1.0),)), build_k(lam, N))
 
 
 def _circle_l1_mu(spec, poly: TrigPoly) -> float:

@@ -1,23 +1,14 @@
-"""Adaptive ray integrals and fixed-order Gauss rules.
+"""Fixed-order Gauss rules.
 
-``integrate_ray`` is the library's one QUADPACK route.  It serves the
-public ``integrate_measure`` (Haar and power measures) and callers' own
-integrands; no library computation and no certificate check runs it.  It
-splits (0, inf) at 1 and at a finite ``tail_cut``, so that integrable
-endpoint singularities, the mid-range bulk and the far tail each land in
-the regime QUADPACK handles best, and raises instead of returning a
-silently bad number.  scipy is imported on the first call, so the
-package's other routes, ``xapprox verify`` included, never load it.
-
-Fixed rules serve wherever the integrand is analytic on a known
-interval: Gauss-Legendre panels (the sign-constant cells of the L1
-integrals, the oracles' w- and lambda-panels) and Gauss-Jacobi nodes for
-an algebraic endpoint weight (the lambda-rule of error_mu_pointwise, and
-the density rule behind the certificate's measure integrals: the
-coefficients of the theorem's K-hat route, the Watson constants of the
-line L1 tail, the two 1-D identities and the defining integral of the
-periodized power target).  Their node tables are cached
-and read-only.
+Every integral the library computes runs a fixed rule on a known
+interval, where the integrand is analytic: Gauss-Legendre panels (the
+sign-constant cells of the L1 integrals, the oracles' w- and
+lambda-panels) and Gauss-Jacobi nodes for an algebraic endpoint weight
+(the lambda-rule of error_mu_pointwise, and the density rule behind the
+certificate's measure integrals: the coefficients of the theorem's K-hat
+route, the Watson constants of the line L1 tail, the two 1-D identities
+and the defining integral of the periodized power target).  Their node
+tables are cached and read-only.
 """
 
 from __future__ import annotations
@@ -29,46 +20,7 @@ import numpy as np
 
 from .errors import QuadratureNonConvergence
 
-__all__ = ["integrate_ray"]
-
-# QUADPACK subdivision limit per piece
-_LIMIT = 48
-
-
-def integrate_ray(f, tail_cut: float = 50.0) -> float:
-    """Integrate f over (0, infinity) adaptively.
-
-    Pieces: [0, 1] (endpoint singularities), [1, T] (bulk) and [T, inf)
-    (tail, QUADPACK's infinite-range transformation), T = max(1,
-    tail_cut); integrands that decay like e^{-r lam} are resolved by the
-    default when r is not small (callers pass larger cuts otherwise).
-    The integral is held to 1e-10 absolute and 1e-10 relative error:
-    QuadratureNonConvergence is raised when a piece reports a failure (a
-    roundoff notice alone is accepted), when the sum is not finite, or
-    when the summed error estimate exceeds that budget.
-    """
-    from scipy.integrate import quad
-
-    t = max(1.0, tail_cut)
-    epsabs, epsrel = 1e-10 / 3, 1e-10
-    total = 0.0
-    err = 0.0
-    for lo, hi in ((0.0, 1.0), (1.0, t), (t, np.inf)):
-        val, est, _, *msg = quad(f, lo, hi, epsabs=epsabs, epsrel=epsrel,
-                                 limit=_LIMIT, full_output=True)
-        if msg and "roundoff" not in msg[0]:
-            raise QuadratureNonConvergence(
-                f"quadrature failed on [{lo}, {hi}]: {msg[0].splitlines()[0]}"
-            )
-        total += val
-        err += est
-    if not np.isfinite(total):
-        raise QuadratureNonConvergence("integral is not finite")
-    if err > 3 * epsabs + epsrel * abs(total) + 1e-300:
-        raise QuadratureNonConvergence(
-            f"error estimate {err:.3e} exceeds tolerance for value {total:.6e}"
-        )
-    return total
+__all__ = []
 
 
 @lru_cache(maxsize=8)

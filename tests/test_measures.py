@@ -15,7 +15,6 @@ from xapprox import (
     PowerSigma,
     f_mu,
     gamma_one_minus,
-    integrate_measure,
     measure_from_json,
     measure_to_json,
     validate,
@@ -102,22 +101,10 @@ def test_gamma_one_minus_signs():
 
 # --- integration -------------------------------------------------------------
 
-def test_integrate_measure_point_masses_is_exact_sum():
+def test_point_masses_integrate_is_exact_sum():
     spec = PointMasses(((1.0, 2.0), (3.0, 0.25)))
-    val = integrate_measure(spec, lambda lam: lam * lam)
+    val = spec.integrate(lambda lam: lam * lam)
     assert val == 2.0 * 1.0 + 0.25 * 9.0
-
-
-def test_integrate_measure_power_gamma_identity():
-    # int e^{-lam} lam^{-1/2} dlam = Gamma(1/2)
-    val = integrate_measure(PowerSigma(0.5), lambda lam: np.exp(-lam))
-    assert val == pytest.approx(math.sqrt(math.pi), abs=1e-10)
-
-
-def test_integrate_measure_haar():
-    # int e^{-lam} lam d(lam)/lam = 1
-    val = integrate_measure(HaarLog(), lambda lam: lam * np.exp(-lam))
-    assert val == pytest.approx(1.0, abs=1e-10)
 
 
 # --- JSON wire format ----------------------------------------------------------

@@ -1,6 +1,6 @@
-"""The numpy-only core: the exact routes and the certification suite
-import no scipy, and the numpy primitives that replaced scipy's (zeta,
-exprel, the DCT-II) hold their accuracy."""
+"""The numpy-only core: the library, the certification suite and the
+CLI run with scipy refused, and the numpy primitives that replaced
+scipy's (zeta, exprel, the DCT-II) hold their accuracy."""
 
 import math
 import os
@@ -19,9 +19,21 @@ from xapprox.measures import _exprel, _power_series, _zeta
 from xapprox.periodic import _dct2
 from xapprox.quadrature import _gauss_jacobi
 
+# a finder that refuses every scipy module, so that an import of one fails
+_NO_SCIPY = r"""
+import sys
+
+class _NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is refused")
+
+sys.meta_path.insert(0, _NoScipy())
+"""
+
 # Every exact route, the fixed-rule oracles (error_exp_integral_oracle and
-# error_mu_pointwise), then the CLI without --verify; no scipy module may be
-# loaded afterwards.  Then one QUADPACK route, which must load it.
+# error_mu_pointwise), the L1 quadratures, every certificate check alone and
+# in `verify`, and every CLI subcommand, --verify in each error-table mode
 _SCRIPT = r"""
 import contextlib, io, json, sys
 import numpy as np
@@ -40,23 +52,30 @@ for spec in specs:
     for form in {X.TargetForm.RAW, spec.form}:
         X.eval_K_mu(X.EntireApproximant(spec, 1.0, form), xs + 0.1)
     X.l1_error_mu(spec); X.l1_error_mu_raw(spec, 2.0)
+    X.l1_error_mu_quadrature(spec); X.l1_error_mu_quadrature(spec, 2.0)
     X.eval_q_mu(spec, np.linspace(0.01, 0.99, 13)); X.eval_q_mu(spec, 0.3)
     for N in (0, 1, 8, 64):
         poly = X.build_k_mu(spec, N)
         poly.eval(0.2); poly.eval(xs)
         X.periodic_l1_error_mu(spec, N); _circle_l1_mu(spec, poly)
+for sigma in (0.05, 0.5, 1.5, 1.95):
+    X.eval_q_mu(X.PowerSigma(sigma), 0.3)
+    X.eval_q_mu(X.PowerSigma(sigma), np.linspace(0.01, 0.99, 7))
 for N in (0, 3, 64):
     X.build_k(1.0, N).eval(xs); X.periodic_l1_error(1.0, N)
     X.periodic_l1_quadrature(1.0, N)
     X.l1_vs_log_circle(-X.build_k_mu(X.HaarLog(), N))
     X.interpolation_oracle(X.ExpPeriodized(1.0), N)
 X.l1_error_exp(1.0); X.power_l1_constant(0.5); X.gamma_one_minus(0.5)
+X.l1_error_exp_quadrature(1.0, 2.0)
 X.f_mu(X.PowerSigma(0.5), xs)
 X.error_exp_integral_oracle(1.0, 0.3); X.error_exp_integral_oracle(0.05, 40.0)
 for spec in specs:
     X.error_mu_pointwise(X.EntireApproximant(spec, 1.0, spec.form), 0.7)
     X.error_mu_pointwise(X.EntireApproximant(spec, 2.0), -2.2)
 X.error_mu_pointwise(X.EntireApproximant(X.PowerSigma(1.5)), 0.0)
+for name in X.check_names():
+    assert X.reports_passed(X.run_cert_suite([name])), name
 
 power = json.dumps({"kind": "power", "sigma": 0.5})
 for argv in (["eval", "--kernel", "exp", "--lambda", "1", "--x", "0.3"],
@@ -66,95 +85,34 @@ for argv in (["eval", "--kernel", "exp", "--lambda", "1", "--x", "0.3"],
               "--degree", "4", "--samples", "13"],
              ["error-table", "--kernel", "exp", "--lambda", "0.5:2:0.5"],
              ["error-table", "--periodic", "--measure", "power", "--sigma", "1.5",
-              "--degree", "0:4"]):
+              "--degree", "0:4"],
+             ["error-table", "--kernel", "exp", "--lambda", "0.2:5:0.2", "--verify"],
+             ["error-table", "--periodic", "--kernel", "exp", "--lambda", "0.5:2:0.5",
+              "--degree", "3", "--verify"],
+             ["error-table", "--measure", "power", "--sigma", "1.5", "--verify"],
+             ["error-table", "--periodic", "--measure", "haar", "--degree", "0:4",
+              "--verify"],
+             ["verify", "--only", "thm1_1_lambda1"],
+             ["verify"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert xapprox.cli.main(argv) == 0, argv
 
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert not loaded, loaded[:5]
-X.integrate_ray(lambda t: np.exp(-t))
-assert "scipy.integrate" in sys.modules
 print("ok")
 """
 
 
-def test_exact_routes_load_no_scipy():
-    # a fresh process: pytest's own warning filters import scipy.integrate
-    src = os.path.dirname(os.path.dirname(os.path.abspath(xapprox.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    res = subprocess.run([sys.executable, "-c", _SCRIPT], env=env,
-                         capture_output=True, text=True, timeout=300)
-    assert res.returncode == 0, res.stderr[-2000:]
-    assert res.stdout.strip() == "ok"
-
-
-def test_measure_l1_quadrature_loads_no_scipy():
-    # its Watson constants run the fixed density rule, not QUADPACK; so
-    # does the CLI's check of the measure L1 errors
-    script = ("import contextlib, io, sys, xapprox as X, xapprox.cli\n"
-              "for spec in (X.HaarLog(), X.PowerSigma(0.5)):\n"
-              "    X.l1_error_mu_quadrature(spec); X.l1_error_mu_quadrature(spec, 2.0)\n"
-              "with contextlib.redirect_stdout(io.StringIO()):\n"
-              "    xapprox.cli.main(['error-table', '--measure', 'power', '--sigma', '1.5',\n"
-              "                      '--verify'])\n"
-              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(xapprox.__file__)))
-    res = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
-                         capture_output=True, text=True, timeout=300)
-    assert res.returncode == 0, res.stderr[-2000:]
-    assert res.stdout.strip() == "[]"
-
-
-# a finder that refuses every scipy module, so that an import of one fails
-_NO_SCIPY = r"""
-import sys
-
-class _NoScipy:
-    def find_spec(self, name, path=None, target=None):
-        if name.split(".")[0] == "scipy":
-            raise ImportError(f"{name} is refused")
-
-sys.meta_path.insert(0, _NoScipy())
-"""
-
-
-def test_verify_runs_without_scipy():
-    # every check of `xapprox verify`, in a fresh process that cannot import
-    # scipy, with RuntimeWarning and UserWarning as errors
-    script = _NO_SCIPY + (
-        "import contextlib, io, xapprox.cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    rc = xapprox.cli.main(['verify'])\n"
-        "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+def test_library_and_cli_run_without_scipy():
+    # a fresh process that cannot import scipy, with RuntimeWarning and
+    # UserWarning as errors
     src = os.path.dirname(os.path.dirname(os.path.abspath(xapprox.__file__)))
     res = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-W",
-                          "error::UserWarning", "-c", script],
+                          "error::UserWarning", "-c", _NO_SCIPY + _SCRIPT],
                          env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, res.stderr[-2000:]
-    assert res.stdout.strip() == "0 []"
-
-
-# the exp L1 quadrature and the CLI paths that run it for many lam at once
-_EXP_QUAD_CALLS = (
-    "X.l1_error_exp_quadrature(1.0, 2.0)",
-    "assert xapprox.cli.main(['verify', '--only', 'thm1_1_lambda1']) == 0",
-    "assert xapprox.cli.main(['error-table', '--kernel', 'exp', '--lambda', '0.2:5:0.2',"
-    " '--verify']) == 0",
-)
-
-
-@pytest.mark.parametrize("call", _EXP_QUAD_CALLS)
-def test_exp_l1_quadrature_loads_no_scipy(call):
-    script = ("import contextlib, io, sys, xapprox as X, xapprox.cli\n"
-              "with contextlib.redirect_stdout(io.StringIO()):\n"
-              f"    {call}\n"
-              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(xapprox.__file__)))
-    res = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
-                         capture_output=True, text=True, timeout=300)
-    assert res.returncode == 0, res.stderr[-2000:]
-    assert res.stdout.strip() == "[]"
+    assert res.stdout.strip() == "ok"
 
 
 # `import xapprox` is lazy: a public name loads its home module, and the

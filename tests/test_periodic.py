@@ -43,80 +43,137 @@ from xapprox.errors import QuadratureNonConvergence
 # --- TrigPoly mechanics -------------------------------------------------------
 
 def test_trigpoly_construction_and_coeff_access():
-    p = TrigPoly(1, {0: 2.0, 1: 0.5 - 0.25j, -1: 0.5 + 0.25j})
-    assert p.coeff(0) == 2.0 + 0.0j
-    assert p.coeff(1) == 0.5 - 0.25j
-    assert p.coeff(-1) == 0.5 + 0.25j
-    assert p.coeff(5) == 0.0 + 0.0j
+    c = [2.0, 0.5, -0.25]
+    p = TrigPoly(c)
+    assert p.degree == 2
+    assert p.coeff(0) == 2.0 and type(p.coeff(0)) is float
+    assert p.coeff(1) == p.coeff(-1) == 0.5
+    assert p.coeff(-2) == -0.25
+    assert p.coeff(5) == 0.0
+    assert p.coeffs.dtype == np.float64 and p.coeffs.tolist() == c
+    # coeffs is a copy, and the polynomial does not share its input
+    arr = np.array(c)
+    q = TrigPoly(arr)
+    arr[0] = 7.0
+    q.coeffs[1] = 7.0
+    assert q.coeffs.tolist() == c
 
 
 def test_trigpoly_validation():
     with pytest.raises(ValueError):
-        TrigPoly(-1, [])
+        TrigPoly([])
     with pytest.raises(ValueError):
-        TrigPoly(1, [1.0, 2.0])  # wrong length
+        TrigPoly(np.ones((2, 3)))
     with pytest.raises(ValueError):
-        TrigPoly(1, {2: 1.0})  # index beyond degree
+        TrigPoly(1.0)
     with pytest.raises(ValueError):
-        TrigPoly(1, [1.0, 0.0, 2.0])  # not Hermitian
+        TrigPoly(np.array([1.0, 0.5j]))  # real, even polynomials only
+    with pytest.raises(ValueError):
+        TrigPoly.from_json({"degree": -1, "coeffs": []})
 
 
 def test_trigpoly_eval_matches_exponential_sum():
     rng = np.random.default_rng(3)
     N = 4
-    pos = rng.normal(size=N) + 1j * rng.normal(size=N)
-    c = np.concatenate([pos[::-1].conj(), [rng.normal() + 0j], pos])
-    p = TrigPoly(N, c)
+    c = rng.normal(size=N + 1)
+    p = TrigPoly(c)
     x = rng.uniform(-2, 2, 20)
     n = np.arange(-N, N + 1)
-    direct = (np.exp(2j * np.pi * np.outer(x, n)) @ c).real
+    direct = (np.exp(2j * np.pi * np.outer(x, n)) @ c[np.abs(n)]).real
     assert np.allclose(p.eval(x), direct, rtol=0, atol=1e-12)
+    with mpmath.workdps(40):
+        errs = [abs(mpmath.mpf(float(v)) - _mp_value(p, xv)) for xv, v in zip(x, p.eval(x))]
+    # a few ulp of sum |c_n|, n = -N..N
+    assert float(max(errs)) <= 4e-16 * float(abs(c[0]) + 2.0 * np.sum(np.abs(c[1:])))
 
 
 def test_trigpoly_json_roundtrip():
-    p = TrigPoly(2, {0: 1.5, 1: 0.25 - 0.125j, -1: 0.25 + 0.125j,
-                     2: -0.5, -2: -0.5})
-    q = TrigPoly.from_json(p.to_json())
-    assert q.degree == p.degree
-    assert np.array_equal(q.coeffs, p.coeffs)
-    assert json.loads(p.to_json())["degree"] == 2
+    for p in (TrigPoly([1.5, 0.25, -0.5]), build_k(1.0, 300), -build_k_mu(HaarLog(), 64)):
+        q = TrigPoly.from_json(p.to_json())
+        assert q.degree == p.degree
+        assert q.coeffs.tobytes() == p.coeffs.tobytes()
+        assert q.to_json() == p.to_json()
+    obj = json.loads(TrigPoly([1.5, 0.25, -0.5]).to_json())
+    assert obj == {"degree": 2, "coeffs": [[-2, -0.5, 0.0], [-1, 0.25, 0.0], [0, 1.5, 0.0],
+                                           [1, 0.25, 0.0], [2, -0.5, 0.0]]}
+    # a decoded dict is accepted too, and rows left out are 0
+    assert TrigPoly.from_json({"degree": 2, "coeffs": [[0, 1.0, 0.0]]}).coeffs.tolist() == [
+        1.0, 0.0, 0.0]
+
+
+def test_trigpoly_from_json_accepts_cli_output(capsys):
+    from xapprox.cli import main
+
+    for argv in (["coeffs", "--kernel", "exp", "--lambda", "1", "--degree", "3"],
+                 ["coeffs", "--measure", "haar", "--degree", "8", "--negate-for-vn"]):
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        p = TrigPoly.from_json(text)
+        assert p.to_json() + "\n" == text
+    assert p.coeffs.tobytes() == (-build_k_mu(HaarLog(), 8)).coeffs.tobytes()
+
+
+@pytest.mark.parametrize("rows", [
+    [[-1, 0.5, 0.25], [0, 1.0, 0.0], [1, 0.5, -0.25]],  # Hermitian, not real
+    [[-1, -0.5, 0.0], [0, 1.0, 0.0], [1, 0.5, 0.0]],  # odd part
+    [[-1, 0.5, 0.0], [0, 1.0, 1e-3], [1, 0.5, 0.0]],  # complex c_0
+    [[-2, 0.5, 0.0], [0, 1.0, 0.0]],  # index beyond the degree
+], ids=["hermitian", "odd", "complex_c0", "index"])
+def test_trigpoly_from_json_rejects_odd_or_complex(rows):
+    with pytest.raises(ValueError):
+        TrigPoly.from_json({"degree": 1, "coeffs": rows})
+
+
+def test_trigpoly_from_json_tolerance():
+    # tolerance 1e-8 max(1, max |c_n|), 3e-6 here; the c_n, n >= 0, are kept
+    rows = [[-1, 300.0 + 2e-6, 0.0], [0, 1.0, 1e-6], [1, 300.0, 0.0]]
+    assert TrigPoly.from_json({"degree": 1, "coeffs": rows}).coeffs.tolist() == [1.0, 300.0]
+    rows[1][2] = 4e-6
+    with pytest.raises(ValueError):
+        TrigPoly.from_json({"degree": 1, "coeffs": rows})
 
 
 def test_trigpoly_bump_and_negation():
     p = build_k(1.0, 2)
     b = p.with_bumped_coeff(1, 1e-3)
-    assert b.coeff(1) == pytest.approx(p.coeff(1) + 1e-3)
-    assert b.coeff(-1) == pytest.approx(p.coeff(-1) + 1e-3)  # conjugate partner
+    assert b.coeff(1) == p.coeff(1) + 1e-3
+    assert b.coeff(-1) == b.coeff(1)  # c_{-1} moves with it
+    assert b.with_bumped_coeff(-1, -1e-3).coeff(1) == p.coeff(1) + 1e-3 - 1e-3
+    assert p.with_bumped_coeff(0, 1e-3).coeff(0) == p.coeff(0) + 1e-3
+    assert np.array_equal(np.delete(b.coeffs, 1), np.delete(p.coeffs, 1))
     n = -p
     assert n.coeff(0) == -p.coeff(0)
+    assert np.array_equal(n.coeffs, -p.coeffs)
     with pytest.raises(ValueError):
         p.with_bumped_coeff(5, 1e-3)
+    with pytest.raises(ValueError):
+        p.with_bumped_coeff(-3, 1e-3)
 
 
 # --- TrigPoly.eval: Reinsch's modified Clenshaw recurrence --------------------
 
 def _mp_value(poly, x):
-    """The polynomial at x in 40-digit arithmetic, term by term."""
-    N, c = poly.degree, poly.coeffs
+    """The polynomial at x in 40-digit arithmetic, term by term:
+    c_0 + 2 sum_k c_k cos 2 pi k x."""
+    c = poly.coeffs
     xm = mpmath.mpf(float(x))
-    acc = mpmath.mpf(float(c[N].real))
-    for k in range(1, N + 1):
-        acc += 2 * (mpmath.mpf(float(c[N + k].real)) * mpmath.cospi(2 * k * xm)
-                    - mpmath.mpf(float(c[N + k].imag)) * mpmath.sinpi(2 * k * xm))
+    acc = mpmath.mpf(float(c[0]))
+    for k in range(1, poly.degree + 1):
+        acc += 2 * mpmath.mpf(float(c[k])) * mpmath.cospi(2 * k * xm)
     return acc
 
 
-def _exact_sum(c, N, x):
-    """Direct exponential sum with n x reduced mod 1 exactly."""
+def _exact_sum(c, x):
+    """Direct cosine sum c_0 + 2 sum_n c_n cos(2 pi n x), n x reduced mod 1
+    exactly."""
     fx = Fraction(float(x))
-    fr = np.array([float((n * fx) % 1) for n in range(-N, N + 1)])
-    return float(np.sum(c.real * np.cos(2 * np.pi * fr) - c.imag * np.sin(2 * np.pi * fr)))
+    fr = np.array([float((n * fx) % 1) for n in range(1, c.size)])
+    return float(c[0] + 2.0 * np.sum(c[1:] * np.cos(2 * np.pi * fr)))
 
 
 def _half_shifted(poly):
     """x -> poly(x + 1/2): c_n -> (-1)^n c_n."""
-    n = np.arange(-poly.degree, poly.degree + 1)
-    return TrigPoly(poly.degree, poly.coeffs * (-1.0) ** n)
+    return TrigPoly(poly.coeffs * (-1.0) ** np.arange(poly.degree + 1))
 
 
 @pytest.mark.parametrize("make, xs, tol", [
@@ -145,16 +202,7 @@ def test_trigpoly_eval_is_exactly_even():
     assert np.array_equal(p.eval(np.concatenate([x, -x])), np.tile(p.eval(x), 2))
 
 
-def test_trigpoly_eval_sine_twin():
-    p = build_k(1.0, 8).with_bumped_coeff(3, 1e-3 + 2e-3j)
-    x = np.linspace(-0.5, 0.5, 101)
-    n = np.arange(-8, 9)
-    direct = (np.exp(2j * np.pi * np.outer(x, n)) @ p.coeffs).real
-    assert np.max(np.abs(p.eval(x) - direct)) <= 1e-15
-    assert p.eval(0.3) != p.eval(-0.3)
-
-
-@pytest.mark.parametrize("p", [build_k(1.0, 0), build_k(1.0, 5).with_bumped_coeff(5, 1e-3j),
+@pytest.mark.parametrize("p", [build_k(1.0, 0), build_k(1.0, 5).with_bumped_coeff(5, 1e-3),
                                build_k(1.0, 300)],
                          ids=["N0", "N5", "N300"])
 def test_trigpoly_eval_scalar_is_python_float(p):
@@ -200,13 +248,13 @@ def test_trigpoly_eval_matches_exact_sum_around_the_crossover(N):
     # points evaluated with it
     rng = np.random.default_rng(N)
     pos = rng.normal(size=N)
-    c = np.concatenate([pos[::-1], [rng.normal()], pos]) + 0j
-    p = TrigPoly(N, c)
+    c = np.concatenate([[rng.normal()], pos])
+    p = TrigPoly(c)
     xs = np.concatenate([rng.uniform(-2.0, 2.0, 12), [0.0, 0.25, 0.5, -0.5, 1e-9, 0.5 - 1e-12]])
     vals = p.eval(xs)
-    tol = 4e-15 * float(np.sum(np.abs(c)))
+    tol = 4e-15 * float(abs(c[0]) + 2.0 * np.sum(np.abs(pos)))  # sum |c_n|, n = -N..N
     for x, v in zip(xs, vals):
-        assert abs(v - _exact_sum(c, N, x)) <= tol
+        assert abs(v - _exact_sum(c, x)) <= tol
     assert np.array_equal(p.eval(-xs), vals)
     assert np.array_equal(p.eval(xs[3:6]), vals[3:6])
     many = np.concatenate([rng.uniform(-2.0, 2.0, 3000), xs])
@@ -214,16 +262,15 @@ def test_trigpoly_eval_matches_exact_sum_around_the_crossover(N):
 
 
 @settings(max_examples=60, deadline=None)
-@given(N=st.integers(0, 1000), seed=st.integers(0, 2**32 - 1), even=st.booleans(),
+@given(N=st.integers(0, 1000), seed=st.integers(0, 2**32 - 1),
        xs=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4))
-def test_trigpoly_eval_matches_direct_sum(N, seed, even, xs):
+def test_trigpoly_eval_matches_direct_sum(N, seed, xs):
     rng = np.random.default_rng(seed)
-    pos = rng.normal(size=N) + (0.0 if even else 1j * rng.normal(size=N))
-    c = np.concatenate([pos[::-1].conj(), [rng.normal() + 0j], pos])
-    p = TrigPoly(N, c)
-    tol = 1e-13 * float(np.sum(np.abs(c)))
+    c = rng.normal(size=N + 1)
+    p = TrigPoly(c)
+    tol = 1e-13 * float(abs(c[0]) + 2.0 * np.sum(np.abs(c[1:])))  # sum |c_n|, n = -N..N
     for x, v in zip(xs, p.eval(np.array(xs))):
-        assert abs(v - _exact_sum(c, N, x)) <= tol
+        assert abs(v - _exact_sum(c, x)) <= tol
 
 
 # --- periodized targets ---------------------------------------------------------
@@ -375,24 +422,6 @@ def test_eval_q_mu_power_continuous_through_sigma_one():
         assert np.max(np.abs(eval_q_mu(PowerSigma(sigma), xs) - haar)) <= 1e-8
 
 
-def test_eval_q_mu_power_calls_no_quadpack(monkeypatch):
-    import sys
-
-    import scipy.integrate
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("QUADPACK called")
-
-    monkeypatch.setattr(scipy.integrate, "quad", refuse)
-    for name, mod in list(sys.modules.items()):  # modules that bound quad by name
-        if name.startswith("xapprox.") and hasattr(mod, "quad"):
-            monkeypatch.setattr(mod, "quad", refuse)
-    for sigma in (0.05, 0.5, 1.5, 1.95):
-        eval_q_mu(PowerSigma(sigma), 0.3)
-        eval_q_mu(PowerSigma(sigma), np.linspace(0.01, 0.99, 7))
-    build_k_mu(PowerSigma(0.5), 8)
-
-
 @settings(max_examples=50, deadline=None)
 @given(sigma=st.floats(0.05, 1.95), x=st.floats(1e-9, 1.0 - 1e-9))
 def test_eval_q_mu_power_matches_mpmath_property(sigma, x):
@@ -522,6 +551,17 @@ def test_quadrature_reproduces_periodic_error():
     f = lambda x: eval_p(1.0, x) - poly.eval(x)
     assert circle_l1_abs(f, refined_sign_nodes(f, 1)) == pytest.approx(
         periodic_l1_error(1.0, 1), abs=1e-10)
+
+
+@pytest.mark.parametrize("lam", [0.01, 0.05, 0.3, 0.5, 1.0, 2.0, 5.0, 30.0, 300.0])
+def test_periodic_l1_quadrature_is_the_unit_point_mass_route(lam):
+    # the q_mu of one unit mass is 0.0 + 1.0 * eval_p, eval_p bit for bit,
+    # so the measure route gives the bits of the direct sign-split sum
+    for N in (0, 1, 3, 8, 64, 191, 192, 300, 1000):
+        poly = build_k(lam, N)
+        L = 2 * N + 2
+        direct = circle_l1_abs(lambda x: eval_p(lam, x) - poly.eval(x), (np.arange(L) + 0.5) / L)
+        assert periodic_l1_quadrature(lam, N) == direct, N
 
 
 def test_log_circle_error_haar():

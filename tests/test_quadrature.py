@@ -1,4 +1,4 @@
-"""Ray integrals, Gauss panels, sign-split cell sums."""
+"""Gauss panels, the density rule, sign-split cell sums."""
 
 import math
 
@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from xapprox import QuadratureNonConvergence, integrate_ray
+from xapprox import QuadratureNonConvergence
 from xapprox.expkernel import _watson_c1_c3
 from xapprox.quadrature import _density_integral, panel_nodes, reduce_cells_abs
 
@@ -15,28 +15,6 @@ def _panel(f, a, b, order=32):
     # one Gauss-Legendre panel over [a, b]
     pts, wts, half = panel_nodes([(a, b)], order)
     return float(f(pts) @ wts) * half[0]
-
-
-def test_integrate_ray_exponential():
-    assert integrate_ray(lambda x: np.exp(-x)) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_integrate_ray_endpoint_singularity():
-    # integrable x^{-1/2} singularity at the left endpoint
-    val = integrate_ray(lambda x: np.exp(-x) / np.sqrt(x))
-    assert val == pytest.approx(math.sqrt(math.pi), abs=1e-10)
-
-
-def test_integrate_ray_slow_tail_needs_bigger_cut():
-    # decay rate 0.01: default tail_cut=50 truncates at e^{-0.5}
-    f = lambda x: 0.01 * np.exp(-0.01 * x)
-    val = integrate_ray(f, tail_cut=4000.0)
-    assert val == pytest.approx(1.0, abs=1e-10)
-
-
-def test_integrate_ray_divergent_raises():
-    with pytest.raises(QuadratureNonConvergence):
-        integrate_ray(lambda x: 1.0 / (1.0 + x))
 
 
 def test_gauss_panel_polynomial_exactness():
