@@ -1,5 +1,6 @@
 """The certification suite's plumbing: registry, determinism, reporting."""
 
+import collections
 import json
 import tracemalloc
 
@@ -163,3 +164,23 @@ def test_catalan_series_check_runs_in_chunks():
     assert got == 1.1662436161232974  # the single cumsum's value
     assert abs(got - want) <= tol
     assert peak < 4 * 2**20
+
+
+def test_no_check_calls_quadpack(monkeypatch):
+    # every integral of the suite runs a fixed rule, the defining integral
+    # behind power_q_mu_closed_form included: no check calls QUADPACK
+    import scipy.integrate
+
+    quad = scipy.integrate.quad
+    calls = collections.Counter()
+    running = []
+
+    def counted(*args, **kwargs):
+        calls[running[-1]] += 1
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "quad", counted)
+    for name in check_names():
+        running.append(name)
+        assert reports_passed(run_cert_suite([name]))
+    assert not calls

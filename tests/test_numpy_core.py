@@ -32,10 +32,10 @@ sys.meta_path.insert(0, _NoScipy())
 """
 
 # Every exact route, the fixed-rule oracles (error_exp_integral_oracle and
-# error_mu_pointwise), the L1 quadratures, every certificate check alone and
-# in `verify`, and every CLI subcommand, --verify in each error-table mode
+# error_mu_pointwise), then the CLI, --verify in both periodic error-table
+# modes; the line modes and `verify` run in the tests below
 _SCRIPT = r"""
-import contextlib, io, json, sys
+import contextlib, io, json
 import numpy as np
 import xapprox as X
 import xapprox.cli
@@ -52,30 +52,23 @@ for spec in specs:
     for form in {X.TargetForm.RAW, spec.form}:
         X.eval_K_mu(X.EntireApproximant(spec, 1.0, form), xs + 0.1)
     X.l1_error_mu(spec); X.l1_error_mu_raw(spec, 2.0)
-    X.l1_error_mu_quadrature(spec); X.l1_error_mu_quadrature(spec, 2.0)
     X.eval_q_mu(spec, np.linspace(0.01, 0.99, 13)); X.eval_q_mu(spec, 0.3)
     for N in (0, 1, 8, 64):
         poly = X.build_k_mu(spec, N)
         poly.eval(0.2); poly.eval(xs)
         X.periodic_l1_error_mu(spec, N); _circle_l1_mu(spec, poly)
-for sigma in (0.05, 0.5, 1.5, 1.95):
-    X.eval_q_mu(X.PowerSigma(sigma), 0.3)
-    X.eval_q_mu(X.PowerSigma(sigma), np.linspace(0.01, 0.99, 7))
 for N in (0, 3, 64):
     X.build_k(1.0, N).eval(xs); X.periodic_l1_error(1.0, N)
     X.periodic_l1_quadrature(1.0, N)
     X.l1_vs_log_circle(-X.build_k_mu(X.HaarLog(), N))
     X.interpolation_oracle(X.ExpPeriodized(1.0), N)
 X.l1_error_exp(1.0); X.power_l1_constant(0.5); X.gamma_one_minus(0.5)
-X.l1_error_exp_quadrature(1.0, 2.0)
 X.f_mu(X.PowerSigma(0.5), xs)
 X.error_exp_integral_oracle(1.0, 0.3); X.error_exp_integral_oracle(0.05, 40.0)
 for spec in specs:
     X.error_mu_pointwise(X.EntireApproximant(spec, 1.0, spec.form), 0.7)
     X.error_mu_pointwise(X.EntireApproximant(spec, 2.0), -2.2)
 X.error_mu_pointwise(X.EntireApproximant(X.PowerSigma(1.5)), 0.0)
-for name in X.check_names():
-    assert X.reports_passed(X.run_cert_suite([name])), name
 
 power = json.dumps({"kind": "power", "sigma": 0.5})
 for argv in (["eval", "--kernel", "exp", "--lambda", "1", "--x", "0.3"],
@@ -86,33 +79,70 @@ for argv in (["eval", "--kernel", "exp", "--lambda", "1", "--x", "0.3"],
              ["error-table", "--kernel", "exp", "--lambda", "0.5:2:0.5"],
              ["error-table", "--periodic", "--measure", "power", "--sigma", "1.5",
               "--degree", "0:4"],
-             ["error-table", "--kernel", "exp", "--lambda", "0.2:5:0.2", "--verify"],
              ["error-table", "--periodic", "--kernel", "exp", "--lambda", "0.5:2:0.5",
               "--degree", "3", "--verify"],
-             ["error-table", "--measure", "power", "--sigma", "1.5", "--verify"],
              ["error-table", "--periodic", "--measure", "haar", "--degree", "0:4",
-              "--verify"],
-             ["verify", "--only", "thm1_1_lambda1"],
-             ["verify"]):
+              "--verify"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert xapprox.cli.main(argv) == 0, argv
-
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-assert not loaded, loaded[:5]
-print("ok")
 """
 
 
-def test_library_and_cli_run_without_scipy():
-    # a fresh process that cannot import scipy, with RuntimeWarning and
-    # UserWarning as errors
+def _run_without_scipy(script):
+    """Run script in a fresh process that cannot import scipy, with
+    RuntimeWarning and UserWarning as errors (pytest's own session may have
+    scipy loaded already); return the scipy modules it left loaded."""
+    probe = "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     src = os.path.dirname(os.path.dirname(os.path.abspath(xapprox.__file__)))
     res = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-W",
-                          "error::UserWarning", "-c", _NO_SCIPY + _SCRIPT],
+                          "error::UserWarning", "-c", _NO_SCIPY + script + probe],
                          env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, res.stderr[-2000:]
-    assert res.stdout.strip() == "ok"
+    return res.stdout.strip()
+
+
+def test_exact_routes_load_no_scipy():
+    assert _run_without_scipy(_SCRIPT) == "[]"
+
+
+def test_measure_l1_quadrature_loads_no_scipy():
+    # its Watson constants run the fixed density rule, not QUADPACK; so
+    # does the CLI's check of the measure L1 errors
+    script = ("import contextlib, io, xapprox as X, xapprox.cli\n"
+              "for spec in (X.HaarLog(), X.PowerSigma(0.5), X.PowerSigma(1.5),\n"
+              "             X.PointMasses(((1.0, 1.0), (3.0, 0.5)))):\n"
+              "    X.l1_error_mu_quadrature(spec); X.l1_error_mu_quadrature(spec, 2.0)\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    assert xapprox.cli.main(['error-table', '--measure', 'power',\n"
+              "                             '--sigma', '1.5', '--verify']) == 0\n")
+    assert _run_without_scipy(script) == "[]"
+
+
+def test_verify_runs_without_scipy():
+    # every check of `xapprox verify`
+    script = ("import contextlib, io, xapprox.cli\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    rc = xapprox.cli.main(['verify'])\n"
+              "print(rc)\n")
+    assert _run_without_scipy(script) == "0\n[]"
+
+
+# the exp L1 quadrature and the CLI paths that run it for many lam at once
+_EXP_QUAD_CALLS = (
+    "X.l1_error_exp_quadrature(1.0, 2.0)",
+    "assert xapprox.cli.main(['verify', '--only', 'thm1_1_lambda1']) == 0",
+    "assert xapprox.cli.main(['error-table', '--kernel', 'exp', '--lambda', '0.2:5:0.2',"
+    " '--verify']) == 0",
+)
+
+
+@pytest.mark.parametrize("call", _EXP_QUAD_CALLS)
+def test_exp_l1_quadrature_loads_no_scipy(call):
+    script = ("import contextlib, io, xapprox as X, xapprox.cli\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"    {call}\n")
+    assert _run_without_scipy(script) == "[]"
 
 
 # `import xapprox` is lazy: a public name loads its home module, and the

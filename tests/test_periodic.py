@@ -422,6 +422,24 @@ def test_eval_q_mu_power_continuous_through_sigma_one():
         assert np.max(np.abs(eval_q_mu(PowerSigma(sigma), xs) - haar)) <= 1e-8
 
 
+def test_eval_q_mu_power_calls_no_quadpack(monkeypatch):
+    import sys
+
+    import scipy.integrate
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("QUADPACK called")
+
+    monkeypatch.setattr(scipy.integrate, "quad", refuse)
+    for name, mod in list(sys.modules.items()):  # modules that bound quad by name
+        if name.startswith("xapprox.") and hasattr(mod, "quad"):
+            monkeypatch.setattr(mod, "quad", refuse)
+    for sigma in (0.05, 0.5, 1.5, 1.95):
+        eval_q_mu(PowerSigma(sigma), 0.3)
+        eval_q_mu(PowerSigma(sigma), np.linspace(0.01, 0.99, 7))
+    build_k_mu(PowerSigma(0.5), 8)
+
+
 @settings(max_examples=50, deadline=None)
 @given(sigma=st.floats(0.05, 1.95), x=st.floats(1e-9, 1.0 - 1e-9))
 def test_eval_q_mu_power_matches_mpmath_property(sigma, x):
