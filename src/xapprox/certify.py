@@ -211,7 +211,7 @@ def _l1_exp_moment(sigma, what):
     # integrated exactly
     return float(_density_integral(
         lambda lam: (2.0 / lam) * one_minus_sech(0.5 * lam), sigma, 0.5, what,
-        far=lambda lam: -(2.0 / lam) * sech(0.5 * lam), slow=2.0))
+        far=lambda lam, wt: wt @ (-(2.0 / lam) * sech(0.5 * lam)), slow=2.0))
 
 
 def _chk_haar_1d():
@@ -250,7 +250,7 @@ def _chk_pointwise_mu():
         for x in (0.3, 0.7, 2.2, 7.1):
             direct = float(spec.natural_target(np.array([x]))[0]) - eval_K_mu(a, x)
             worst = max(worst, abs(error_mu_pointwise(a, x) - direct))
-    return worst, 0.0, 1e-12
+    return worst, 0.0, 1e-13
 
 
 # --- periodic checks --------------------------------------------------------
@@ -326,14 +326,11 @@ def _coeffs_by_quadrature(spec, N):
 
     sigma = spec.density_power
     if sigma is None:
-        lam, w = np.array(spec.masses).T
-        c = w @ head(lam)
-    else:
-        slow = np.zeros(N + 1)
-        slow[0] = -2.0
-        c = _density_integral(head, sigma, 0.5 / L,
-                              f"{spec!r} coefficients at N={N}", far=khat, slow=slow)
-    return c
+        return spec.integrate(lambda lam, w: w @ head(lam))
+    slow = np.zeros(N + 1)
+    slow[0] = -2.0
+    return _density_integral(head, sigma, 0.5 / L, f"{spec!r} coefficients at N={N}",
+                             far=lambda lam, w: w @ khat(lam), slow=slow)
 
 
 def _chk_cross_measure(specs, degrees, tol):
@@ -370,8 +367,8 @@ def _q_mu_by_quadrature(sigma, x):
     def p(lam):
         return first(lam) - (2.0 / lam) * one_minus_x_csch(0.5 * lam)
 
-    def far(lam):  # p + 2/lam, less the constant 1 at integers
-        return (first(lam) if v else first(lam) - 1.0) + csch(0.5 * lam)
+    def far(lam, wt):  # p + 2/lam, less the constant 1 at integers
+        return wt @ ((first(lam) if v else first(lam) - 1.0) + csch(0.5 * lam))
 
     q = _density_integral(p, sigma, v or 0.5, f"q_mu at x={xf!r}", far=far, slow=-2.0)
     return float(q) + (0.0 if v else _DENSITY_HEAD ** (1.0 - sigma) / (sigma - 1.0))

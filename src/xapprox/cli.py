@@ -134,6 +134,8 @@ def _parse_grid(text, name):
         a, b, step = nums
     else:
         raise CliError(f"bad {name} range {text!r} (want start:stop[:step])")
+    if not all(map(math.isfinite, nums)):
+        raise CliError(f"bad {name} range {text!r} (its ends and step must be finite)")
     if not step > 0:
         raise CliError(f"{name} range step must be positive")
     n = int(math.floor((b - a) / step + 1e-9)) + 1
@@ -148,27 +150,39 @@ def _single(values, name):
     return values[0]
 
 
-def _get_lambda(args):
+def _lambdas(args):
+    """Every --lambda value, each finite and positive."""
     if args.lam is None:
         raise CliError("--lambda is required in kernel mode")
-    lam = _single(_parse_grid(args.lam, "--lambda"), "--lambda")
-    if not lam > 0:
-        raise CliError("--lambda must be positive")
-    return lam
+    lams = _parse_grid(args.lam, "--lambda")
+    if not all(math.isfinite(v) and v > 0 for v in lams):
+        raise CliError(f"--lambda must be finite and positive, got {args.lam}")
+    return lams
+
+
+def _degrees(args):
+    """Every --degree value, each a nonnegative integer."""
+    if args.degree is None:
+        raise CliError("--degree is required here")
+    raw = _parse_grid(args.degree, "--degree")
+    if not all(math.isfinite(v) and v >= 0 and int(v) == v for v in raw):
+        raise CliError(f"--degree must hold nonnegative integers, got {args.degree}")
+    return [int(v) for v in raw]
+
+
+def _get_lambda(args):
+    return _single(_lambdas(args), "--lambda")
 
 
 def _get_degree(args):
-    if args.degree is None:
-        raise CliError("--degree is required here")
-    raw = _single(_parse_grid(args.degree, "--degree"), "--degree")
-    n = int(raw)
-    if n != raw or n < 0:
-        raise CliError(f"--degree must be a nonnegative integer, got {args.degree}")
-    return n
+    return _single(_degrees(args), "--degree")
 
 
 def _resolve_measure(args):
-    """None in kernel mode, else a measure family object."""
+    """None in kernel mode, else a measure family object.  Every model
+    command starts here, so a bad --delta is refused first."""
+    if not (math.isfinite(args.delta) and args.delta > 0):
+        raise CliError(f"--delta must be finite and positive, got {args.delta}")
     if args.measure is not None and args.kernel is not None:
         raise CliError("give either --kernel or --measure, not both")
     if args.measure is None:
@@ -303,9 +317,7 @@ def cmd_error_table(args):
     spec = _resolve_measure(args)
     rows = []
     if spec is None:
-        if args.lam is None:
-            raise CliError("--lambda is required in kernel mode")
-        lams = _parse_grid(args.lam, "--lambda")
+        lams = _lambdas(args)
         if args.periodic:
             N = _get_degree(args)
             for lam in lams:
@@ -319,10 +331,7 @@ def cmd_error_table(args):
                         if args.verify else None)
                 rows.append((lam, closed, quad))
     elif args.degree is not None:
-        for raw in _parse_grid(args.degree, "--degree"):
-            N = int(raw)
-            if N != raw or N < 0:
-                raise CliError("--degree grid must hold nonnegative integers")
+        for N in _degrees(args):
             closed = periodic_l1_error_mu(spec, N)
             quad = _circle_l1_mu(spec, build_k_mu(spec, N)) if args.verify else None
             rows.append((N, closed, quad))

@@ -27,10 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergentAtZero, QuadratureNonConvergence
-from .expkernel import ExpKernel, _oracle, _watson_c1_c3, error_exp
+from .errors import DivergentAtZero
+from .expkernel import _oracle, _watson_c1_c3
 from .measures import TargetForm, f_mu, validate
-from .quadrature import _density_integral, _gauss_jacobi, _panel_rule
+from .quadrature import _DENSITY_HEAD, _density_integral
 from .series import _cardinal_sum, _cell_integrals, _cell_operator, _dilate
 
 __all__ = [
@@ -90,84 +90,60 @@ def _form_map(a: EntireApproximant, raw_err: float) -> float:
     return raw_err if a.form is TargetForm.RAW else raw_err / a.spec.form_scale
 
 
-# The lam-rule of error_mu_pointwise, in l = lam/delta: Gauss-Jacobi nodes
-# on [0, _S0], then Gauss-Legendre nodes per doubling panel beyond; the
-# rule and its higher-order twin
-_S0 = 0.25
-_LAM_RULES = ((32, 24), (48, 32))
-
-
 def error_mu_pointwise(a: EntireApproximant, x: float) -> float:
     """Target-form pointwise error at x, via the quadrature identity
 
         f_mu(x) - raw(x) = integral of {e^{-lam|x|} - K(lam/d, d x)} dmu,
 
-    independent of the interpolation series (its test oracle).  Point
-    masses give an exact weighted sum.  For the density lam^{-sigma}
-    (sigma = 1 for Haar) a fixed rule in l = lam/delta integrates
-    G(l) l^{-sigma}, G(l) = e^{-l w} - K(l, w) at w = delta|x|:
-    Gauss-Jacobi for the weight l^{1-sigma} applied to G/l on [0, 1/4],
-    with G from the positive integral representation of
-    error_exp_integral_oracle, where the series would need
-    prohibitively many nodes; then Gauss-Legendre panels [2^k/4,
-    2^{k+1}/4] until e^{-min(w, 1/2) l} is negligible, whose weighted sum
-    is the error of a point-mass measure and takes one series
-    evaluation.  At x = 0, G = (4/pi) arctan(tanh(l/4)) in closed form.
-    The integral is held to 1e-10 absolute and 1e-10 relative error
-    against a higher-order twin rule, or QuadratureNonConvergence is
-    raised; a non-finite x raises ValueError.
+    independent of the interpolation series (its test oracle).  In
+    l = lam/delta the integrand is G(l) = e^{-l w} - K(l, w), w = delta|x|.
+    Point masses c_j at l_j give the exact sum of c_j G(l_j): their
+    targets minus one cardinal series with node data sum_j c_j e^{-l_j xi}.
+    A density lam^{-sigma} (sigma = 1 for Haar) gives
+    delta^{1-sigma} int G(l) l^{-sigma} dl by quadrature's density rule.
+    G meets that rule's conditions: the series of K converges for
+    Re l > 0, so G is analytic there, its singularities the branch points
+    l = +-(2k+1) pi i on the imaginary axis; G/l is analytic on [0, 4];
+    and G decays like e^{-min(w, 1/2) l}.  On the rule's head [0, 4], G
+    comes from the positive integral representation of
+    error_exp_integral_oracle, where the series would need prohibitively
+    many nodes; beyond, the panel nodes and weights of each twin are point
+    masses again, summed by one series.  At x = 0,
+    G = (4/pi) arctan(tanh(l/4)) in closed form, and its limit 1 is
+    integrated exactly beyond the head.  The rule's twin check holds the
+    integral to 1e-10 absolute and 1e-10 relative error, or
+    QuadratureNonConvergence is raised; a non-finite x raises ValueError.
     """
     spec, delta = a.spec, a.delta
     ax = abs(float(x))
     if not math.isfinite(ax):
         raise ValueError(f"x must be finite, got {x}")
+    w = delta * ax
+
+    def masses(l, wt):  # point masses wt at l: their targets minus one series
+        def phi(xi):
+            return np.exp(-np.multiply.outer(xi, l)) @ wt
+        return float(wt @ np.exp(-l * w)) - float(_cardinal_sum(phi, np.array([w]))[0])
+
     sigma = spec.density_power
     if sigma is None:  # discrete measure: an exact weighted sum
-        raw = spec.integrate(
-            lambda lams: [float(error_exp(ExpKernel(l, delta), ax)) for l in lams])
-        return _form_map(a, raw)
+        return _form_map(a, spec.integrate(lambda lam, wt: masses(lam / delta, wt)))
     if ax == 0.0 and f_mu(spec, 0.0) == math.inf:
         raise DivergentAtZero("target is infinite at x = 0 for this measure")
-
-    w = delta * ax
-    beta = 1.0 - sigma
-    heads = [_gauss_jacobi(nj, beta) for nj, _ in _LAM_RULES]
-    ls = np.concatenate([0.5 * _S0 * (1.0 + t) for t, _ in heads])
-    if w == 0.0:
-        g = (4.0 / math.pi) * np.arctan(np.tanh(0.25 * ls))
+    what = f"pointwise error at x={x}"
+    if w == 0.0:  # G - 1 beyond the head, and the 1 integrated exactly
+        raw = _density_integral(
+            lambda l: (4.0 / math.pi) * np.arctan(np.tanh(0.25 * l)), sigma, 0.5, what,
+            far=lambda l, wt: -(4.0 / math.pi) * float(wt @ np.arctan(np.exp(-0.5 * l))))
+        raw += _DENSITY_HEAD ** (1.0 - sigma) / (sigma - 1.0)
     else:
-        g = _oracle(ls, w)
-    g_over_l = np.split(g / ls, [_LAM_RULES[0][0]])
-    # doubling panels until e^{-r l}/r < e^{-42}, r the decay rate of G
-    r = 0.5 if w == 0.0 else min(w, 0.5)
-    k = max(1, math.ceil(math.log2((42.0 - math.log(r)) / (r * _S0))))
-    edges = _S0 * 2.0 ** np.arange(k + 1.0)
-    vals = []
-    for (_, ng), (_, wj), gl in zip(_LAM_RULES, heads, g_over_l):
-        head = (0.5 * _S0) ** (beta + 1.0) * float(gl @ wj)
-        lt, wt = _panel_rule(edges, ng)
-        wt = wt * lt ** (-sigma)
-        if w == 0.0:  # the 1 in G integrated exactly over [_S0, inf)
-            tail = (_S0 ** beta / (sigma - 1.0)
-                    - (4.0 / math.pi) * float(wt @ np.arctan(np.exp(-0.5 * lt))))
-        else:  # point masses wt at lt: their targets minus one series
-            def phi(xi, lt=lt, wt=wt):
-                return np.exp(-np.multiply.outer(xi, lt)) @ wt
-            tail = (float(wt @ np.exp(-lt * w))
-                    - float(_cardinal_sum(phi, np.array([w]))[0]))
-        vals.append(delta ** beta * (head + tail))
-    if not (math.isfinite(vals[1])
-            and abs(vals[1] - vals[0]) <= 1e-10 * (1.0 + abs(vals[1]))):
-        raise QuadratureNonConvergence(
-            f"pointwise error at x={x}: twin rules give {vals[0]!r} and {vals[1]!r}")
-    return _form_map(a, vals[1])
+        raw = _density_integral(lambda l: _oracle(l, w), sigma, min(w, 0.5), what, far=masses)
+    return _form_map(a, delta ** (1.0 - sigma) * float(raw))
 
 
 def l1_error_mu_raw(spec, delta: float = 1.0) -> float:
     """L1(R) error of the raw-form approximant, in closed form."""
-    validate(spec)
-    if not delta > 0:
-        raise ValueError("delta must be positive")
+    EntireApproximant(spec, delta)  # the checks of spec and delta
     return spec.l1_raw(delta)
 
 
@@ -194,9 +170,7 @@ def l1_error_mu_quadrature(spec, delta: float = 1.0) -> float:
     axis, as the rule needs), so no route here needs scipy.  Raises
     ValueError unless delta is finite and positive.
     """
-    validate(spec)
-    if not (math.isfinite(delta) and delta > 0):
-        raise ValueError(f"delta must be positive, got {delta}")
+    EntireApproximant(spec, delta)  # the checks of spec and delta
     K = 50
     pts, wts, _ = _cell_operator(K)
     target = np.einsum("cj,cj->c", wts, f_mu(spec, pts / delta)) / delta
@@ -210,14 +184,16 @@ def l1_error_mu_quadrature(spec, delta: float = 1.0) -> float:
         # singularity)
         per_cell[0] = abs(f_cell0 - approx[0])
     body = float(np.sum(per_cell))
+
+    def watson(u):  # the integrands C^{(1)} and C^{(3)} as two columns
+        return np.column_stack(_watson_c1_c3(u))
+
     sigma = spec.density_power
-    if sigma is None:  # point masses: exact weighted sums
-        c2 = spec.integrate(lambda l: _watson_c1_c3(l / delta)[0])
-        c4 = spec.integrate(lambda l: _watson_c1_c3(l / delta)[1])
+    if sigma is None:  # point masses: an exact weighted sum
+        c2, c4 = spec.integrate(lambda lam, wt: wt @ watson(lam / delta))
     else:  # lam = delta u: delta^{1-sigma} int C^{(k)}(u) u^{-sigma} du
-        c2, c4 = map(float, delta ** (1.0 - sigma) * _density_integral(
-            lambda u: np.column_stack(_watson_c1_c3(u)), sigma, 0.5,
-            f"{spec!r} Watson constants at delta={delta}"))
+        c2, c4 = delta ** (1.0 - sigma) * _density_integral(
+            watson, sigma, 0.5, f"{spec!r} Watson constants at delta={delta}")
     tw = K + 0.5
     tail = (4.0 / math.pi**2) * (c2 / tw + c4 / (3.0 * tw**3)) / delta
-    return 2.0 * body + 2.0 * tail
+    return float(2.0 * body + 2.0 * tail)

@@ -77,6 +77,7 @@ def eval_K(kernel: ExpKernel, z):
 
 def k_value_at_zero(lam: float, delta: float = 1.0) -> float:
     """K(lam/delta, 0) = (4/pi) arctan(e^{-lam/(2 delta)}) in closed form."""
+    ExpKernel(lam, delta)  # the checks of lam > 0 and delta > 0
     return (4.0 / math.pi) * math.atan(math.exp(-0.5 * lam / delta))
 
 
@@ -105,8 +106,7 @@ def _khat(lam_p, u):
 
 def l1_error_exp(lam: float, delta: float = 1.0) -> float:
     """Exact minimal L1(R) error (2/lam)(1 - sech(lam/(2 delta)))."""
-    if not lam > 0 or not delta > 0:
-        raise ValueError("lam and delta must be positive")
+    ExpKernel(lam, delta)  # the checks of lam > 0 and delta > 0
     return (2.0 / lam) * float(one_minus_sech(0.5 * lam / delta))
 
 

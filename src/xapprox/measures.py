@@ -61,7 +61,7 @@ class _Family:
     form, form_scale   natural form; its errors are raw errors / form_scale
     f_mu(ax)           raw target at |x| = ax (1-D array)
     density_power      s of the density lam^{-s} against dlam; None for a
-                       discrete measure, which has integrate(g) instead
+                       discrete measure, which has integrate(far) instead
     raw_frame(delta)   (phi, prefactor, offset): the raw approximant is
                        prefactor * KK(phi, delta*z) + offset
     cell0_integral(b)  integral of f_mu over [0, b]; None if f_mu is smooth
@@ -118,10 +118,10 @@ class PointMasses(_Family):
         lam, w = self._arrays()
         return (np.exp(-np.multiply.outer(ax, lam)) - np.exp(-lam)) @ w
 
-    def integrate(self, g):
-        """The exact weighted sum of g(lam) dmu, g taking ndarray input."""
-        lam, w = self._arrays()
-        return float(np.dot(w, np.asarray(g(lam), dtype=float)))
+    def integrate(self, far):
+        """The exact integral of g dmu: far(lam, w), the weighted evaluator
+        of quadrature's density rule, returns sum w g(lam) over the masses."""
+        return far(*self._arrays())
 
     def raw_frame(self, delta):
         lam, wts = self._arrays()

@@ -315,6 +315,13 @@ def eval_q_mu(spec, x):
     return spec.q_mu(x)
 
 
+def _degree(N) -> int:
+    """N as an int; ValueError unless it is a nonnegative integer."""
+    if not (math.isfinite(N) and N >= 0 and int(N) == N):
+        raise ValueError(f"N must be a nonnegative integer, got {N}")
+    return int(N)
+
+
 def build_k(lam: float, N: int) -> TrigPoly:
     """Optimal degree-N polynomial for p(lam, .): coefficients are the
     sampled line-kernel transform,
@@ -323,10 +330,8 @@ def build_k(lam: float, N: int) -> TrigPoly:
         c_n = (1/L) Khat(lam/L, n/L),
 
     the c_0 form avoiding the 2/lam-vs-csch cancellation at small lam."""
-    if not lam > 0:
-        raise ValueError("lam must be positive")
-    if N < 0 or int(N) != N:
-        raise ValueError("N must be a nonnegative integer")
+    ExpPeriodized(lam)  # the check of lam > 0
+    N = _degree(N)
     L = 2 * N + 2
     c = np.empty(N + 1)
     c[0] = -(2.0 / lam) * float(one_minus_x_csch(0.5 * lam / L))
@@ -338,8 +343,7 @@ def build_k_mu(spec, N: int) -> TrigPoly:
     """Measure version of build_k: the optimal polynomial interpolates
     q_mu at the 2N+2 shifted nodes, so its coefficients are one DCT-II
     of q_mu at the N+1 distinct nodes (q_mu is even)."""
-    if N < 0 or int(N) != N:
-        raise ValueError("N must be a nonnegative integer")
+    N = _degree(N)
     L = 2 * N + 2
     vals = eval_q_mu(spec, (np.arange(N + 1) + 0.5) / L)
     return TrigPoly(_dct2(vals) / L)
@@ -358,13 +362,13 @@ def _dct2(x):
 def periodic_l1_error(lam: float, N: int) -> float:
     """Exact optimal L1(R/Z) error (2/lam)(1 - sech(lam/(4N+4))): the
     line error at type 2N+2."""
-    return l1_error_exp(lam, 2 * N + 2)
+    return l1_error_exp(lam, 2 * _degree(N) + 2)
 
 
 def periodic_l1_error_mu(spec, N: int) -> float:
     """Closed-form optimal L1(R/Z) error for q_mu at degree N: the line
     error of the raw approximant at type 2N+2."""
-    return l1_error_mu_raw(spec, 2 * N + 2)
+    return l1_error_mu_raw(spec, 2 * _degree(N) + 2)
 
 
 def interpolation_oracle(target, N: int) -> TrigPoly:

@@ -2,13 +2,12 @@
 
 Every integral the library computes runs a fixed rule on a known
 interval, where the integrand is analytic: Gauss-Legendre panels (the
-sign-constant cells of the L1 integrals, the oracles' w- and
-lambda-panels) and Gauss-Jacobi nodes for an algebraic endpoint weight
-(the lambda-rule of error_mu_pointwise, and the density rule behind the
-certificate's measure integrals: the coefficients of the theorem's K-hat
-route, the Watson constants of the line L1 tail, the two 1-D identities
-and the defining integral of the periodized power target).  Their node
-tables are cached and read-only.
+sign-constant cells of the L1 integrals, the oracles' w-panels) and
+Gauss-Jacobi nodes for an algebraic endpoint weight, which meet in the
+density rule behind every integral against lam^{-sigma} dlam: the
+pointwise error of the measure approximants, the Watson constants of the
+line L1 tail, and the certificate's K-hat coefficients, 1-D identities
+and periodized power target.  Their node tables are cached and read-only.
 """
 
 from __future__ import annotations
@@ -90,37 +89,48 @@ _DENSITY_ORDERS = (16, 24)
 _DENSITY_HEAD = 4.0
 
 
+@lru_cache(maxsize=64)
+def _density_panels(k: int, order: int):
+    """The density rule's k doubling panels beyond its head at one order,
+    flattened as by _panel_rule; cached by (k, order) and read-only."""
+    lt, wt = _panel_rule(_DENSITY_HEAD * 2.0 ** np.arange(k + 1.0), order)
+    lt.flags.writeable = wt.flags.writeable = False
+    return lt, wt
+
+
 def _density_integral(g, sigma, rate, what, far=None, slow=0.0):
     """int_0^inf g(lam) lam^{-sigma} dlam, 0 < sigma < 2, by a fixed rule.
 
     g maps an array of n nodes to n values, or to an (n, k) array of k
-    integrands at once (the result is then a length-k array); g/lam must
-    be analytic near [0, a], a = _DENSITY_HEAD = 4.  On [0, a] Gauss-Jacobi nodes for the
-    weight lam^{1-sigma} are applied to g/lam.  Beyond a, doubling
-    Gauss-Legendre panels [a 2^k, a 2^{k+1}] run out to where
-    e^{-rate lam}, g's exponential part, is below e^{-40}.  g's complex
-    poles must lie on the imaginary axis (as those of K-hat and sech do):
-    each panel then sees them no nearer, in units of its half-width, than
-    lam = 0 (three half-widths from its centre), so no panel width
-    depends on g.  There g may be given as
-    far(lam) + slow/lam: far is integrated by the panels and the slowly
-    decaying slow/lam exactly, slow a^{-sigma}/sigma.  Orders 16 (head
-    and panels) and a twin of order 24 must agree within 1e-10 absolute
-    plus 1e-10 relative and be finite, or QuadratureNonConvergence is
-    raised, naming `what`, sigma and both estimates.
+    integrands at once (the result is then a length-k array).  On [0, a],
+    a = _DENSITY_HEAD = 4, Gauss-Jacobi nodes for the weight lam^{1-sigma}
+    are applied to g/lam, which must be analytic near [0, a].  Beyond a,
+    doubling Gauss-Legendre panels [a 2^k, a 2^{k+1}] run out to where
+    e^{-rate lam}, g's exponential part, is below e^{-40}.  g must be
+    analytic for Re lam > 0 (the poles of K-hat and sech and the branch
+    points of the pointwise error lie on the imaginary axis): each panel
+    then sees its singularities no nearer, in units of its half-width,
+    than lam = 0, three half-widths from its centre, so no panel width
+    depends on g.  There g may be given as far + slow/lam: far(nodes,
+    weights), by default weights @ g(nodes), sums the panels, which a
+    caller may take as point masses, and slow/lam is integrated exactly,
+    slow a^{-sigma}/sigma.  Orders 16 (head and panels) and a twin of
+    order 24 must agree within 1e-10 absolute plus 1e-10 relative and be
+    finite, or QuadratureNonConvergence is raised, naming `what`, sigma
+    and both estimates.
     """
     a = _DENSITY_HEAD
-    edges = a * 2.0 ** np.arange(max(1, math.ceil(math.log2(40.0 / (rate * a)))) + 1.0)
+    k = max(1, math.ceil(math.log2(40.0 / (rate * a))))
     heads = [_gauss_jacobi(n, 1.0 - sigma) for n in _DENSITY_ORDERS]
-    panels = [_panel_rule(edges, n) for n in _DENSITY_ORDERS]
     lh = [0.5 * a * (1.0 + t) for t, _ in heads]
-    # one evaluation over the head nodes of both rules, one over their panels
+    # one evaluation over the head nodes of both rules
     gh = np.split(g(np.concatenate(lh)), [lh[0].size])
-    gf = np.split((far or g)(np.concatenate([lt for lt, _ in panels])), [panels[0][0].size])
+    far = far or (lambda lam, wt: wt @ g(lam))
     est = []
-    for (_, wj), lam, vh, (lt, wt), vf in zip(heads, lh, gh, panels, gf):
+    for n, (_, wj), lam, vh in zip(_DENSITY_ORDERS, heads, lh, gh):
+        lt, wt = _density_panels(k, n)
         head = (0.5 * a) ** (2.0 - sigma) * (wj / lam) @ vh
-        est.append(head + (wt * lt ** (-sigma)) @ vf + slow * a ** (-sigma) / sigma)
+        est.append(head + far(lt, wt * lt ** (-sigma)) + slow * a ** (-sigma) / sigma)
     lo, hi = est
     bad = ~(np.isfinite(hi) & (np.abs(hi - lo) <= 1e-10 + 1e-10 * np.abs(hi)))
     if np.any(bad):

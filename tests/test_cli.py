@@ -186,6 +186,30 @@ def test_error_table_empty_grid_rejected(capsys):
     assert "grid" in err or "empty" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("eval", "--kernel", "exp", "--lambda", "1", "--x", "0.3", "--delta", "-1"),
+    ("eval", "--measure", "haar", "--x", "0.3", "--delta", "0"),
+    ("eval", "--measure", "haar", "--x", "0.3", "--delta", "nan"),
+    ("error-table", "--measure", "haar", "--delta", "inf"),
+    ("error-table", "--kernel", "exp", "--lambda", "1", "--delta", "abc"),
+    ("error-table", "--kernel", "exp", "--lambda", "0:1:0.5"),
+    ("error-table", "--kernel", "exp", "--lambda", "nan:1"),
+    ("error-table", "--kernel", "exp", "--lambda", "1:inf"),
+    ("error-table", "--kernel", "exp", "--lambda", "1", "--periodic", "--degree", "0:inf"),
+    ("eval", "--lambda", "inf", "--x", "0.3"),
+    ("plot-data", "--lambda", "-2", "--x-range", "0:1", "--samples", "3"),
+    ("coeffs", "--measure", "haar", "--degree", "inf"),
+    ("coeffs", "--measure", "haar", "--degree", "nan"),
+], ids=" ".join)
+def test_bad_numeric_model_flags_exit_2_without_a_traceback(capsys, argv):
+    # exit 1 means a failed verification, so a bad flag must never reach a
+    # library ValueError, nor a non-finite --delta print a number
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and "Traceback" not in err
+
+
 # --- plot-data -----------------------------------------------------------------------
 
 def test_plot_data_row_count_and_default_periodic_range(capsys):

@@ -1,6 +1,7 @@
 """Measure-integrated entire approximants: values and errors."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,7 +23,7 @@ from xapprox import (
     l1_error_mu_raw,
     power_l1_constant,
 )
-from xapprox import entire
+from xapprox import quadrature
 
 HAAR_LOG = EntireApproximant(HaarLog(), 1.0, TargetForm.LOG)
 
@@ -144,12 +145,28 @@ def test_pointwise_error_rejects_non_finite_x():
 
 
 def test_pointwise_error_raises_when_twin_rules_disagree(monkeypatch):
-    # a two-node twin cannot reach the 1e-10 agreement
-    monkeypatch.setattr(entire, "_LAM_RULES", ((32, 24), (2, 2)))
+    # a two-node twin of the density rule cannot reach the 1e-10 agreement
+    monkeypatch.setattr(quadrature, "_DENSITY_ORDERS", (16, 2))
     for x in (0.7, 0.0):
         a = EntireApproximant(PowerSigma(1.5), 1.0, TargetForm.POWER)
         with pytest.raises(QuadratureNonConvergence):
             error_mu_pointwise(a, x)
+
+
+@pytest.mark.parametrize("spec, x", [(HaarLog(), 0.3), (PowerSigma(1.5), 2.2),
+                                     (PowerSigma(0.05), 0.01), (HaarLog(), 50.0)],
+                         ids=repr)
+def test_pointwise_error_memory_peak(spec, x):
+    # the cached node tables are built by the first call, outside the window
+    a = EntireApproximant(spec, 1.0, spec.form)
+    error_mu_pointwise(a, x)
+    tracemalloc.start()
+    try:
+        error_mu_pointwise(a, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2e6
 
 
 def test_error_at_zero_branches(ref):
@@ -161,6 +178,14 @@ def test_error_at_zero_branches(ref):
     row = ref["power_error_at_zero"]
     a = EntireApproximant(PowerSigma(row["sigma"]), 1.0, TargetForm.POWER)
     assert error_mu_pointwise(a, 0.0) == pytest.approx(row["value"], abs=1e-13)
+
+
+@pytest.mark.parametrize("delta", [math.inf, math.nan, 0.0, -1.0])
+def test_l1_closed_form_validates_delta_like_the_quadrature(delta):
+    # a non-finite delta has no L1 error, not 0
+    for f in (l1_error_mu_raw, l1_error_mu, l1_error_mu_quadrature):
+        with pytest.raises(ValueError, match="delta must be positive"):
+            f(HaarLog(), delta)
 
 
 def test_l1_constants_against_frozen(ref):

@@ -38,6 +38,16 @@ def test_kernel_params_validated():
         ExpKernel(math.nan)
 
 
+@pytest.mark.parametrize("lam, delta", [(math.inf, 1.0), (1.0, math.inf), (-1.0, 1.0),
+                                        (1.0, 0.0), (math.nan, 1.0)])
+def test_closed_forms_validate_like_the_kernel(lam, delta):
+    # no number where ExpKernel(lam, delta) is refused: an infinite
+    # parameter has no L1 error, and K(lam, 0) never exceeds 1
+    for f in (l1_error_exp, k_value_at_zero):
+        with pytest.raises(ValueError):
+            f(lam, delta)
+
+
 def test_frozen_samples(ref):
     for row in ref["kernel_samples"]:
         k = ExpKernel(row["lam"], row["delta"])

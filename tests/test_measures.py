@@ -103,7 +103,7 @@ def test_gamma_one_minus_signs():
 
 def test_point_masses_integrate_is_exact_sum():
     spec = PointMasses(((1.0, 2.0), (3.0, 0.25)))
-    val = spec.integrate(lambda lam: lam * lam)
+    val = spec.integrate(lambda lam, w: w @ (lam * lam))
     assert val == 2.0 * 1.0 + 0.25 * 9.0
 
 

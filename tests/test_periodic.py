@@ -72,6 +72,16 @@ def test_trigpoly_validation():
         TrigPoly.from_json({"degree": -1, "coeffs": []})
 
 
+@pytest.mark.parametrize("N", [1.5, 2.5, -1, math.inf, math.nan])
+def test_closed_form_errors_validate_the_degree_like_the_builders(N):
+    # the closed forms refuse the degrees build_k and build_k_mu refuse,
+    # with the builders' message
+    for f, arg in ((periodic_l1_error, 1.0), (periodic_l1_error_mu, HaarLog()),
+                   (build_k, 1.0), (build_k_mu, HaarLog())):
+        with pytest.raises(ValueError, match="N must be a nonnegative integer"):
+            f(arg, N)
+
+
 def test_trigpoly_eval_matches_exponential_sum():
     rng = np.random.default_rng(3)
     N = 4
@@ -468,8 +478,9 @@ def test_measure_periodized_validates():
 def test_build_k_degree_validation():
     with pytest.raises(ValueError):
         build_k(1.0, -1)
-    with pytest.raises(ValueError):
-        build_k(-1.0, 2)
+    for lam in (-1.0, math.inf):  # an infinite lam would give c_0 = nan
+        with pytest.raises(ValueError):
+            build_k(lam, 2)
     with pytest.raises(ValueError):
         build_k_mu(HaarLog(), -2)
 
