@@ -25,7 +25,6 @@ from .errors import QuadratureNonConvergence, UnknownCheckName
 from .expkernel import (
     ExpKernel,
     K_hat,
-    _khat,
     dual_lower_bound_exp,
     error_exp,
     error_exp_integral_oracle,
@@ -45,6 +44,7 @@ from .entire import (
 from .measures import HaarLog, PowerSigma, _zeta, gamma_one_minus
 from .periodic import (
     ExpPeriodized,
+    _coeff_rows,
     _dct2,
     build_k,
     build_k_mu,
@@ -304,33 +304,20 @@ def _chk_cross_exp():
 
 
 def _coeffs_by_quadrature(spec, N):
-    """Optimal degree-N coefficients for q_mu by the theorem's route,
-    c_n = int Khat(lam/L, n/L)/L dmu, L = 2N + 2, all n = 0..N from one
-    matrix of Khat values against the weights of quadrature's fixed
-    density rule (point masses: an exact weighted sum).  c_0 is
-    -int (2/lam)(1 - x csch x) dmu, x = lam/(2L); beyond the rule's head
-    that is Khat(lam/L, 0)/L - 2/lam, with the 2/lam part integrated
-    exactly.  The poles of Khat lie on the imaginary axis, as the rule
-    needs, and Khat decays like e^{-lam/(2L)}.  Independent of
-    build_k_mu: no q_mu, no DCT."""
-    L = 2 * N + 2
-    u = np.arange(N + 1) / L
-
-    def khat(lam):
-        return _khat(lam[:, None] / L, u) / L
-
-    def head(lam):
-        m = khat(lam)
-        m[:, 0] = -(2.0 / lam) * one_minus_x_csch(0.5 * lam / L)
-        return m
-
-    sigma = spec.density_power
-    if sigma is None:
-        return spec.integrate(lambda lam, w: w @ head(lam))
+    """Optimal degree-N coefficients for the q_mu of a density by the
+    theorem's route, c_n = int Khat(lam/L, n/L)/L dmu, L = 2N + 2, all
+    n = 0..N from one matrix of periodic._coeff_rows against the weights
+    of quadrature's fixed density rule.  Beyond the rule's head c_0 is
+    Khat(lam/L, 0)/L - 2/lam, with the 2/lam part integrated exactly.
+    The poles of Khat lie on the imaginary axis, as the rule needs, and
+    Khat decays like e^{-lam/(2L)}.  Independent of build_k_mu's density
+    route: no q_mu, no DCT."""
     slow = np.zeros(N + 1)
     slow[0] = -2.0
-    return _density_integral(head, sigma, 0.5 / L, f"{spec!r} coefficients at N={N}",
-                             far=lambda lam, w: w @ khat(lam), slow=slow)
+    return _density_integral(lambda lam: _coeff_rows(lam, N), spec.density_power,
+                             0.5 / (2 * N + 2), f"{spec!r} coefficients at N={N}",
+                             far=lambda lam, w: w @ _coeff_rows(lam, N, centred=False),
+                             slow=slow)
 
 
 def _chk_cross_measure(specs, degrees, tol):

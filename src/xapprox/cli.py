@@ -10,6 +10,10 @@ Conventions: range flags accept ``start:stop[:step]`` with inclusive
 endpoints; all floats print with 17 significant digits; CSV uses plain
 ``\\n`` line endings; identical invocations produce byte-identical
 output.  Exit codes: 0 success, 1 failed verification, 2 bad flags.
+
+A model command works on the circle iff ``--periodic`` or ``--degree`` is
+given; the circle needs ``--degree``, refuses ``--delta``, and takes the
+kernel mode's p(lam, .) as the q_mu of the unit point mass at lam.
 """
 
 from __future__ import annotations
@@ -23,24 +27,16 @@ from functools import lru_cache
 import numpy as np
 
 from ._stable import sinpi
-from .errors import DivergentAtZero, UnknownCheckName, XapproxError
-from .expkernel import ExpKernel, eval_K, eval_p, l1_error_exp, l1_error_exp_quadrature
+from .errors import DivergentAtZero, XapproxError
+from .expkernel import ExpKernel, eval_K, l1_error_exp, l1_error_exp_quadrature
 from .entire import (
     EntireApproximant,
     eval_K_mu,
     l1_error_mu,
     l1_error_mu_quadrature,
 )
-from .measures import HaarLog, PowerSigma, TargetForm, measure_from_json
-from .periodic import (
-    _circle_l1_mu,
-    build_k,
-    build_k_mu,
-    eval_q_mu,
-    periodic_l1_error,
-    periodic_l1_error_mu,
-    periodic_l1_quadrature,
-)
+from .measures import HaarLog, PointMasses, PowerSigma, TargetForm, measure_from_json
+from .periodic import _circle_l1_mu, build_k_mu, eval_q_mu, periodic_l1_error_mu
 from .certify import (
     reports_passed,
     reports_to_json,
@@ -75,12 +71,13 @@ def _build_parser():
                        help="exponent for --measure power")
         p.add_argument("--lambda", dest="lam", default=None, metavar="A[:B[:STEP]]",
                        help="kernel decay rate (range form only in error-table)")
-        p.add_argument("--delta", type=float, default=1.0,
-                       help="dilation / exponential type parameter (default 1)")
+        p.add_argument("--delta", type=float, default=None,
+                       help="dilation / exponential type parameter on the line (default 1)")
         p.add_argument("--degree", default=None, metavar="N[:M]",
-                       help="trig-polynomial degree (range form only in error-table)")
+                       help="trig-polynomial degree; selects the circle "
+                            "(range form only in error-table)")
         p.add_argument("--periodic", action="store_true",
-                       help="work on the circle (periodized targets)")
+                       help="work on the circle (periodized targets); needs --degree")
 
     def io_flags(p, formats=("csv", "json")):
         p.add_argument("--output", default=None, metavar="PATH",
@@ -180,8 +177,18 @@ def _get_degree(args):
 
 def _resolve_measure(args):
     """None in kernel mode, else a measure family object.  Every model
-    command starts here, so a bad --delta is refused first."""
-    if not (math.isfinite(args.delta) and args.delta > 0):
+    command starts here, so the circle's flag rule and a bad --delta are
+    refused first.  Leaves args.periodic true on the circle (--periodic
+    or --degree given) and args.delta set on the line (default 1)."""
+    if args.periodic or args.degree is not None:
+        if args.degree is None:
+            raise CliError("the circle (--periodic) needs --degree")
+        if args.delta is not None:
+            raise CliError("--delta has no meaning on the circle (--periodic or --degree)")
+        args.periodic = True
+    elif args.delta is None:
+        args.delta = 1.0
+    elif not (math.isfinite(args.delta) and args.delta > 0):
         raise CliError(f"--delta must be finite and positive, got {args.delta}")
     if args.measure is not None and args.kernel is not None:
         raise CliError("give either --kernel or --measure, not both")
@@ -248,11 +255,8 @@ def _triplet(args, spec, xs):
     xs = np.asarray(xs, dtype=float)
     if args.periodic:
         N = _get_degree(args)
-        if spec is None:
-            lam = _get_lambda(args)
-            target = np.asarray(eval_p(lam, xs), dtype=float)
-            approx = build_k(lam, N).eval(xs)
-        elif spec.form is TargetForm.LOG:
+        spec = spec or PointMasses(((_get_lambda(args), 1.0),))
+        if spec.form is TargetForm.LOG:
             # presented as log|1 - e(x)| versus the negated polynomial
             with np.errstate(divide="ignore"):
                 target = np.log(np.abs(2.0 * sinpi(xs)))
@@ -302,11 +306,8 @@ def cmd_eval(args):
 
 def cmd_coeffs(args):
     spec = _resolve_measure(args)
-    N = _get_degree(args)
-    if spec is None:
-        poly = build_k(_get_lambda(args), N)
-    else:
-        poly = build_k_mu(spec, N)
+    N = _get_degree(args)  # coefficients live on the circle alone
+    poly = build_k_mu(spec or PointMasses(((_get_lambda(args), 1.0),)), N)
     if args.negate:
         poly = -poly
     _emit(args, poly.to_json() + "\n")
@@ -316,25 +317,23 @@ def cmd_coeffs(args):
 def cmd_error_table(args):
     spec = _resolve_measure(args)
     rows = []
-    if spec is None:
-        lams = _lambdas(args)
-        if args.periodic:
-            N = _get_degree(args)
-            for lam in lams:
-                closed = periodic_l1_error(lam, N)
-                quad = periodic_l1_quadrature(lam, N) if args.verify else None
-                rows.append((lam, closed, quad))
+    if args.periodic:
+        # (param, measure, degree): a --lambda grid at one degree in kernel
+        # mode, a --degree grid for a measure
+        if spec is None:
+            lams, N = _lambdas(args), _get_degree(args)
+            cases = [(lam, PointMasses(((lam, 1.0),)), N) for lam in lams]
         else:
-            for lam in lams:
-                closed = l1_error_exp(lam, args.delta)
-                quad = (l1_error_exp_quadrature(lam, args.delta)
-                        if args.verify else None)
-                rows.append((lam, closed, quad))
-    elif args.degree is not None:
-        for N in _degrees(args):
-            closed = periodic_l1_error_mu(spec, N)
-            quad = _circle_l1_mu(spec, build_k_mu(spec, N)) if args.verify else None
-            rows.append((N, closed, quad))
+            cases = [(N, spec, N) for N in _degrees(args)]
+        for param, mu, N in cases:
+            closed = periodic_l1_error_mu(mu, N)
+            quad = _circle_l1_mu(mu, build_k_mu(mu, N)) if args.verify else None
+            rows.append((param, closed, quad))
+    elif spec is None:
+        for lam in _lambdas(args):
+            closed = l1_error_exp(lam, args.delta)
+            quad = l1_error_exp_quadrature(lam, args.delta) if args.verify else None
+            rows.append((lam, closed, quad))
     else:
         param = getattr(spec, "sigma", args.delta)
         closed = l1_error_mu(spec, args.delta)
@@ -423,13 +422,7 @@ def main(argv=None):
         return int(exc.code) if exc.code else 0
     try:
         return _COMMANDS[args.command](args)
-    except UnknownCheckName as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except XapproxError as exc:
+    except (CliError, XapproxError) as exc:  # UnknownCheckName included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -121,8 +121,11 @@ def error_mu_pointwise(a: EntireApproximant, x: float) -> float:
     w = delta * ax
 
     def masses(l, wt):  # point masses wt at l: their targets minus one series
-        def phi(xi):
-            return np.exp(-np.multiply.outer(xi, l)) @ wt
+        def phi(xi):  # beyond xi = 746/min(l) every e^{-l xi} underflows to 0
+            out = np.zeros(xi.size)
+            k = np.searchsorted(xi, 746.0 / l.min(), side="right")
+            out[:k] = np.exp(-np.multiply.outer(xi[:k], l)) @ wt
+            return out
         return float(wt @ np.exp(-l * w)) - float(_cardinal_sum(phi, np.array([w]))[0])
 
     sigma = spec.density_power

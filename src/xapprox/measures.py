@@ -136,14 +136,11 @@ class PointMasses(_Family):
 
     def q_hat(self, nn):
         lam, w = self._arrays()
-        return (2.0 * lam / (lam * lam + 4.0 * math.pi**2 * nn[:, None] ** 2)) @ w
+        return (2.0 * lam / (lam * lam + 4.0 * math.pi**2 * nn[:, None] * nn[:, None])) @ w
 
     def q_mu(self, x):
         xx = np.asarray(x, dtype=float)
-        acc = 0.0
-        for lam, w in self.masses:
-            acc = acc + w * eval_p(lam, xx)
-        return acc
+        return sum(w * eval_p(lam, xx) for lam, w in self.masses)
 
 
 @dataclass(frozen=True)

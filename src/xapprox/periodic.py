@@ -2,18 +2,19 @@
 
 Periodizing e^{-lam|x|} gives p(lam, x) = cosh(lam({x}-1/2))/sinh(lam/2)
 - 2/lam (mean zero); integrating p against a measure gives q_mu, whose
-Haar case is -log|2 sin pi x|.  The optimal degree-N approximations
-have explicit Fourier coefficients: the sampled line-kernel transform
-(build_k), equally the interpolant at the 2N+2 shifted nodes (build_k_mu,
-one DCT of q_mu).  Every target is even and real, and so is every
+Haar case is -log|2 sin pi x| and whose unit point mass at lam is p.  The
+optimal degree-N polynomial has c_n = int Khat(lam/L, n/L)/L dmu, L = 2N+2,
+and interpolates q_mu at the 2N+2 shifted nodes: build_k_mu takes the
+Khat rows for point masses (build_k is the unit mass) and one DCT of q_mu
+for a density.  Every target is even and real, and so is every
 polynomial: TrigPoly stores its cosine coefficients c_0..c_N.  A direct
-cosine-sum interpolation is the reference for both builders; circle L1
+cosine-sum interpolation is the reference for both routes; circle L1
 quadrature respects the corner of p at x = 0 and the log singularity of
-the Haar target, and treats p as the q_mu of a unit point mass.  Every
-circle value goes through TrigPoly.eval: Reinsch's modified Clenshaw
-recurrence, which from degree 192 on keeps only the frequencies below 32
-and sums the rest as one BLAS matrix product per block of points.  O(P)
-memory for P points, as accurate as the direct sum, and exactly even.
+the Haar target.  Every circle value goes through TrigPoly.eval:
+Reinsch's modified Clenshaw recurrence, which from degree 192 on keeps
+only the frequencies below 32 and sums the rest as one BLAS matrix
+product per block of points.  O(P) memory for P points, as accurate as
+the direct sum, and exactly even.
 """
 
 from __future__ import annotations
@@ -279,13 +280,10 @@ class MeasurePeriodized:
 
 
 def p_hat(lam: float, n):
-    """Fourier coefficients of p: 2 lam/(lam^2 + 4 pi^2 n^2), 0 at n=0."""
-    nn = np.asarray(n, dtype=float)
-    scalar = nn.ndim == 0
-    nn = np.atleast_1d(nn)
-    vals = 2.0 * lam / (lam * lam + 4.0 * math.pi**2 * nn * nn)
-    out = np.where(nn == 0, 0.0, vals)
-    return float(out[0]) if scalar else out
+    """Fourier coefficients of p, 2 lam/(lam^2 + 4 pi^2 n^2) and 0 at
+    n = 0: q_hat_mu of the unit point mass at lam, so lam must be finite
+    and positive (InvalidPointMass otherwise)."""
+    return q_hat_mu(PointMasses(((lam, 1.0),)), n)
 
 
 def q_hat_mu(spec, n):
@@ -322,28 +320,46 @@ def _degree(N) -> int:
     return int(N)
 
 
-def build_k(lam: float, N: int) -> TrigPoly:
-    """Optimal degree-N polynomial for p(lam, .): coefficients are the
-    sampled line-kernel transform,
+def _coeff_rows(lam, N: int, centred: bool = True):
+    """Coefficients c_0..c_N of the optimal degree-N polynomial for p(l, .)
+    at each l of lam (a float: one row; a 1-D array: one row per entry),
+    the sampled line-kernel transform with L = 2N+2:
 
-        c_0 = -(2/lam)(1 - (lam/2L) csch(lam/2L)),   L = 2N+2,
-        c_n = (1/L) Khat(lam/L, n/L),
+        c_n = (1/L) Khat(l/L, n/L),   c_0 = -(2/l)(1 - x csch x),  x = l/(2L),
 
-    the c_0 form avoiding the 2/lam-vs-csch cancellation at small lam."""
-    ExpPeriodized(lam)  # the check of lam > 0
-    N = _degree(N)
+    the c_0 form having no 2/l-vs-csch cancellation.  centred=False leaves
+    c_0 = Khat(l/L, 0)/L: the row of the periodized e^{-l|x|}, mean 2/l."""
     L = 2 * N + 2
-    c = np.empty(N + 1)
-    c[0] = -(2.0 / lam) * float(one_minus_x_csch(0.5 * lam / L))
-    c[1:] = _khat(lam / L, np.arange(1, N + 1) / L) / L
-    return TrigPoly(c)
+    c = _khat((lam[:, None] if isinstance(lam, np.ndarray) else lam) / L, np.arange(N + 1) / L)
+    c /= L
+    if centred:
+        c[..., 0] = -(2.0 / lam) * one_minus_x_csch(0.5 * lam / L)
+    return c
+
+
+def build_k(lam: float, N: int) -> TrigPoly:
+    """Optimal degree-N polynomial for p(lam, .), the q_mu of the unit
+    point mass at lam: its coefficient row from _coeff_rows, as
+    build_k_mu of PointMasses(((lam, 1.0),)) gives bit for bit."""
+    ExpPeriodized(lam)  # the check of lam > 0
+    return TrigPoly(_coeff_rows(float(lam), _degree(N)))
 
 
 def build_k_mu(spec, N: int) -> TrigPoly:
-    """Measure version of build_k: the optimal polynomial interpolates
-    q_mu at the 2N+2 shifted nodes, so its coefficients are one DCT-II
-    of q_mu at the N+1 distinct nodes (q_mu is even)."""
+    """Optimal degree-N polynomial for q_mu.  Point masses take the
+    theorem's route, c_n = int Khat(lam/L, n/L)/L dmu, as the exact
+    weighted sum of the rows of _coeff_rows, which keeps each
+    coefficient's relative accuracy.  Each row is built as build_k builds
+    it, one mass at a time: the array branch of one_minus_x_csch can
+    differ from the scalar one in the last bits at lam >= 4N + 4.  A density
+    takes the interpolation route: the optimal polynomial interpolates
+    q_mu at the 2N+2 shifted nodes, so its coefficients are one DCT-II of
+    q_mu at the N+1 distinct nodes (q_mu is even)."""
     N = _degree(N)
+    validate(spec)
+    if spec.density_power is None:
+        return TrigPoly(spec.integrate(
+            lambda lam, w: w @ np.array([_coeff_rows(l, N) for l in lam.tolist()])))
     L = 2 * N + 2
     vals = eval_q_mu(spec, (np.arange(N + 1) + 0.5) / L)
     return TrigPoly(_dct2(vals) / L)
@@ -376,9 +392,9 @@ def interpolation_oracle(target, N: int) -> TrigPoly:
     nodes x_k = (k+1/2)/(2N+2), by the real cosine transform (for even
     targets the alias frequency N+1 vanishes on this grid, so the
     interpolant is exactly recovered).  The direct cosine sum over all
-    2N+2 nodes, no evenness assumed: the reference that build_k's closed
-    form and build_k_mu's DCT are compared against.  The target is an
-    ExpPeriodized, a MeasurePeriodized or a plain callable of x.
+    2N+2 nodes, no evenness assumed: the reference for both routes of
+    build_k_mu, the Khat rows of point masses and the DCT of a density.
+    The target is an ExpPeriodized, a MeasurePeriodized or a callable of x.
     """
     L = 2 * N + 2
     xs = (np.arange(L) + 0.5) / L

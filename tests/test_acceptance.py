@@ -154,9 +154,9 @@ def test_interpolation_oracle_matches_construction():
     f = build_k_mu(PowerSigma(0.5), 2).coeffs
     g = _coeffs_by_quadrature(PowerSigma(0.5), 2)
     assert float(np.max(np.abs(f - g))) < 1e-13
-    # point masses: the route's exact weighted sum, c_0 included
+    # point masses: the exact weighted sum of K-hat rows, c_0 included
     pm = PointMasses(((0.5, 1.0), (2.0, 0.3)))
-    h = _coeffs_by_quadrature(pm, 2)
+    h = interpolation_oracle(MeasurePeriodized(pm), 2).coeffs
     assert float(np.max(np.abs(build_k_mu(pm, 2).coeffs - h))) < 1e-13
     _run_all(["cross_oracle_exp", "cross_oracle_haar", "cross_oracle_power"],
              "interpolation oracle vs construction coefficients", budget_s=10.0)

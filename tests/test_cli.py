@@ -210,6 +210,43 @@ def test_bad_numeric_model_flags_exit_2_without_a_traceback(capsys, argv):
     assert "error:" in err and "Traceback" not in err
 
 
+# --- the circle's flag rule ---------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ("error-table", "--measure", "haar", "--periodic"),
+    ("coeffs", "--measure", "haar", "--degree", "3", "--delta", "2"),
+    ("eval", "--periodic", "--lambda", "1", "--degree", "3", "--x", "0.3", "--delta", "5"),
+    ("error-table", "--kernel", "exp", "--lambda", "1", "--degree", "3", "--delta", "1"),
+    ("plot-data", "--measure", "haar", "--degree", "2", "--samples", "3", "--x-range", "0:1",
+     "--delta", "2"),
+], ids=" ".join)
+def test_circle_needs_degree_and_refuses_delta(capsys, argv):
+    # --periodic or --degree selects the circle, which requires --degree and
+    # has no --delta: each is refused with exit 2 rather than ignored
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("error-table", "--kernel", "exp", "--lambda", "1", "--degree", "3"),
+    ("eval", "--measure", "haar", "--degree", "3", "--x", "0.3"),
+    ("plot-data", "--lambda", "2", "--degree", "1", "--samples", "5"),
+], ids=" ".join)
+def test_degree_selects_the_circle(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert (code, out) == run(capsys, *argv, "--periodic")[:2]
+
+
+def test_kernel_circle_error_table_is_the_periodic_error(capsys):
+    code, out, _ = run(capsys, "error-table", "--kernel", "exp", "--lambda", "1",
+                       "--degree", "3")
+    assert code == 0
+    assert float(out.strip().splitlines()[1].split(",")[1]) == xapprox.periodic_l1_error(1.0, 3)
+
+
 # --- plot-data -----------------------------------------------------------------------
 
 def test_plot_data_row_count_and_default_periodic_range(capsys):

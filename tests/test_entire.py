@@ -154,10 +154,12 @@ def test_pointwise_error_raises_when_twin_rules_disagree(monkeypatch):
 
 
 @pytest.mark.parametrize("spec, x", [(HaarLog(), 0.3), (PowerSigma(1.5), 2.2),
-                                     (PowerSigma(0.05), 0.01), (HaarLog(), 50.0)],
+                                     (PowerSigma(0.05), 0.01), (HaarLog(), 50.0),
+                                     (HaarLog(), 5000.0), (PowerSigma(0.5), 5000.0)],
                          ids=repr)
 def test_pointwise_error_memory_peak(spec, x):
-    # the cached node tables are built by the first call, outside the window
+    # the cached node tables are built by the first call, outside the window;
+    # at large x the panels' node data stop where e^{-l xi} underflows
     a = EntireApproximant(spec, 1.0, spec.form)
     error_mu_pointwise(a, x)
     tracemalloc.start()

@@ -37,7 +37,7 @@ from xapprox import (
     q_hat_mu,
     refined_sign_nodes,
 )
-from xapprox.errors import QuadratureNonConvergence
+from xapprox.errors import InvalidPointMass, QuadratureNonConvergence
 
 
 # --- TrigPoly mechanics -------------------------------------------------------
@@ -334,6 +334,14 @@ def test_p_hat_values():
     assert arr[0] == 0.0 and arr[1] == arr[2]
 
 
+def test_p_hat_is_q_hat_mu_of_the_unit_mass():
+    n = np.arange(-5.0, 6.0)
+    assert p_hat(0.7, n).tobytes() == q_hat_mu(PointMasses(((0.7, 1.0),)), n).tobytes()
+    for lam in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(InvalidPointMass):
+            p_hat(lam, 1)
+
+
 def test_q_hat_mu_closed_forms():
     assert q_hat_mu(HaarLog(), 4) == pytest.approx(0.125, rel=1e-15)
     assert q_hat_mu(HaarLog(), 0) == 0.0
@@ -499,6 +507,46 @@ def test_build_k_mu_power_frozen_coeffs(ref):
     poly = build_k_mu(PowerSigma(blob["sigma"]), blob["N"])
     for n, expect in enumerate(blob["coeffs"]):
         assert poly.coeff(n) == pytest.approx(expect, abs=1e-10)
+
+
+@pytest.mark.parametrize("N", [0, 1, 3, 8, 64, 191, 192, 1000])
+def test_build_k_is_build_k_mu_of_the_unit_mass(N):
+    # one coefficient formula: the exponential is the unit point mass
+    for lam in (1e-4, 0.01, 0.3, 1.0, 4.0, 30.0, 300.0, 5000.0):
+        a = build_k(lam, N).coeffs
+        b = build_k_mu(PointMasses(((lam, 1.0),)), N).coeffs
+        assert a.tobytes() == b.tobytes()
+
+
+def _mp_point_mass_coeffs(masses, N):
+    """c_n = sum_j w_j Khat(l_j/L, n/L)/L, L = 2N + 2, in mpmath, with
+    Khat(l, u) = sinh(l/2) cos(pi u)/(sinh(l/2)^2 + sin(pi u)^2) and
+    2/l_j taken from c_0 (the mean of p)."""
+    L = 2 * N + 2
+    out = []
+    for n in range(N + 1):
+        c = mpmath.mpf(0)
+        for lam, w in masses:
+            sh = mpmath.sinh(mpmath.mpf(lam) / (2 * L))
+            sn = mpmath.sinpi(mpmath.mpf(n) / L)
+            c += w * sh * mpmath.cospi(mpmath.mpf(n) / L) / (sh * sh + sn * sn) / L
+            if n == 0:
+                c -= w * 2 / mpmath.mpf(lam)
+        out.append(c)
+    return out
+
+
+@pytest.mark.parametrize("N", [64, 1000])
+def test_build_k_mu_point_masses_keep_relative_digits(N):
+    # each coefficient, c_0 and the smallest included, within 1e-13
+    # relative: the DCT of q_mu holds only max |c_n| (9e-10 relative at
+    # c_1000)
+    masses = ((0.5, 1.0), (2.0, 0.25))
+    got = build_k_mu(PointMasses(masses), N).coeffs
+    with mpmath.workdps(30):
+        ref = _mp_point_mass_coeffs(masses, N)
+        worst = max(abs(float((g - r) / r)) for g, r in zip(got, ref))
+    assert worst <= 1e-13
 
 
 def test_build_k_mu_point_masses_is_weighted_sum():
