@@ -17,8 +17,6 @@ All functions accept scalars or numpy arrays and return matching shapes
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 __all__ = [
@@ -116,16 +114,18 @@ def one_minus_x_csch(x):
 
     Below |x| = 1 the Taylor series, above it 1 - x csch x, which cancels
     at most a factor 7 there: within ~1.2e-15 relative everywhere.  A
-    scalar takes the same formulas in math: eval_p needs one per new lam,
-    and numpy's per-call cost on a scalar (~50 us) showed in circle's
-    req_p50_ms.
+    scalar, or up to 8 points, goes point by point in Python floats: the
+    array path makes ~40 numpy calls, ~30 us on one point against ~2 us,
+    with the crossover at 8-16 points (eval_p needs one per new lam,
+    build_k_mu one per mass).  Its exponentials come from numpy too, so a
+    point has the same bits either way.
     """
-    if np.ndim(x) == 0:
-        a = abs(float(x))
-        if a < 1.0:
-            return a * a * _omxc_series(a * a)
-        return 1.0 - a * (2.0 * math.exp(-a) / -math.expm1(-2.0 * a))
     a = np.abs(np.asarray(x, dtype=float))
+    if a.size <= 8:
+        out = [v * v * _omxc_series(v * v) if v < 1.0
+               else float(1.0 - v * (2.0 * np.exp(-v) / -np.expm1(-2.0 * v)))
+               for v in a.ravel().tolist()]
+        return out[0] if a.ndim == 0 else np.array(out).reshape(a.shape)
     out = np.empty_like(a)
     small = a < 1.0
     s2 = a[small] ** 2

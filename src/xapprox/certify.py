@@ -41,7 +41,7 @@ from .entire import (
     l1_error_mu,
     l1_error_mu_quadrature,
 )
-from .measures import HaarLog, PowerSigma, _zeta, gamma_one_minus
+from .measures import HaarLog, PowerSigma, _zeta
 from .periodic import (
     ExpPeriodized,
     _coeff_rows,
@@ -214,9 +214,12 @@ def _l1_exp_moment(sigma, what):
         far=lambda lam, wt: wt @ (-(2.0 / lam) * sech(0.5 * lam)), slow=2.0))
 
 
-def _chk_haar_1d():
-    # per-lambda optimal error integrated against d(lam)/lam = 4G/pi
-    return _l1_exp_moment(1.0, "Haar identity"), 4.0 * catalan() / math.pi, 1e-13
+def _chk_density_identity(spec):
+    # the per-lambda optimal error integrated against the density, in the
+    # natural form, against the closed form: 4G/pi for Haar (d(lam)/lam);
+    # at sigma = 1/2 it validates the gamma, sine and beta factors together
+    computed = _l1_exp_moment(spec.density_power, f"{spec!r} identity")
+    return computed / abs(spec.form_scale), l1_error_mu(spec), 1e-13
 
 
 def _chk_haar_2d():
@@ -233,22 +236,17 @@ def _chk_log_interp():
     return worst, 0.0, 1e-13
 
 
-def _chk_power_half():
-    # quadrature of the per-lambda error against lam^{-1/2} d(lam),
-    # presented in the |x|^{sigma-1} normalization (validates the
-    # gamma, sine and alternating-series factors together)
-    computed = _l1_exp_moment(0.5, "power identity") / gamma_one_minus(0.5)
-    return computed, l1_error_mu(PowerSigma(0.5), 1.0), 1e-13
-
-
 def _chk_pointwise_mu():
     # the lam-integral of single-exponential errors (error_mu_pointwise) vs
-    # target minus approximant between the nodes, in the natural forms
+    # target minus approximant between the nodes, in the natural forms but
+    # raw at sigma = 1 -+ 1e-6, whose natural form divides errors by ~1e6
     worst = 0.0
-    for spec in (HaarLog(),) + tuple(PowerSigma(s) for s in (0.05, 0.5, 1.5, 1.95)):
-        a = EntireApproximant(spec, 1.0, spec.form)
+    for spec in (HaarLog(), *map(PowerSigma, (0.05, 0.5, 1.5, 1.95, 1 - 1e-6, 1 + 1e-6))):
+        raw = 0.0 < abs(spec.density_power - 1.0) < 1e-3
+        a = EntireApproximant(spec, 1.0, TargetForm.RAW if raw else spec.form)
+        target = spec.f_mu if raw else spec.natural_target
         for x in (0.3, 0.7, 2.2, 7.1):
-            direct = float(spec.natural_target(np.array([x]))[0]) - eval_K_mu(a, x)
+            direct = float(target(np.array([x]))[0]) - eval_K_mu(a, x)
             worst = max(worst, abs(error_mu_pointwise(a, x) - direct))
     return worst, 0.0, 1e-13
 
@@ -469,10 +467,10 @@ def _build_registry():
         reg.append((f"duality_exp_lambda{tag}", partial(_chk_duality_exp, lam)))
     reg.append(("catalan_series", _chk_catalan_series))
     reg.append(("catalan_digits", _chk_catalan_digits))
-    reg.append(("haar_identity_1d", _chk_haar_1d))
+    reg.append(("haar_identity_1d", partial(_chk_density_identity, HaarLog())))
     reg.append(("haar_l1_2d", _chk_haar_2d))
     reg.append(("log_interpolation", _chk_log_interp))
-    reg.append(("power_sigma_half", _chk_power_half))
+    reg.append(("power_sigma_half", partial(_chk_density_identity, PowerSigma(0.5))))
     reg.append(("pointwise_mu_oracle", _chk_pointwise_mu))
     for lam, N in _PERIODIC_GRID:
         tag = {0.5: "0p5", 1.0: "1", 2.0: "2"}[lam]

@@ -11,8 +11,8 @@ cardinal form
     xi_n = n - 1/2,
 
 which is stable at the nodes, plus a constant split using the exact
-identity KK(1, w) = 1, so the node data phi is either decaying (point
-masses) or slowly growing (log / power), never constant-offset.  KK is
+identity KK(1, w) = 1, so the node data phi are decaying (point masses,
+xi^{sigma-1} for sigma <= 1/2) or (xi^e - 1)/e, e = sigma - 1.  KK is
 summed by series._cardinal_sum, the engine eval_K uses too: one fixed
 linear map of the node data (a direct head and a 24-term CRVZ tail), the
 same for every family, with no tolerance or stopping test.  The node

@@ -1,16 +1,16 @@
 """Measure families on (0, inf) and the targets they generate.
 
-Three families cover every closed form downstream: finite point masses
-(weighted exponentials), the multiplicative Haar measure dlam/lam
-(target -log|x|), and the power family lam^{-sigma} dlam (target
-proportional to |x|^{sigma-1}).  The raw target of a measure mu is
+Two families cover every closed form downstream: finite point masses
+(weighted exponentials) and the densities lam^{-sigma} dlam, 0 < sigma < 2
+(target proportional to |x|^{sigma-1}), whose sigma = 1 member is the
+multiplicative Haar measure dlam/lam (target -log|x|).  The raw target of a
+measure mu is
 
     f_mu(x) = integral of (e^{-lam|x|} - e^{-lam}) dmu(lam),
 
-with the subtraction making the integral converge for Haar and for
-sigma > 1.  Each family class carries every formula that depends on the
-family; the other modules call its methods and never ask which family
-they hold.
+with the subtraction making the integral converge for sigma >= 1.  Each
+family class carries every formula that depends on the family; the other
+modules call its methods and never ask which family they hold.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 from ._stable import sinpi
 from .errors import DivergentAtZero, InvalidPointMass, InvalidSigma
 from .expkernel import eval_p, l1_error_exp
-from .series import catalan, dirichlet_beta
+from .series import dirichlet_beta
 
 __all__ = [
     "TargetForm",
@@ -60,7 +60,7 @@ class _Family:
 
     form, form_scale   natural form; its errors are raw errors / form_scale
     f_mu(ax)           raw target at |x| = ax (1-D array)
-    density_power      s of the density lam^{-s} against dlam; None for a
+    density_power      sigma of the density lam^{-sigma} dlam; None for a
                        discrete measure, which has integrate(far) instead
     raw_frame(delta)   (phi, prefactor, offset): the raw approximant is
                        prefactor * KK(phi, delta*z) + offset
@@ -143,29 +143,53 @@ class PointMasses(_Family):
         return sum(w * eval_p(lam, xx) for lam, w in self.masses)
 
 
+class _Density(_Family):
+    """The density lam^{-sigma} dlam, sigma = density_power; Haar is sigma = 1.
+    In e = sigma - 1, with phi(xi) = (xi^e - 1)/e = expm1(e log xi)/e (log xi
+    at e = 0) and Gamma(1-sigma) = -Gamma(2-sigma)/e, f_mu = -Gamma(2-sigma)
+    phi(|x|) and, by KK(1, .) = 1, the raw approximant is -Gamma(2-sigma)
+    delta^{-e} KK(phi, delta z) + Gamma(2-sigma) log(delta) exprel(-e log
+    delta): no term grows like Gamma(1-sigma) as sigma -> 1, and at sigma = 1
+    each form is Haar's.  For sigma <= 1/2 phi and the node data use xi^e."""
+
+    def _phi(self, xi, lib=np):  # lib = math for a float: numpy's log may round apart
+        e = self.density_power - 1.0
+        if e <= -0.5:  # the power keeps the digits expm1(e log xi) loses
+            return (xi ** e - 1.0) / e
+        return lib.log(xi) if e == 0.0 else lib.expm1(e * lib.log(xi)) / e
+
+    def f_mu(self, ax):
+        return -math.gamma(2.0 - self.density_power) * self._phi(ax)
+
+    def raw_frame(self, delta):
+        e = self.density_power - 1.0
+        if e <= -0.5:  # phi tends to -1/e, which costs the sum 7x the digits
+            return (lambda xi: xi ** e), math.gamma(-e) * delta ** -e, -math.gamma(-e)
+        g, ld = math.gamma(1.0 - e), math.log(delta)
+        t = -e * ld  # the offset's exprel(t), 1 at t = 0
+        return self._phi, -g * delta ** -e, g * ld * (math.expm1(t) / t if t else 1.0)
+
+    def cell0_integral(self, b):
+        s = self.density_power
+        return math.gamma(2.0 - s) * (b - b * self._phi(b, math)) / s
+
+    def l1_raw(self, delta):  # A(sigma) delta^{-sigma}, 4G/(pi delta) at sigma = 1
+        s = self.density_power
+        return 4.0 * dirichlet_beta(1.0 + s) / (math.sin(math.pi * s / 2) * (math.pi * delta) ** s)
+
+    def q_hat(self, nn):
+        s = self.density_power
+        return math.pi * (2.0 * math.pi * nn) ** (-s) / math.sin(0.5 * math.pi * s)
+
+
 @dataclass(frozen=True)
-class HaarLog(_Family):
-    """The measure dlam/lam on (0, inf); raw target -log|x|."""
+class HaarLog(_Density):
+    """The measure dlam/lam on (0, inf), sigma = 1; raw target -log|x|."""
 
     kind = "haar"
     form = TargetForm.LOG
     form_scale = -1.0
     density_power = 1.0
-
-    def f_mu(self, ax):
-        return -np.log(ax)
-
-    def raw_frame(self, delta):
-        return (lambda xi: -np.log(xi)), 1.0, math.log(delta)
-
-    def cell0_integral(self, b):
-        return b - b * math.log(b)
-
-    def l1_raw(self, delta):
-        return 4.0 * catalan() / (math.pi * delta)
-
-    def q_hat(self, nn):
-        return 0.5 / nn
 
     def q_mu(self, x):
         # closed form -log|2 sin pi x|
@@ -177,8 +201,9 @@ class HaarLog(_Family):
 
 
 @dataclass(frozen=True)
-class PowerSigma(_Family):
-    """The measure lam^{-sigma} dlam, 0 < sigma < 2, sigma != 1."""
+class PowerSigma(_Density):
+    """The measure lam^{-sigma} dlam, 0 < sigma < 2, sigma != 1 (HaarLog),
+    where its natural form's Gamma(1-sigma) is infinite."""
 
     sigma: float
 
@@ -193,6 +218,10 @@ class PowerSigma(_Family):
             raise InvalidSigma(f"sigma must lie in (0,2) excluding 1, got {s}")
 
     @property
+    def density_power(self):
+        return self.sigma
+
+    @property
     def form_scale(self):
         return gamma_one_minus(self.sigma)
 
@@ -201,29 +230,6 @@ class PowerSigma(_Family):
 
     def natural_target(self, ax):
         return ax ** (self.sigma - 1.0)
-
-    def f_mu(self, ax):
-        return gamma_one_minus(self.sigma) * (ax ** (self.sigma - 1.0) - 1.0)
-
-    @property
-    def density_power(self):
-        return self.sigma
-
-    def raw_frame(self, delta):
-        s = self.sigma
-        g = gamma_one_minus(s)
-        return (lambda xi: xi ** (s - 1.0)), g * delta ** (1.0 - s), -g
-
-    def cell0_integral(self, b):
-        s = self.sigma
-        return gamma_one_minus(s) * (b**s / s - b)
-
-    def l1_raw(self, delta):
-        return delta ** (-self.sigma) * power_l1_constant(self.sigma)
-
-    def q_hat(self, nn):
-        s = self.sigma
-        return math.pi * (2.0 * math.pi * nn) ** (-s) / math.sin(0.5 * math.pi * s)
 
     def q_mu(self, x):
         # Hurwitz: q_mu = Gamma(s) [zeta(s, a) + zeta(s, 1-a)] with s = 1 - sigma
@@ -356,18 +362,16 @@ def gamma_one_minus(sigma: float) -> float:
 
 def power_l1_constant(sigma: float) -> float:
     """A(sigma) = 4 beta(1+sigma) / (sin(pi sigma/2) pi^sigma): the raw
-    L1 error of the power measure at delta = 1."""
-    return 4.0 * dirichlet_beta(1.0 + sigma) / (math.sin(0.5 * math.pi * sigma)
-                                                * math.pi ** sigma)
+    L1 error of the power measure at delta = 1 (InvalidSigma as PowerSigma)."""
+    return PowerSigma(sigma).l1_raw(1.0)
 
 
 def f_mu(spec, x):
     """Raw target f_mu(x); vectorized over x, +inf where divergent.
 
     PointMasses -> sum w_j (e^{-lam_j|x|} - e^{-lam_j})
-    HaarLog     -> -log|x|            (+inf at 0)
-    PowerSigma  -> Gamma(1-sigma) (|x|^{sigma-1} - 1)
-                   (+inf at 0 for sigma < 1, finite for sigma > 1)
+    densities   -> Gamma(1-sigma) (|x|^{sigma-1} - 1), -log|x| at sigma = 1
+                   (+inf at 0 for sigma <= 1, finite for sigma > 1)
     """
     validate(spec)
     ax = np.abs(np.asarray(x, dtype=float))

@@ -348,18 +348,15 @@ def build_k(lam: float, N: int) -> TrigPoly:
 def build_k_mu(spec, N: int) -> TrigPoly:
     """Optimal degree-N polynomial for q_mu.  Point masses take the
     theorem's route, c_n = int Khat(lam/L, n/L)/L dmu, as the exact
-    weighted sum of the rows of _coeff_rows, which keeps each
-    coefficient's relative accuracy.  Each row is built as build_k builds
-    it, one mass at a time: the array branch of one_minus_x_csch can
-    differ from the scalar one in the last bits at lam >= 4N + 4.  A density
+    weighted sum of the rows of _coeff_rows, one row per mass from one
+    call, which keeps each coefficient's relative accuracy.  A density
     takes the interpolation route: the optimal polynomial interpolates
     q_mu at the 2N+2 shifted nodes, so its coefficients are one DCT-II of
     q_mu at the N+1 distinct nodes (q_mu is even)."""
     N = _degree(N)
     validate(spec)
     if spec.density_power is None:
-        return TrigPoly(spec.integrate(
-            lambda lam, w: w @ np.array([_coeff_rows(l, N) for l in lam.tolist()])))
+        return TrigPoly(spec.integrate(lambda lam, w: w @ _coeff_rows(lam, N)))
     L = 2 * N + 2
     vals = eval_q_mu(spec, (np.arange(N + 1) + 0.5) / L)
     return TrigPoly(_dct2(vals) / L)

@@ -7,12 +7,12 @@ _cardinal_sum is the one routine that sums the interpolation series
     xi_n = n + 1/2,
 
 behind every extremal function on the line: the exponential kernel
-(phi = e^{-lam' xi}) and the measure-integrated approximants (phi a point-
-mass sum, -log xi or xi^{sigma-1}).  It is one fixed linear map of the
-node data, whatever their decay: the nodes up to 8 past every evaluation
-point are summed directly, and the alternating remainder beyond them by
-the 24 weights of Cohen, Rodriguez Villegas and Zagier (Exp. Math. 9
-(2000), Algorithm 1).  There is no rate, tolerance or stopping test.
+(phi = e^{-lam' xi}) and the measure-integrated approximants (phi a
+point-mass sum, xi^e or (xi^e - 1)/e, e = sigma - 1).  It is one fixed
+linear map of the node data, whatever their decay: the nodes up to 8 past
+every evaluation point are summed directly, and the alternating remainder
+beyond them by the 24 weights of Cohen, Rodriguez Villegas and Zagier
+(Exp. Math. 9 (2000), Algorithm 1).  No rate, tolerance or stopping test.
 
 Because the map is fixed, its integrals over fixed cells are too:
 _cell_operator(K) folds the 32-node Gauss rule on the K + 1 sign-constant
@@ -184,8 +184,8 @@ def _cardinal_sum(phi, w):
     H = ceil(max |Re w|) + 8, the nodes n < H are summed directly and the
     alternating remainder from n = H by the 24 CRVZ weights, so each
     point costs H + 24 terms; for |Re w| <= 1e3 and the data of this
-    package (e^{-lam' xi} with lam' >= 1e-6, point masses, -log xi,
-    xi^{sigma-1}) the result is within a few 1e-15 of max(|KK|, 1) on the
+    package (e^{-lam' xi} with lam' >= 1e-6, point masses, (xi^e - 1)/e,
+    xi^e) the result is within a few 1e-15 of max(|KK|, 1) on the
     real axis and within ~1e-12 of cosh(pi Im w)/1e3 off it.
 
     Each point is evaluated at the one of +-w with Re w >= 0, and its row

@@ -4,6 +4,7 @@ import math
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -24,6 +25,8 @@ from xapprox import (
     power_l1_constant,
 )
 from xapprox import quadrature
+from xapprox.series import _cardinal_sum, _dilate, catalan
+from test_series import _node_series
 
 HAAR_LOG = EntireApproximant(HaarLog(), 1.0, TargetForm.LOG)
 
@@ -216,6 +219,63 @@ def test_l1_error_delta_scaling_against_quadrature():
 def test_l1_error_haar_delta_scaling():
     assert l1_error_mu_raw(HaarLog(), 4.0) == pytest.approx(
         l1_error_mu_raw(HaarLog(), 1.0) / 4.0, rel=1e-14)
+
+
+NEAR_ONE = (1 - 1e-8, 1 + 1e-8, 1 - 1e-6, 1 + 1e-6, 0.999, 1.001)
+
+
+@pytest.mark.parametrize("sigma", NEAR_ONE)
+def test_raw_forms_near_sigma_one_against_mpmath(sigma):
+    # Gamma(1-sigma) ~ 1/(sigma - 1): the raw approximant, the raw target
+    # and its cell integral must not be formed from terms that large.  The
+    # reference at 40 digits: with e = sigma - 1 and phi = (xi^e - 1)/e,
+    # Gamma(1-sigma)(delta^{-e} KK(xi^e, w) - 1) = Gamma(1-sigma)(delta^{-e}
+    # (1 + e KK(phi, w)) - 1), as KK(1, w) = 1
+    spec = PowerSigma(sigma)
+    s = mpmath.mpf(sigma)
+    e = s - 1
+    worst = 0.0
+    with mpmath.workdps(40):
+        g = mpmath.gamma(1 - s)
+        for delta in (1.0, 1.3):
+            a = EntireApproximant(spec, delta)
+            d = mpmath.mpf(delta)
+            for x in (0.3, 2.2, 7.1):
+                kk = _node_series(lambda xi: (xi ** e - 1) / e, delta * x).real
+                ref = g * (d ** -e * (1 + e * kk) - 1)
+                worst = max(worst, abs(eval_K_mu(a, x) - ref) / max(abs(ref), 1))
+        for x in (0.05, 0.3, 1.0, 2.2, 50.0):
+            ref = g * (mpmath.mpf(x) ** e - 1)
+            worst = max(worst, abs(f_mu(spec, x) - ref) / max(abs(ref), 1))
+        for b in (0.05, 0.25, 0.5 / 1.3, 0.5, 2.0):
+            bm = mpmath.mpf(b)
+            ref = g * (bm ** s / s - bm)
+            worst = max(worst, abs(spec.cell0_integral(b) - ref) / max(abs(ref), 1))
+    assert worst <= 1e-13, worst
+
+
+@pytest.mark.parametrize("delta", [0.5, 1.0, 1.3, 2.0])
+def test_haar_is_the_sigma_one_density_bit_for_bit(delta):
+    # the shared density forms at sigma = 1 are Haar's log forms exactly:
+    # KK(-log xi, w) + log delta, -log|x|, b - b log b and 4G/(pi delta)
+    spec = HaarLog()
+    x = np.concatenate([np.linspace(-20.0, 20.0, 161), [1e-3, 0.3, 7.1]])
+    for z in (x, x + 0.7j):
+        log_frame = _cardinal_sum(lambda xi: -np.log(xi), _dilate(z, delta)) + math.log(delta)
+        assert np.array_equal(eval_K_mu(EntireApproximant(spec, delta), z), log_frame)
+    with np.errstate(divide="ignore"):  # +inf at x = 0
+        assert np.array_equal(f_mu(spec, x), -np.log(np.abs(x)))
+    b = 0.5 / delta
+    assert spec.cell0_integral(b) == b - b * math.log(b)
+    assert l1_error_mu_raw(spec, delta) == 4.0 * catalan() / (math.pi * delta)
+
+
+def test_l1_quadrature_is_continuous_through_sigma_one():
+    # next to sigma = 1 the quadrature sits on Haar's tail-model floor,
+    # 5.6e-8 relative, with no loss from Gamma(1-sigma) ~ 1e8
+    spec = PowerSigma(1.0 + 1e-8)
+    closed = l1_error_mu_raw(spec, 1.0)
+    assert abs(l1_error_mu_quadrature(spec, 1.0) - closed) <= 6e-8 * closed
 
 
 def test_point_mass_l1_is_weighted_sum():

@@ -17,6 +17,7 @@ from xapprox import (
     gamma_one_minus,
     measure_from_json,
     measure_to_json,
+    power_l1_constant,
     validate,
 )
 
@@ -34,6 +35,8 @@ def test_validate_accepts_the_three_families():
 def test_validate_rejects_bad_sigma(sigma):
     with pytest.raises(InvalidSigma):
         validate(PowerSigma(sigma))
+    with pytest.raises(InvalidSigma):  # the closed form checks like its family
+        power_l1_constant(sigma)
 
 
 def test_validate_rejects_bad_point_masses():

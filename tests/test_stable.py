@@ -89,6 +89,15 @@ def test_one_minus_x_csch_against_mpmath():
                 assert abs(mpmath.mpf(float(v)) - r) <= 2e-15 * r
 
 
+def test_one_minus_x_csch_scalar_has_the_array_bits():
+    # the scalar branch takes numpy's exponentials too: math's round apart
+    # at 54 of these points, and the cancellation amplifies it
+    xs = np.linspace(0.0, 50.0, 20001)
+    scalars = np.array([one_minus_x_csch(float(x)) for x in xs])
+    assert np.array_equal(scalars, one_minus_x_csch(xs))
+    assert isinstance(one_minus_x_csch(3.0), float)
+
+
 def test_scalar_in_scalar_out():
     assert isinstance(sinpi(0.3), float)
     assert isinstance(sech(np.float64(1.0)), float)
