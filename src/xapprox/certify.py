@@ -45,6 +45,7 @@ from .measures import HaarLog, PowerSigma, _zeta
 from .periodic import (
     ExpPeriodized,
     _coeff_rows,
+    _cospi_sum,
     _dct2,
     build_k,
     build_k_mu,
@@ -260,14 +261,15 @@ def _chk_l1_periodic(lam, N):
     return (periodic_l1_quadrature(lam, N), periodic_l1_error(lam, N), 1e-14)
 
 
-def _chk_periodic_nodes():
+def _chk_periodic_nodes(grid, tol):
+    # from degree 192 on, TrigPoly.eval sums frequencies >= 8 by block product
     worst = 0.0
-    for lam, N in _PERIODIC_GRID:
+    for lam, N in grid:
         L = 2 * N + 2
         xs = (np.arange(L) + 0.5) / L
         poly = build_k(lam, N)
         worst = max(worst, float(np.max(np.abs(eval_p(lam, xs) - poly.eval(xs)))))
-    return worst, 0.0, 1e-13
+    return worst, 0.0, tol
 
 
 def _chk_periodic_sign():
@@ -399,31 +401,13 @@ def _chk_zeta_numpy():
     return float(np.max(np.abs(_zeta(t) - ref) / ref)), 0.0, 1e-15
 
 
-def _dct2_direct(x):
-    """DCT-II by its defining sum, y_k = 2 sum_n x_n cos(pi k (2n+1)/(2m)),
-    m = len(x), in O(m^2): the phases are the integers k(2n+1) mod 4m,
-    the cosines read from one table cospi(j/(2m)) of the 4m phases, and
-    rows go in blocks of max(1, 2^16 // m), so below m = 2^16 no block
-    temporary exceeds 512 KB."""
-    m = x.size
-    table = cospi(np.arange(4 * m) / (2.0 * m))
-    odd = 2 * np.arange(m) + 1
-    rows = max(1, 2**16 // m)
-    out = np.empty(m)
-    for k0 in range(0, m, rows):
-        j = np.outer(np.arange(k0, min(k0 + rows, m)), odd)
-        j %= 4 * m
-        out[k0:k0 + j.shape[0]] = table.take(j) @ x
-    return 2.0 * out
-
-
 def _chk_dct_numpy():
     # build_k_mu's FFT-based DCT-II vs the direct cosine sum, on the Haar
     # q_mu values it transforms at degree N, relative to max |reference|
     worst = 0.0
     for N in (0, 1, 4, 64, 1000):
         vals = eval_q_mu(HaarLog(), (np.arange(N + 1) + 0.5) / (2 * N + 2))
-        ref = _dct2_direct(vals)
+        ref = 2.0 * _cospi_sum(vals, N + 1, 2 * N + 2)
         worst = max(worst, float(np.max(np.abs(_dct2(vals) - ref)) / np.max(np.abs(ref))))
     return worst, 0.0, 1e-15
 
@@ -475,7 +459,9 @@ def _build_registry():
     for lam, N in _PERIODIC_GRID:
         tag = {0.5: "0p5", 1.0: "1", 2.0: "2"}[lam]
         reg.append((f"thm6_1_lambda{tag}_N{N}", partial(_chk_l1_periodic, lam, N)))
-    reg.append(("thm6_1_nodes", _chk_periodic_nodes))
+    reg.append(("thm6_1_nodes", partial(_chk_periodic_nodes, _PERIODIC_GRID, 1e-13)))
+    reg.append(("thm6_1_nodes_N1000",
+                partial(_chk_periodic_nodes, ((0.5, 1000), (2.0, 1000)), 2e-14)))
     reg.append(("thm6_1_sign", _chk_periodic_sign))
     for N in (0, 1, 2, 4, 8):
         reg.append((f"thm1_4_N{N}", partial(_chk_log_circle, N)))

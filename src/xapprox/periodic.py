@@ -12,7 +12,7 @@ cosine-sum interpolation is the reference for both routes; circle L1
 quadrature respects the corner of p at x = 0 and the log singularity of
 the Haar target.  Every circle value goes through TrigPoly.eval:
 Reinsch's modified Clenshaw recurrence, which from degree 192 on keeps
-only the frequencies below 32 and sums the rest as one BLAS matrix
+only the frequencies below 8 and sums the rest as one BLAS matrix
 product per block of points.  O(P) memory for P points, as accurate as
 the direct sum, and exactly even.
 """
@@ -94,7 +94,7 @@ class TrigPoly:
 
         The recurrence costs six array operations per frequency.  So a
         polynomial of degree >= _BLAS_DEGREE runs it only over the
-        frequencies below _BLOCK, which hold the large coefficients, and
+        frequencies below _LOW, which hold the largest coefficients, and
         adds the rest from _high_sum, one real matrix product per block of
         points.  It folds x to u = |x - rint x| and evaluates each distinct
         u once, so evenness stays exact there too, and a scalar rounds as
@@ -109,9 +109,9 @@ class TrigPoly:
             u, inv = np.unique(np.abs(xa - np.rint(xa)).ravel(), return_inverse=True)
             # m and s first: cospi's temporaries peak before high exists
             m, s = _recurrence_ms(cospi(u), sinpi(u))
-            high = _high_sum(2.0 * self._c[_BLOCK:], u)
+            high = _high_sum(2.0 * self._c, u)
             del u
-            b, d = _reinsch(self._cos[-(_BLOCK - 1):], m, s)
+            b, d = _reinsch(self._cos[-(_LOW - 1):], m, s)
             # ((c0 + (m/2) b) + s d) + high, in place, with no temporaries
             m *= b
             m *= 0.5
@@ -165,29 +165,30 @@ class TrigPoly:
         return cls(arr[N:].real)
 
 
-# TrigPoly.eval hands the frequencies k >= _BLOCK of an even polynomial of
-# degree >= _BLAS_DEGREE to _high_sum.  The crossover was measured on 2001
-# points: below it the recurrence alone is faster.
+# From degree _BLAS_DEGREE (a crossover measured on 2001 points) TrigPoly.eval
+# keeps the frequencies below _LOW on the recurrence, which sums their large
+# coefficients best, and hands the rest to _high_sum in rows of _BLOCK.
 _BLOCK = 32
+_LOW = 8
 _BLAS_DEGREE = 192
 
 
 def _high_sum(a, u):
-    """sum_k a_k cos(2 pi (k + _BLOCK) u) for a 1-d array u, as one BLAS
+    """sum_{k >= _LOW} a_k cos(2 pi k u) for a 1-d array u, as one BLAS
     product per block of points.
 
-    Frequency k + _BLOCK = q _BLOCK + r goes to row q - 1, column r of the
-    (Q, _BLOCK) matrix A.  The sum is then Re sum_q F_q (A E)_q, with
-    E_r = e(r u) and F_q = e(q _BLOCK u), and A E is one real product
-    with E viewed as (re, im) columns.  Both tables come by doubling from
-    e(2^j u), each taken at the exactly reduced argument 2^j u -
-    rint(2^j u): phase errors grow like log2 of the degree, not like the
-    degree.  Every block has the same padded shape, so a point's value
-    does not depend on how many points come with it.
+    Frequency k = q _BLOCK + r goes to row q, column r of the (Q, _BLOCK)
+    matrix A (row 0 holds _LOW.._BLOCK-1).  The sum is then Re sum_q F_q
+    (A E)_q, with E_r = e(r u) and F_q = e(q _BLOCK u), and A E is one real
+    product with E viewed as (re, im) columns.  Both tables come by doubling
+    from e(2^j u), each written by cos and sin at the exactly reduced
+    argument 2^j u - rint(2^j u): phase errors grow like log2 of the degree,
+    not like the degree.  Every block has the same padded shape, so a
+    point's value does not depend on how many points come with it.
     """
     Q = -(-a.size // _BLOCK)
     A = np.zeros(Q * _BLOCK)
-    A[:a.size] = a
+    A[_LOW:a.size] = a[_LOW:]
     A = A.reshape(Q, _BLOCK)
     # points per block: a multiple of 8, since BLAS kernels round the
     # columns of a ragged edge differently; up to Q = 512 (degree ~16000)
@@ -200,15 +201,17 @@ def _high_sum(a, u):
     padded = np.zeros(-(-n // width) * width)
     padded[:n] = u
     bits = (_BLOCK - 1).bit_length()
-    scales = np.ldexp(1.0, np.arange(bits + Q.bit_length()))[:, None]
+    scales = np.ldexp(1.0, np.arange(bits + (Q - 1).bit_length()))[:, None]
+    w = np.empty((scales.size, width), dtype=complex)
     out = np.empty(padded.size)
     for i in range(0, padded.size, width):
         y = scales * padded[i:i + width]
         y -= np.rint(y)
         y *= 2.0 * np.pi
-        w = np.exp(1j * y)
+        np.cos(y, out=w.real)
+        np.sin(y, out=w.imag)
         G = (A @ _powers(w[:bits], _BLOCK).view(float)).view(complex)
-        out[i:i + width] = (_powers(w[bits:], Q + 1)[1:] * G).real.sum(axis=0)
+        out[i:i + width] = (_powers(w[bits:], Q) * G).real.sum(axis=0)
     return out[:n]
 
 
@@ -389,9 +392,9 @@ def interpolation_oracle(target, N: int) -> TrigPoly:
     nodes x_k = (k+1/2)/(2N+2), by the real cosine transform (for even
     targets the alias frequency N+1 vanishes on this grid, so the
     interpolant is exactly recovered).  The direct cosine sum over all
-    2N+2 nodes, no evenness assumed: the reference for both routes of
-    build_k_mu, the Khat rows of point masses and the DCT of a density.
-    The target is an ExpPeriodized, a MeasurePeriodized or a callable of x.
+    2N+2 nodes at exact integer phases, no evenness assumed: the reference
+    for build_k_mu's Khat rows of point masses and DCT of a density.  The
+    target is an ExpPeriodized, a MeasurePeriodized or a callable of x.
     """
     L = 2 * N + 2
     xs = (np.arange(L) + 0.5) / L
@@ -399,7 +402,21 @@ def interpolation_oracle(target, N: int) -> TrigPoly:
         vals = np.asarray(target.value(xs), dtype=float)
     else:
         vals = np.array([float(target(x)) for x in xs])
-    return TrigPoly(cospi(2.0 * np.outer(np.arange(N + 1), xs)) @ vals / L)
+    return TrigPoly(_cospi_sum(vals, N + 1, L) / L)
+
+
+def _cospi_sum(v, n, D):
+    """sum_k v_k cos(pi i (2k+1)/D), i < n, directly: the integer phases
+    i(2k+1) mod 2D index one table cospi(j/D), in row blocks whose phases
+    and cosines take at most 256 KB each while len(v) <= 2^15."""
+    table, odd = cospi(np.arange(2 * D) / D), 2 * np.arange(v.size) + 1
+    rows = max(1, 2**15 // v.size)
+    out = np.empty(n)
+    for i in range(0, n, rows):
+        j = np.outer(np.arange(i, min(i + rows, n)), odd)
+        j %= 2 * D
+        out[i:i + j.shape[0]] = table.take(j) @ v
+    return out
 
 
 # --- circle L1 quadrature helpers -----------------------------------------

@@ -213,8 +213,8 @@ def test_trigpoly_eval_is_exactly_even():
 
 
 @pytest.mark.parametrize("p", [build_k(1.0, 0), build_k(1.0, 5).with_bumped_coeff(5, 1e-3),
-                               build_k(1.0, 300)],
-                         ids=["N0", "N5", "N300"])
+                               build_k(1.0, 192), build_k(1.0, 300), build_k(1.0, 1000)],
+                         ids=["N0", "N5", "N192", "N300", "N1000"])
 def test_trigpoly_eval_scalar_is_python_float(p):
     xs = np.array([-0.7, 0.0, 0.3125, 1.9])
     for x, v in zip(xs, p.eval(xs)):
@@ -254,8 +254,8 @@ def test_trigpoly_eval_memory_at_many_points():
 @pytest.mark.parametrize("N", [191, 192, 255, 256, 1000])
 def test_trigpoly_eval_matches_exact_sum_around_the_crossover(N):
     # below degree 192 the recurrence alone, from 192 on the recurrence
-    # plus the block product; values of one point do not depend on the
-    # points evaluated with it
+    # over frequencies 1..7 plus the block product over 8..N; values of
+    # one point do not depend on the points evaluated with it
     rng = np.random.default_rng(N)
     pos = rng.normal(size=N)
     c = np.concatenate([[rng.normal()], pos])
@@ -269,6 +269,24 @@ def test_trigpoly_eval_matches_exact_sum_around_the_crossover(N):
     assert np.array_equal(p.eval(xs[3:6]), vals[3:6])
     many = np.concatenate([rng.uniform(-2.0, 2.0, 3000), xs])
     assert np.array_equal(p.eval(many)[-xs.size:], vals)
+
+
+@pytest.mark.parametrize("N", [192, 1000])
+@pytest.mark.parametrize("k", [0, 1, 7, 8, 31, 32, 33, -1])
+def test_trigpoly_eval_single_frequency_at_the_band_edges(N, k):
+    # frequency k alone is 2 cos 2 pi k x: the edges of the recurrence's
+    # band (7 | 8) and of the block table's rows (31 | 32 | 33) and the top
+    # frequency, each counted exactly once; the reference's own rounding
+    # of 2 pi {kx} is up to ~1.4e-15, so the bound is the crossover test's
+    # 4e-15 sum |c_n|
+    k = N if k < 0 else k
+    c = np.zeros(N + 1)
+    c[k] = 1.0
+    xs = np.concatenate([[0.0, 1e-9, 0.25, 0.5 - 1e-12, 0.5],
+                         np.random.default_rng(k).uniform(-2.0, 2.0, 12)])
+    tol = 4e-15 * (1.0 if k == 0 else 2.0)  # sum |c_n|, n = -N..N
+    for x, v in zip(xs, TrigPoly(c).eval(xs)):
+        assert abs(v - _exact_sum(c, x)) <= tol
 
 
 @settings(max_examples=60, deadline=None)
@@ -580,6 +598,30 @@ def test_oracle_agrees_with_closed_construction():
         a = build_k(lam, N).coeffs
         b = interpolation_oracle(ExpPeriodized(lam), N).coeffs
         assert np.allclose(a, b, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("N", [32, 200, 1000])
+def test_oracle_matches_both_builders(N):
+    # exact integer phases n(2k+1) mod 2L: the oracle agrees with the
+    # K-hat rows and with the DCT of the Haar q_mu to rounding
+    for lam in (0.3, 10.0):
+        a = interpolation_oracle(ExpPeriodized(lam), N).coeffs
+        assert float(np.max(np.abs(a - build_k(lam, N).coeffs))) <= 2e-16
+    h = interpolation_oracle(MeasurePeriodized(HaarLog()), N).coeffs
+    assert float(np.max(np.abs(h - build_k_mu(HaarLog(), N).coeffs))) <= 5e-16
+
+
+def test_oracle_memory_is_blocked():
+    # the (N+1) x (2N+2) phase table goes in row blocks of at most 256 KB
+    target = ExpPeriodized(0.3)
+    interpolation_oracle(target, 1000)
+    tracemalloc.start()
+    try:
+        interpolation_oracle(target, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_oracle_callable_target():
