@@ -114,7 +114,13 @@ def error_exp(kernel: ExpKernel, x):
     """Pointwise error e^{-lam|x|} - K(lam/delta, delta*x).
 
     Its sign is that of cos(pi*delta*x), vanishing exactly at the
-    half-integer nodes of delta*x.
+    half-integer nodes of delta*x.  The two terms are each ~1 and their
+    difference is small when lam' = lam/delta is, so the subtraction loses
+    digits as lam' falls: against 40-digit mpmath at w in {0.3, 2.2, 7.1,
+    15.7}, the worst relative error is 5.2e-16 at lam' = 50, 2.1e-15 at 1,
+    2.3e-13 at 0.1, 4.8e-11 at 0.01, 5.3e-10 at 1e-3, 1.3e-9 at 1e-4 and
+    1.4e-7 at 1e-6.  error_exp_integral_oracle has no such loss (within
+    4.7e-16 at every lam') but costs ~80 us a point.
     """
     x = np.asarray(x, dtype=float)
     return np.exp(-kernel.lam * np.abs(x)) - eval_K(kernel, x)

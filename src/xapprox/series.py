@@ -27,7 +27,11 @@ in two buffers of rows x (H + 24) that stay under _BLOCK = 128 KB
 (glibc's mmap threshold), held per thread and reused by every block and
 every call.  Each row is summed on its own, so a point's bits depend on the
 point and on H (through max |Re w|) only, never on the number of points
-or on where the point sits among them or in a block.
+or on where the point sits among them or in a block.  One real point (a
+scalar eval_K or eval_K_mu, each series of error_mu_pointwise) takes a
+shorter route with the same bits: its per-point values in Python floats
+and its H + 24 terms in one 1-D row, without the buffers, the blocks, the
+band search or the one-element array operations.
 
 cos pi w, which vanishes at the nodes, and the sinc pair that takes the
 nearest node's term come from one sine of d = w - xi_m, exact for
@@ -176,6 +180,43 @@ def _term_blocks(coef, xi, v, band, rows):
         yield i, t
 
 
+def _head_map(H):
+    # beyond the documented |Re w| <= 1e3 the map is built, not cached
+    return (_map if H <= 2048 else _map.__wrapped__)(H)
+
+
+def _one_point(phi, v):
+    """KK(phi, v) at one real v in [0, 2^20]: the block route's operations
+    in the same order, the per-point values in Python floats and the
+    H + 24 terms in one 1-D row, so the bits are the block route's.  The
+    sine is np.sin, as there: numpy's SIMD sine need not round as
+    math.sin does.  The band term is divided by 1, not by its 0 at a
+    node, and then zeroed, so no floating-point flag is raised for data
+    that are finite."""
+    xi, coef, _ = _head_map(math.ceil(v) + _HEAD_PAST)
+    ph = np.asarray(phi(xi), dtype=float)
+    # _node_terms: the nearest node xi_m, sin pi d / pi, the near band
+    m = int(v)
+    xm = m + 0.5
+    d = v - xm
+    sn = float(np.sin(math.pi * d)) / math.pi
+    near = abs(d) < 0.3
+    # _term_blocks: the row of far-field terms, the band term zeroed
+    t = xi - v
+    t *= xi + v
+    if near:
+        t[m] = 1.0
+    np.divide(coef * ph, t, out=t)
+    if near:
+        t[m] = 0.0
+    # cos pi v / pi = (-1)^{m+1} sin pi d / pi times the row's sum
+    out = (sn if m % 2 else -sn) * float(np.add.reduce(t))
+    if near:  # the sinc pair takes the node's term
+        pair = (sn / d if d != 0.0 else 1.0) - sn / (v + xm)
+        out += pair * float(ph[m])
+    return out
+
+
 def _cardinal_sum(phi, w):
     """KK(phi, w) for a 1-D array w of float64 or complex128 (_dilate
     makes one of any input).
@@ -199,7 +240,21 @@ def _cardinal_sum(phi, w):
     memory does not grow with the number of points.  A sum that is not
     finite (|Im w| beyond ~225, where cos pi w overflows) raises
     SeriesNonConvergence, as does |Re w| above 2^20.
+
+    A single real point is summed by _one_point, which skips the term
+    buffers, the blocks and the band search: its bits, its H and its map
+    (cached up to H = 2048) are the block route's, so a scalar call
+    equals the same point in an array of the same max |Re w|.  A point
+    that is nan, infinite or beyond 2^20, or a sum that is not finite,
+    goes on to the block route, which raises.  Complex points always take
+    the block route.
     """
+    if w.size == 1 and w.dtype == np.float64:
+        v = abs(float(w[0]))
+        if v <= _MAX_RE:  # not nan, inf or too far: the block route raises
+            out = _one_point(phi, v)
+            if math.isfinite(out):
+                return np.array([out])
     P = w.size
     if np.iscomplexobj(w):
         flip = (w.real < 0.0) | ((w.real == 0.0) & (w.imag < 0.0))
@@ -209,9 +264,7 @@ def _cardinal_sum(phi, w):
     top = float(v.real.max()) if P else 0.0
     if not top <= _MAX_RE:
         raise SeriesNonConvergence(f"cardinal series at |Re w| = {top:g}, above {_MAX_RE:g}")
-    H = math.ceil(top) + _HEAD_PAST
-    # beyond the documented |Re w| <= 1e3 the map is built, not cached
-    xi, coef, sign = (_map if H <= 2048 else _map.__wrapped__)(H)
+    xi, coef, sign = _head_map(math.ceil(top) + _HEAD_PAST)
     ph = np.asarray(phi(xi), dtype=float)
     s = np.empty(P, dtype=v.dtype)
     rows = max(1, (_BLOCK - 1) // (xi.size * v.itemsize))

@@ -153,17 +153,18 @@ def test_coefficient_quadrature_against_mpmath(spec, N):
 
 
 def test_catalan_series_check_runs_in_chunks():
-    # one cumsum over the 1e6 + 1 terms peaks at 30.5 MB; the chunked
-    # cumsum gives its bits
+    # one cumsum over the 1e6 + 1 terms peaks at 30.5 MB and reads
+    # 1.1662436161232974, 2.2e-14 off 4G/pi; the pairwise chunk sums, added
+    # by fsum, peak at 0.25 MB and land one ulp from it
     tracemalloc.start()
     try:
         got, want, tol = _chk_catalan_series()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert got == 1.1662436161232974  # the single cumsum's value
-    assert abs(got - want) <= tol
-    assert peak < 4 * 2**20
+    assert got == 1.166243616123275
+    assert abs(got - want) <= 2.3e-16 and tol == 2e-14
+    assert peak < 2**20
 
 
 def test_no_check_calls_quadpack(monkeypatch):

@@ -37,6 +37,7 @@ from xapprox import (
     q_hat_mu,
     refined_sign_nodes,
 )
+from xapprox._stable import cospi
 from xapprox.errors import InvalidPointMass, QuadratureNonConvergence
 
 
@@ -175,10 +176,12 @@ def _mp_value(poly, x):
 
 def _exact_sum(c, x):
     """Direct cosine sum c_0 + 2 sum_n c_n cos(2 pi n x), n x reduced mod 1
-    exactly."""
+    exactly and each cosine taken at that phase by cospi, so that no
+    multiple of pi is rounded: 2.6e-16 off 40-digit mpmath for one
+    frequency (np.cos(2 pi {nx}) is 1.3e-15 off)."""
     fx = Fraction(float(x))
     fr = np.array([float((n * fx) % 1) for n in range(1, c.size)])
-    return float(c[0] + 2.0 * np.sum(c[1:] * np.cos(2 * np.pi * fr)))
+    return float(c[0] + 2.0 * np.sum(c[1:] * cospi(2.0 * fr)))
 
 
 def _half_shifted(poly):
@@ -276,9 +279,9 @@ def test_trigpoly_eval_matches_exact_sum_around_the_crossover(N):
 def test_trigpoly_eval_single_frequency_at_the_band_edges(N, k):
     # frequency k alone is 2 cos 2 pi k x: the edges of the recurrence's
     # band (7 | 8) and of the block table's rows (31 | 32 | 33) and the top
-    # frequency, each counted exactly once; the reference's own rounding
-    # of 2 pi {kx} is up to ~1.4e-15, so the bound is the crossover test's
-    # 4e-15 sum |c_n|
+    # frequency, each counted exactly once; the bound is the crossover
+    # test's 4e-15 sum |c_n|, as the recurrence itself is up to 4.7e-15 off
+    # at k = 7 (1500 points in [-2, 2], against 40-digit mpmath)
     k = N if k < 0 else k
     c = np.zeros(N + 1)
     c[k] = 1.0
@@ -296,7 +299,8 @@ def test_trigpoly_eval_matches_direct_sum(N, seed, xs):
     rng = np.random.default_rng(seed)
     c = rng.normal(size=N + 1)
     p = TrigPoly(c)
-    tol = 1e-13 * float(abs(c[0]) + 2.0 * np.sum(np.abs(c[1:])))  # sum |c_n|, n = -N..N
+    # sum |c_n|, n = -N..N; 6000 drawn points read at most 2.9e-15 of it
+    tol = 3e-14 * float(abs(c[0]) + 2.0 * np.sum(np.abs(c[1:])))
     for x, v in zip(xs, p.eval(np.array(xs))):
         assert abs(v - _exact_sum(c, x)) <= tol
 

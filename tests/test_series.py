@@ -17,6 +17,8 @@ from xapprox import (
     EntireApproximant,
     ExpKernel,
     HaarLog,
+    PointMasses,
+    PowerSigma,
     SeriesNonConvergence,
     catalan,
     dirichlet_beta,
@@ -153,6 +155,42 @@ def test_bits_do_not_depend_on_block_or_position(im):
             assert vals[0].tobytes() == vals[-1].tobytes(), (f.__name__, P)
             assert f(obj, x[::-1])[::-1].tobytes() == vals.tobytes(), (f.__name__, P)
             assert f(obj, x[k:k + 1]).tobytes() == vals[k:k + 1].tobytes(), (f.__name__, P)
+
+
+_ONE_POINT_DATA = [(f"exp {lam:g}", lambda xi, lam=lam: np.exp(-lam * xi))
+                   for lam in (1e-6, 1e-3, 0.05, 1.0, 50.0)] + [
+    (repr(s), s.raw_frame(1.0)[0])
+    for s in (HaarLog(), PowerSigma(0.05), PowerSigma(0.5), PowerSigma(1.0 - 1e-6),
+              PowerSigma(1.0 + 1e-6), PowerSigma(1.95), PointMasses(((0.5, 1.0), (2.0, 0.25))))]
+
+
+def _one_point_grid():
+    # every node, the near band's edges at node +- 0.3 and the floats next
+    # to them, the origin and its neighbours, random points, and two points
+    # far out: 1e3 (cached map) and 2048.5 (H = 2057, built, not cached)
+    nodes = np.arange(41) + 0.5
+    edges = np.concatenate([nodes - 0.3, nodes + 0.3])
+    edges = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+    draws = np.random.default_rng(29).uniform(0.0, 40.0, 60)
+    pts = np.concatenate([nodes, edges, [0.0, 5e-324, 0.25], draws, [1e3, 2048.5]])
+    return np.concatenate([pts, -pts])
+
+
+@pytest.mark.parametrize("name,phi", _ONE_POINT_DATA, ids=[d[0] for d in _ONE_POINT_DATA])
+def test_one_point_route_has_the_block_routes_bits(name, phi):
+    # one real point takes the Python-float route; two points, the block
+    # route: a point's bits must not tell which one summed it
+    for w in _one_point_grid():
+        cached = series._map.cache_info().currsize
+        got = _cardinal_sum(phi, np.array([w]))
+        if abs(w) > 2040.0:  # the map beyond H = 2048 is built, not cached
+            assert series._map.cache_info().currsize == cached
+        want = _cardinal_sum(phi, np.array([w, -w]))[:1]
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (name, w)
+    for w in (2.0**20 + 1.0, math.nan, math.inf, -math.inf):
+        for pts in (np.array([w]), np.array([w, 0.5])):
+            with pytest.raises(SeriesNonConvergence):
+                _cardinal_sum(phi, pts)
 
 
 def test_threads_sum_in_their_own_term_buffers():
