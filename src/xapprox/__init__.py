@@ -18,7 +18,7 @@ _HOME = {
     "errors": (
         "XapproxError", "InvalidSigma", "InvalidPointMass",
         "QuadratureNonConvergence", "SeriesNonConvergence", "DivergentAtZero",
-        "UnknownCheckName",
+        "NonFinitePoint", "UnknownCheckName",
     ),
     # numerics
     "series": ("dirichlet_beta", "catalan"),

@@ -276,10 +276,11 @@ def _chk_periodic_nodes(grid, tol):
     return worst, 0.0, tol
 
 
-def _chk_periodic_sign():
+def _chk_periodic_sign(grid):
+    # the error's sign pattern at 2000 draws off the nodes per (lam, N)
     rng = np.random.default_rng(_SEED + 1)
     worst_frac = 1.0
-    for lam, N in _PERIODIC_GRID:
+    for lam, N in grid:
         L = 2 * N + 2
         xs = np.empty(0)
         while xs.size < 2000:
@@ -466,7 +467,9 @@ def _build_registry():
     reg.append(("thm6_1_nodes", partial(_chk_periodic_nodes, _PERIODIC_GRID, 1e-13)))
     reg.append(("thm6_1_nodes_N1000",
                 partial(_chk_periodic_nodes, ((0.5, 1000), (2.0, 1000)), 2e-14)))
-    reg.append(("thm6_1_sign", _chk_periodic_sign))
+    reg.append(("thm6_1_sign", partial(_chk_periodic_sign, _PERIODIC_GRID)))
+    reg.append(("thm6_1_sign_N1000",
+                partial(_chk_periodic_sign, ((0.5, 192), (2.0, 192), (0.5, 1000), (2.0, 1000)))))
     for N in (0, 1, 2, 4, 8):
         reg.append((f"thm1_4_N{N}", partial(_chk_log_circle, N)))
     reg.append(("cross_oracle_exp", _chk_cross_exp))

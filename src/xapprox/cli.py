@@ -257,10 +257,11 @@ def _triplet(args, spec, xs):
         N = _get_degree(args)
         spec = spec or PointMasses(((_get_lambda(args), 1.0),))
         if spec.form is TargetForm.LOG:
-            # presented as log|1 - e(x)| versus the negated polynomial
+            # presented as log|1 - e(x)| versus the negated polynomial; eval
+            # first, which refuses a nan or infinite x
+            approx = (-build_k_mu(spec, N)).eval(xs)
             with np.errstate(divide="ignore"):
                 target = np.log(np.abs(2.0 * sinpi(xs)))
-            approx = (-build_k_mu(spec, N)).eval(xs)
         else:
             try:
                 target = eval_q_mu(spec, xs)

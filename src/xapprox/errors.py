@@ -22,6 +22,10 @@ class SeriesNonConvergence(XapproxError, ArithmeticError):
     or asked at |Re w| above 2^20."""
 
 
+class NonFinitePoint(XapproxError, ValueError):
+    """A point x of the circle R/Z is nan or infinite: it has no place mod 1."""
+
+
 class DivergentAtZero(XapproxError, ValueError):
     """Periodized target is +infinity at x = 0 (mod 1) for this measure."""
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._stable import cospi, csch, one_minus_sech, one_minus_x_csch, sech, sinpi
-from .errors import QuadratureNonConvergence
+from .errors import NonFinitePoint, QuadratureNonConvergence
 from .quadrature import _panel_rule
 from .series import _cardinal_sum, _cell_integrals, _cell_operator, _dilate
 
@@ -268,6 +268,18 @@ def _p_constants(lam):
     return -math.expm1(-lam), one_minus_x_csch(0.5 * lam) * (2.0 / lam)
 
 
+def _circle_points(x):
+    """x as a float array; NonFinitePoint, naming the first such point,
+    where x holds a nan or an infinity, which has no place on R/Z."""
+    xa = np.asarray(x, dtype=float)
+    # the cheapest tests: ~0.1 us for a point, ~1 us for a short array
+    if not (math.isfinite(xa) if xa.ndim == 0
+            else np.count_nonzero(np.isfinite(xa)) == xa.size):
+        bad = xa[~np.isfinite(xa)].flat[0]
+        raise NonFinitePoint(f"circle point x = {bad} is not finite")
+    return xa
+
+
 def eval_p(lam: float, x):
     """p(lam, x) = cosh(lam({x}-1/2))/sinh(lam/2) - 2/lam, period 1: the
     periodization of e^{-lam|x|} minus its mean.
@@ -278,12 +290,13 @@ def eval_p(lam: float, x):
     is, so nothing large cancels at small lam, and no exponential
     overflows at large lam.  Within ~4e-14 of max(|p|, 1e-3) for lam in
     [1e-4, 2000], ~5e-17 absolute where p crosses zero.  Raises
-    ValueError unless lam is finite and positive.
+    ValueError unless lam is finite and positive, and NonFinitePoint (a
+    ValueError) at a nan or infinite x.
     """
     if not (math.isfinite(lam) and lam > 0):
         raise ValueError(f"lam must be finite and positive, got {lam}")
+    xa = _circle_points(x)
     den, c2 = _p_constants(float(lam))
-    xa = np.asarray(x, dtype=float)
     q = np.abs(xa - np.rint(xa))
     q *= -lam
     t = np.expm1(-0.5 * lam - q)

@@ -25,7 +25,7 @@ import numpy as np
 
 from ._stable import sinpi
 from .errors import DivergentAtZero, InvalidPointMass, InvalidSigma
-from .expkernel import eval_p, l1_error_exp
+from .expkernel import _circle_points, eval_p, l1_error_exp
 from .series import dirichlet_beta
 
 __all__ = [
@@ -139,7 +139,7 @@ class PointMasses(_Family):
         return (2.0 * lam / (lam * lam + 4.0 * math.pi**2 * nn[:, None] * nn[:, None])) @ w
 
     def q_mu(self, x):
-        xx = np.asarray(x, dtype=float)
+        xx = np.asarray(x, dtype=float)  # eval_p refuses a non-finite x
         return sum(w * eval_p(lam, xx) for lam, w in self.masses)
 
 
@@ -193,7 +193,7 @@ class HaarLog(_Density):
 
     def q_mu(self, x):
         # closed form -log|2 sin pi x|
-        xx = np.asarray(x, dtype=float)
+        xx = _circle_points(x)
         s = sinpi(xx)
         if np.any(np.asarray(s) == 0.0):
             raise DivergentAtZero("q_mu is +inf at integer x for the Haar measure")
@@ -241,7 +241,7 @@ class PowerSigma(_Density):
         # a = 1/2.  (a^{-s} - 1)/s = -log(a) exprel(-s log a) keeps sigma -> 1
         # (Haar's -log|2 sin pi x|) free of 0/0; at a = 0 it is -1/s.
         sg = self.sigma
-        xx = np.asarray(x, dtype=float)
+        xx = _circle_points(x)
         a = np.atleast_1d(xx - np.floor(xx)).ravel()
         a = np.minimum(a, 1.0 - a)
         at0 = a == 0.0

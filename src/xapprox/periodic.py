@@ -13,14 +13,17 @@ quadrature respects the corner of p at x = 0 and the log singularity of
 the Haar target.  Every circle value goes through TrigPoly.eval:
 Reinsch's modified Clenshaw recurrence, which from degree 192 on keeps
 only the frequencies below 8 and sums the rest as one BLAS matrix
-product per block of points.  O(P) memory for P points, as accurate as
-the direct sum, and exactly even.
+product per block of points, against twiddle tables built once per
+chunk of points in a fixed per-thread workspace of 1 MB.  O(P) memory
+for P points plus that workspace, as accurate as the direct sum, and
+exactly even.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +31,7 @@ import numpy as np
 from ._stable import cospi, one_minus_x_csch, sinpi
 from .entire import l1_error_mu_raw
 from .errors import QuadratureNonConvergence
-from .expkernel import _khat, eval_p, l1_error_exp
+from .expkernel import _circle_points, _khat, eval_p, l1_error_exp
 from .measures import HaarLog, PointMasses, f_mu, validate
 from .quadrature import panel_nodes, reduce_cells_abs
 
@@ -96,16 +99,20 @@ class TrigPoly:
         polynomial of degree >= _BLAS_DEGREE runs it only over the
         frequencies below _LOW, which hold the largest coefficients, and
         adds the rest from _high_sum, one real matrix product per block of
-        points.  It folds x to u = |x - rint x| and evaluates each distinct
-        u once, so evenness stays exact there too, and a scalar rounds as
-        the same point of an array does.  Memory is O(len(x)) either way.
+        points against twiddle tables built once per chunk of points, in a
+        workspace of 1 MB that each thread allocates once and keeps.  It
+        folds x to u = |x - rint x| and evaluates each distinct u once, so
+        evenness stays exact there too, and a scalar rounds as the same
+        point of an array does.  Memory is O(len(x)) either way, plus the
+        workspace from degree 192 on.
+        A nan or infinite x raises NonFinitePoint (a ValueError).
         """
+        xa = _circle_points(x)
         c0 = float(self._c[0])
-        scalar = np.ndim(x) == 0
+        scalar = xa.ndim == 0
         if self.degree == 0:
-            return c0 if scalar else np.full(np.shape(x), c0)
+            return c0 if scalar else np.full(xa.shape, c0)
         if self.degree >= _BLAS_DEGREE:
-            xa = np.asarray(x, dtype=float)
             u, inv = np.unique(np.abs(xa - np.rint(xa)).ravel(), return_inverse=True)
             # m and s first: cospi's temporaries peak before high exists
             m, s = _recurrence_ms(cospi(u), sinpi(u))
@@ -185,6 +192,14 @@ def _high_sum(a, u):
     argument 2^j u - rint(2^j u): phase errors grow like log2 of the degree,
     not like the degree.  Every block has the same padded shape, so a
     point's value does not depend on how many points come with it.
+
+    The phases, their cos and sin, E, F and the products A E are rows over
+    a chunk of whole blocks, as many as fit the calling thread's workspace
+    (_workspace); only the products go block by block, in one batched
+    matmul.  So the tables cost ~20 numpy calls per chunk, not per block.
+    A block too large for the workspace (degree above ~130 000) gets a
+    buffer of its own: memory is O(len(u)) plus the workspace or one
+    block's tables.
     """
     Q = -(-a.size // _BLOCK)
     A = np.zeros(Q * _BLOCK)
@@ -194,37 +209,77 @@ def _high_sum(a, u):
     # columns of a ragged edge differently; up to Q = 512 (degree ~16000)
     # at most 4096/Q, so a product is at most 2^18 multiply-adds, which
     # OpenBLAS runs on one thread (a threaded product of this size stalled
-    # for up to 16 ms on a busy 2-CPU machine); and at most 256, so a
-    # block's temporaries stay under 512 KB
+    # for up to 16 ms on a busy 2-CPU machine); and at most 256.  Every
+    # value's bits depend on this width, not on the chunks
     width = 8 * max(1, min(32, 512 // Q))
     n = u.size
     padded = np.zeros(-(-n // width) * width)
     padded[:n] = u
     bits = (_BLOCK - 1).bit_length()
     scales = np.ldexp(1.0, np.arange(bits + (Q - 1).bit_length()))[:, None]
-    w = np.empty((scales.size, width), dtype=complex)
+    R = scales.size
+    # floats per point: the phases y (R rows), then complex rows: their
+    # e() w, E, F and G = A E
+    per_point = 3 * R + 2 * _BLOCK + 4 * Q
+    buf = _workspace()
+    step = min(buf.size, _WORKSPACE // 8) // (width * per_point) * width
+    if not step:
+        step = width
+        buf = np.empty(width * per_point)
     out = np.empty(padded.size)
-    for i in range(0, padded.size, width):
-        y = scales * padded[i:i + width]
-        y -= np.rint(y)
+    for i in range(0, padded.size, step):
+        x = padded[i:i + step]
+        if i == 0 or x.size < step:
+            C = x.size
+            y = buf[:R * C].reshape(R, C)
+            T = buf[R * C:per_point * C].view(complex).reshape(-1, C)
+            w, E, F, G = T[:R], T[R:R + _BLOCK], T[R + _BLOCK:R + _BLOCK + Q], T[-Q:]
+            # block by block, (Q, _BLOCK) @ (_BLOCK, 2 width) products
+            Eb, Gb = (t.view(float).reshape(len(t), -1, 2 * width).transpose(1, 0, 2)
+                      for t in (E, G))
+        np.multiply(scales, x, out=y)
+        np.rint(y, out=w.real)  # w.real holds rint(y) until the cosines
+        y -= w.real
         y *= 2.0 * np.pi
         np.cos(y, out=w.real)
         np.sin(y, out=w.imag)
-        G = (A @ _powers(w[:bits], _BLOCK).view(float)).view(complex)
-        out[i:i + width] = (_powers(w[bits:], Q) * G).real.sum(axis=0)
+        _powers(w[:bits], E)
+        _powers(w[bits:], F)
+        np.matmul(A, Eb, out=Gb)
+        np.multiply(F, G, out=G)
+        G.real.sum(axis=0, out=out[i:i + C])
     return out[:n]
 
 
-def _powers(w, n):
-    """Rows z^k, k < n, from w[j] = z^(2^j) by doubling: rows [m, 2m)
-    are rows [0, m) times w[log2 m]."""
-    T = np.empty((n, w.shape[1]), dtype=complex)
+# bytes of _high_sum's workspace in each thread: a chunk of 512 points at
+# degree 1000.  Against tables built block by block, 2001 points at degree
+# 1000 took +0.5% with 256 KB (one block a chunk), -12% with 512 KB, -16%
+# with 1 MB and -19% with 4 MB
+_WORKSPACE = 2**20
+_PER_THREAD = threading.local()
+
+
+def _workspace():
+    """The calling thread's float64 workspace of _WORKSPACE bytes, made at
+    its first call and held as long as the thread.  A fresh ~1 MB array
+    per call would be a fresh mmap, faulted in page by page on every call;
+    one held at full size from the start also never moves the heap."""
+    try:
+        return _PER_THREAD.buf
+    except AttributeError:
+        _PER_THREAD.buf = np.empty(_WORKSPACE // 8)
+        return _PER_THREAD.buf
+
+
+def _powers(w, T):
+    """Rows T[k] = z^k, k < len(T), in place, from w[j] = z^(2^j) by
+    doubling: rows [m, 2m) are rows [0, m) times w[log2 m]."""
+    n = len(T)
     T[0] = 1.0
     m = 1
     for z in w:
         np.multiply(T[:min(m, n - m)], z, out=T[m:2 * m])
         m *= 2
-    return T
 
 
 def _recurrence_ms(cx, sx):
@@ -310,7 +365,8 @@ def eval_q_mu(spec, x):
     as a series in a^2 with coefficients computed once per sigma (numpy
     only: math.gamma and an Euler-Maclaurin zeta).  Scalar
     or array x, one vectorized path for both; raises DivergentAtZero
-    when q_mu is infinite at any of the points.
+    when q_mu is infinite at any of the points, NonFinitePoint (a
+    ValueError) at a nan or infinite x.
     """
     validate(spec)
     return spec.q_mu(x)

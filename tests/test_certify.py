@@ -35,9 +35,10 @@ def test_registry_is_stable_and_complete():
                      "log_interpolation", "power_sigma_half", "thm6_1_lambda2_N3",
                      "thm6_1_sign", "thm1_4_N0", "thm1_4_N8", "cross_oracle_exp",
                      "cross_oracle_haar", "cross_oracle_power", "perturbation_N3",
-                     "zeta_numpy", "dct_numpy", "pointwise_mu_oracle", "thm6_1_nodes_N1000"):
+                     "zeta_numpy", "dct_numpy", "pointwise_mu_oracle", "thm6_1_nodes_N1000",
+                     "thm6_1_sign_N1000"):
         assert required in names
-    assert len(names) == 50
+    assert len(names) == 51
 
 
 def test_selection_preserves_registration_order():

@@ -200,6 +200,10 @@ def test_error_table_empty_grid_rejected(capsys):
     ("plot-data", "--lambda", "-2", "--x-range", "0:1", "--samples", "3"),
     ("coeffs", "--measure", "haar", "--degree", "inf"),
     ("coeffs", "--measure", "haar", "--degree", "nan"),
+    ("eval", "--periodic", "--degree", "4", "--lambda", "1", "--x", "inf"),
+    ("eval", "--periodic", "--degree", "300", "--lambda", "1", "--x", "0.1", "--x", "nan"),
+    ("eval", "--periodic", "--degree", "4", "--measure", "haar", "--x=-inf"),
+    ("eval", "--periodic", "--degree", "4", "--measure", "power", "--sigma", "1.5", "--x", "nan"),
 ], ids=" ".join)
 def test_bad_numeric_model_flags_exit_2_without_a_traceback(capsys, argv):
     # exit 1 means a failed verification, so a bad flag must never reach a

@@ -2,6 +2,8 @@
 
 import json
 import math
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -37,8 +39,14 @@ from xapprox import (
     q_hat_mu,
     refined_sign_nodes,
 )
+from xapprox import periodic
 from xapprox._stable import cospi
-from xapprox.errors import InvalidPointMass, QuadratureNonConvergence
+from xapprox.errors import (
+    InvalidPointMass,
+    NonFinitePoint,
+    QuadratureNonConvergence,
+    XapproxError,
+)
 
 
 # --- TrigPoly mechanics -------------------------------------------------------
@@ -303,6 +311,120 @@ def test_trigpoly_eval_matches_direct_sum(N, seed, xs):
     tol = 3e-14 * float(abs(c[0]) + 2.0 * np.sum(np.abs(c[1:])))
     for x, v in zip(xs, p.eval(np.array(xs))):
         assert abs(v - _exact_sum(c, x)) <= tol
+
+
+def _in_new_thread(f):
+    """f() run in a thread of its own, which starts with no workspace."""
+    out = []
+    t = threading.Thread(target=lambda: out.append(f()))
+    t.start()
+    t.join(timeout=60)
+    assert not t.is_alive() and out, "the thread hung or raised"
+    return out[0]
+
+
+_POLYS = {N: build_k(0.7, N) for N in (192, 1000, 4000, 12000)}
+
+
+@pytest.mark.parametrize("cap", [1, 2**18], ids=["own-block-buffer", "256KB"])
+@pytest.mark.parametrize("N", sorted(_POLYS))
+def test_high_sum_bits_do_not_depend_on_the_chunk(monkeypatch, N, cap):
+    # a smaller workspace cuts the points into chunks of one or two blocks
+    # (a cap of 1 byte gives every block a buffer of its own, the route
+    # above degree ~130 000); the tables are the same rows either way
+    p = _POLYS[N]
+    rng = np.random.default_rng(N)
+    xs = {P: rng.uniform(-2.0, 2.0, P) for P in (1, 7, 8, 9, 1001, 3001)}
+    default = {P: p.eval(x) for P, x in xs.items()}
+    monkeypatch.setattr(periodic, "_WORKSPACE", cap)
+    for P, x in xs.items():
+        assert np.array_equal(p.eval(x), default[P])
+    for v, x in zip(default[3001][:20], xs[3001][:20]):
+        assert p.eval(float(x)) == v
+
+
+def test_high_sum_threads_keep_the_bits():
+    # each thread sums in its own workspace: four threads on two CPUs,
+    # switching every 10 us, all read the single-thread bits
+    x = np.random.default_rng(3).uniform(-2.0, 2.0, 3001)
+    want = {N: p.eval(x) for N, p in _POLYS.items()}
+    start = threading.Barrier(4)
+    results = []
+
+    def work():
+        start.wait()
+        results.append([all(np.array_equal(p.eval(x), want[N]) for N, p in _POLYS.items())
+                        for _ in range(3)])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [[True] * 3] * 4
+
+
+def test_high_sum_memory_at_degree_ten_thousand():
+    # in a new thread, so the peak includes the 1 MB workspace it allocates
+    x = np.linspace(-1.0, 1.0, 2001)
+
+    def peak():
+        tracemalloc.start()
+        try:
+            build_k(0.3, 10**4).eval(x)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert _in_new_thread(peak) <= 2 * 2**20
+
+
+def test_high_sum_allocates_its_workspace_once():
+    p = build_k(0.3, 1000)
+    x = np.linspace(-1.0, 1.0, 2001)
+
+    def calls():
+        p.eval(x)
+        buf = periodic._PER_THREAD.buf
+        tracemalloc.start()
+        try:
+            p.eval(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return buf, periodic._PER_THREAD.buf, peak
+
+    first, second, peak = _in_new_thread(calls)
+    assert second is first and first.nbytes == periodic._WORKSPACE
+    assert peak < periodic._WORKSPACE // 2  # the O(P) arrays alone
+
+
+_NON_FINITE = [math.inf, -math.inf, math.nan, np.array([0.25, math.inf]),
+               np.array([[0.1], [math.nan]])]
+
+
+@pytest.mark.parametrize("x", _NON_FINITE, ids=["inf", "-inf", "nan", "array-inf", "array-nan"])
+@pytest.mark.parametrize("f", [
+    build_k(1.0, 0).eval, build_k(1.0, 4).eval, build_k(1.0, 300).eval,
+    lambda x: eval_q_mu(HaarLog(), x), lambda x: eval_q_mu(PowerSigma(0.5), x),
+    lambda x: eval_q_mu(PowerSigma(1.5), x), lambda x: eval_q_mu(PointMasses(((1.0, 1.0),)), x),
+    lambda x: eval_p(2.0, x), ExpPeriodized(2.0).value, MeasurePeriodized(HaarLog()).value,
+], ids=["trig-N0", "trig-N4", "trig-N300", "haar", "power0.5", "power1.5", "masses", "eval_p",
+        "exp-periodized", "measure-periodized"])
+def test_non_finite_circle_points_raise(f, x):
+    # a nan or infinite x has no place on R/Z: refused with the point named,
+    # before any arithmetic could warn (RuntimeWarnings are errors here)
+    with pytest.raises(NonFinitePoint) as exc:
+        f(x)
+    assert isinstance(exc.value, ValueError) and isinstance(exc.value, XapproxError)
+    bad = np.asarray(x, dtype=float)
+    assert str(bad[~np.isfinite(bad)].flat[0]) in str(exc.value)
 
 
 # --- periodized targets ---------------------------------------------------------
