@@ -396,15 +396,14 @@ _COMMANDS = {
 
 
 def _glue_negative_values(argv):
-    """Join flags with values starting in '-' (e.g. --x-range -3:3),
-    which argparse would otherwise read as option names."""
+    """Join flags with values starting in a single '-' (e.g. --x-range -3:3,
+    --x -.5 or --x -inf), which argparse would otherwise read as option names."""
     out = []
     i = 0
     while i < len(argv):
         tok = argv[i]
         if (tok in ("--x", "--x-range") and i + 1 < len(argv)
-                and argv[i + 1].startswith("-") and len(argv[i + 1]) > 1
-                and argv[i + 1][1].isdigit()):
+                and argv[i + 1][:1] == "-" and argv[i + 1][1:2] != "-"):
             out.append(tok + "=" + argv[i + 1])
             i += 2
         else:

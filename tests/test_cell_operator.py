@@ -3,14 +3,10 @@ pointwise route it replaced: a Gauss sum over the series at every panel
 node, cell by cell."""
 
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-import xapprox
 from xapprox import (
     ExpKernel,
     HaarLog,
@@ -124,7 +120,7 @@ def test_operator_is_cached_and_read_only():
             a[0, 0] = 1.0
 
 
-def test_cold_exp_quadrature_memory_peak():
+def test_cold_exp_quadrature_memory_peak(fresh_python):
     # a fresh process, so the operator is built inside the traced call; the
     # name is resolved first, so its modules are imported outside the window
     script = ("import tracemalloc, xapprox as X\n"
@@ -132,8 +128,4 @@ def test_cold_exp_quadrature_memory_peak():
               "tracemalloc.start()\n"
               "quad(1.0)\n"
               "print(tracemalloc.get_traced_memory()[1])\n")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(xapprox.__file__)))
-    res = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
-                         capture_output=True, text=True, timeout=300)
-    assert res.returncode == 0, res.stderr[-2000:]
-    assert int(res.stdout) < 3 * 2**20
+    assert int(fresh_python("-c", script).stdout) < 3 * 2**20

@@ -2,10 +2,7 @@
 
 import json
 import math
-import os
 import re
-import subprocess
-import sys
 
 import pytest
 
@@ -214,6 +211,19 @@ def test_bad_numeric_model_flags_exit_2_without_a_traceback(capsys, argv):
     assert "error:" in err and "Traceback" not in err
 
 
+def test_value_after_a_single_dash_is_glued_to_its_flag(capsys):
+    # not only digit-led values: argparse would read `-inf` or `-.5:.5` as
+    # an option name and stop at "expected one argument"
+    code, out, err = run(capsys, "eval", "--periodic", "--degree", "4", "--measure", "haar",
+                         "--x", "-inf")
+    assert (code, out) == (2, "")
+    assert "circle point x = -inf is not finite" in err
+    code, out, _ = run(capsys, "eval", "--periodic", "--degree", "4", "--measure", "haar",
+                       "--x-range", "-.5:.5")
+    assert code == 0
+    assert [row.split(",")[0] for row in out.strip().splitlines()[1:]] == ["-0.5", "0.5"]
+
+
 # --- the circle's flag rule ---------------------------------------------------------
 
 @pytest.mark.parametrize("argv", [
@@ -388,7 +398,7 @@ def _unclocked(text):
     return re.sub(r'"runtime_ms": [^\n]*', '"runtime_ms": _', text)
 
 
-def test_consecutive_calls_match_fresh_processes(capsys):
+def test_consecutive_calls_match_fresh_processes(capsys, fresh_python):
     # main reuses one parser for every call in a process
     in_process = []
     for argv in _SEQUENCE:
@@ -396,9 +406,6 @@ def test_consecutive_calls_match_fresh_processes(capsys):
         cap = capsys.readouterr()
         in_process.append((code, _unclocked(cap.out), cap.err))
     assert [c for c, _, _ in in_process] == [0, 2, 0, 0, 0, 0]
-    src = os.path.dirname(os.path.dirname(os.path.abspath(xapprox.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
     for argv, got in zip(_SEQUENCE, in_process):
-        res = subprocess.run([sys.executable, "-m", "xapprox.cli", *argv], env=env,
-                             capture_output=True, text=True, timeout=300)
+        res = fresh_python("-m", "xapprox.cli", *argv, check=False)
         assert got == (res.returncode, _unclocked(res.stdout), res.stderr), argv

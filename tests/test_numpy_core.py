@@ -1,35 +1,23 @@
-"""The numpy-only core: the library, the certification suite and the
-CLI run with scipy refused, and the numpy primitives that replaced
-scipy's (zeta, exprel, the DCT-II) hold their accuracy."""
+"""The numpy-only core: the library, the certification suite, the CLI and
+the demos run with scipy refused, the numpy primitives that replaced
+scipy's (zeta, exprel, the DCT-II) hold their accuracy, and the BLAS thread
+count moves no bit."""
 
+import csv
+import io
 import math
-import os
-import subprocess
-import sys
+import pathlib
 import warnings
 
 import mpmath
 import numpy as np
 import pytest
 
-import xapprox
 from xapprox import PowerSigma, eval_q_mu, measure_to_json
 from xapprox.certify import _ZETA_REFERENCE
 from xapprox.measures import _exprel, _power_series, _zeta
 from xapprox.periodic import _cospi_sum, _dct2
 from xapprox.quadrature import _gauss_jacobi
-
-# a finder that refuses every scipy module, so that an import of one fails
-_NO_SCIPY = r"""
-import sys
-
-class _NoScipy:
-    def find_spec(self, name, path=None, target=None):
-        if name.split(".")[0] == "scipy":
-            raise ImportError(f"{name} is refused")
-
-sys.meta_path.insert(0, _NoScipy())
-"""
 
 # Every exact route, the fixed-rule oracles (error_exp_integral_oracle and
 # error_mu_pointwise), then the CLI, --verify in both periodic error-table
@@ -88,25 +76,11 @@ for argv in (["eval", "--kernel", "exp", "--lambda", "1", "--x", "0.3"],
 """
 
 
-def _run_without_scipy(script):
-    """Run script in a fresh process that cannot import scipy, with
-    RuntimeWarning and UserWarning as errors (pytest's own session may have
-    scipy loaded already); return the scipy modules it left loaded."""
-    probe = "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-    src = os.path.dirname(os.path.dirname(os.path.abspath(xapprox.__file__)))
-    res = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-W",
-                          "error::UserWarning", "-c", _NO_SCIPY + script + probe],
-                         env=dict(os.environ, PYTHONPATH=src),
-                         capture_output=True, text=True, timeout=300)
-    assert res.returncode == 0, res.stderr[-2000:]
-    return res.stdout.strip()
+def test_exact_routes_load_no_scipy(fresh_python):
+    fresh_python("-c", _SCRIPT, no_scipy=True)
 
 
-def test_exact_routes_load_no_scipy():
-    assert _run_without_scipy(_SCRIPT) == "[]"
-
-
-def test_measure_l1_quadrature_loads_no_scipy():
+def test_measure_l1_quadrature_loads_no_scipy(fresh_python):
     # its Watson constants run the fixed density rule, not QUADPACK; so
     # does the CLI's check of the measure L1 errors
     script = ("import contextlib, io, xapprox as X, xapprox.cli\n"
@@ -116,33 +90,50 @@ def test_measure_l1_quadrature_loads_no_scipy():
               "with contextlib.redirect_stdout(io.StringIO()):\n"
               "    assert xapprox.cli.main(['error-table', '--measure', 'power',\n"
               "                             '--sigma', '1.5', '--verify']) == 0\n")
-    assert _run_without_scipy(script) == "[]"
+    fresh_python("-c", script, no_scipy=True)
 
 
-def test_verify_runs_without_scipy():
-    # every check of `xapprox verify`
-    script = ("import contextlib, io, xapprox.cli\n"
-              "with contextlib.redirect_stdout(io.StringIO()):\n"
-              "    rc = xapprox.cli.main(['verify'])\n"
-              "print(rc)\n")
-    assert _run_without_scipy(script) == "0\n[]"
+@pytest.mark.parametrize("no_scipy", [False, True], ids=["scipy-allowed", "scipy-refused"])
+def test_verify_runs_without_scipy(fresh_python, no_scipy):
+    # every check of `xapprox verify`, on numpy alone too
+    fresh_python("-m", "xapprox.cli", "verify", no_scipy=no_scipy)
 
 
-# the exp L1 quadrature and the CLI paths that run it for many lam at once
+# the exp L1 quadrature and the CLI path that runs it for one lam; the
+# table below runs it for many lam at once
 _EXP_QUAD_CALLS = (
     "X.l1_error_exp_quadrature(1.0, 2.0)",
     "assert xapprox.cli.main(['verify', '--only', 'thm1_1_lambda1']) == 0",
-    "assert xapprox.cli.main(['error-table', '--kernel', 'exp', '--lambda', '0.2:5:0.2',"
-    " '--verify']) == 0",
 )
 
 
 @pytest.mark.parametrize("call", _EXP_QUAD_CALLS)
-def test_exp_l1_quadrature_loads_no_scipy(call):
+def test_exp_l1_quadrature_loads_no_scipy(fresh_python, call):
     script = ("import contextlib, io, xapprox as X, xapprox.cli\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
               f"    {call}\n")
-    assert _run_without_scipy(script) == "[]"
+    fresh_python("-c", script, no_scipy=True)
+
+
+# one process applies the cached cell operator to 25 lam and checks every
+# row's quadrature against the closed form; on the circle the kernel mode
+# is the unit point mass, and its quadrature is tighter still
+@pytest.mark.parametrize("mode, bound", [((), 1e-8), (("--periodic", "--degree", "8"), 1e-15)],
+                         ids=["line", "circle"])
+def test_exp_error_table_against_its_quadrature(fresh_python, mode, bound):
+    res = fresh_python("-m", "xapprox.cli", "error-table", "--kernel", "exp", *mode,
+                       "--lambda", "0.2:5:0.2", "--verify", no_scipy=True)
+    rows = list(csv.DictReader(io.StringIO(res.stdout)))
+    assert len(rows) == 25
+    assert max(float(r["abs_diff"]) for r in rows) <= bound
+
+
+_DEMOS = sorted((pathlib.Path(__file__).parents[1] / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", _DEMOS, ids=[d.name for d in _DEMOS])
+def test_demo_runs_without_scipy(fresh_python, demo):
+    fresh_python(str(demo), no_scipy=True)
 
 
 # `import xapprox` is lazy: a public name loads its home module, and the
@@ -194,12 +185,8 @@ print("ok")
 
 
 @pytest.mark.parametrize("script", [_LAZY_SCRIPT, _STAR_SCRIPT], ids=["first-call", "star"])
-def test_lazy_namespace_in_a_fresh_process(script):
-    src = os.path.dirname(os.path.dirname(os.path.abspath(xapprox.__file__)))
-    res = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
-                         capture_output=True, text=True, timeout=300)
-    assert res.returncode == 0, res.stderr[-2000:]
-    assert res.stdout.strip() == "ok"
+def test_lazy_namespace_in_a_fresh_process(fresh_python, script):
+    assert fresh_python("-c", script).stdout.strip() == "ok"
 
 
 # t from the pole through the 4-5 band, where Euler-Maclaurin at M = 6 is
@@ -330,18 +317,55 @@ def test_gauss_jacobi_against_a_30_digit_eigendecomposition(n, beta):
     assert np.max(np.abs(w / np.array([float(v) for _, v in ref]) - 1.0)) <= 2e-14
 
 
-def test_gauss_jacobi_bits_do_not_depend_on_blas_threads():
-    # eigh of the Jacobi matrix ran 50x slower on two OpenBLAS threads than
-    # on one; the rule needs no eigenvectors, and its bits must not move
-    code = ("import hashlib; from xapprox.quadrature import _gauss_jacobi as g; "
-            "print(hashlib.sha256(b''.join(a.tobytes() for n in (16, 24, 32, 48) "
-            "for b in (-0.95, 0.0, 0.5) for a in g(n, b))).hexdigest())")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(xapprox.__file__)))
-    out = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, timeout=120)
-        assert res.returncode == 0, res.stderr[-2000:]
-        out.append(res.stdout.strip())
-    assert out[0] and out[0] == out[1]
+# TrigPoly.eval from degree 192 on sums its frequencies >= 8 in BLAS block
+# products, batched over chunks of points that share one per-thread
+# workspace (3001 points at degree 1000 span six chunks; many narrow
+# products at degree 4000, 8-point ones at 10^4), and interpolation_oracle
+# contracts its blocks of cosines with @; the line series sums each point's
+# row of terms on its own, at real points and at the same points plus 1j,
+# and each scalar real point (a node among them) on its one-point route;
+# the pointwise measure error and the Watson constants of the L1 quadrature
+# contract the density rule's weights through @, and build_k_mu contracts
+# point-mass weights with its K-hat rows; the power family next to
+# sigma = 1 takes all of these routes through its raw forms in e = sigma - 1;
+# the Gauss-Jacobi rule solves its Jacobi matrix without eigenvectors (eigh
+# ran 50x slower on two OpenBLAS threads than on one)
+_BLAS_HASH = r"""
+import hashlib, numpy as np, xapprox as X
+x = np.linspace(-20, 20, 2001)
+h = hashlib.sha256(X.build_k(0.3, 1000).eval(np.linspace(-1, 1, 2001)).tobytes())
+u = np.random.default_rng(1).uniform(-2, 2, 3001)
+for N in (192, 1000, 4000, 10**4):
+    h.update(X.build_k(0.7, N).eval(u).tobytes())
+h.update(X.interpolation_oracle(X.ExpPeriodized(0.3), 1000).coeffs.tobytes())
+h.update(X.build_k_mu(X.PointMasses(((0.5, 1.0), (2.0, 0.25))), 1000).coeffs.tobytes())
+for z in (x, x + 1j):
+    h.update(X.eval_K(X.ExpKernel(0.3), z).tobytes())
+    h.update(X.eval_K_mu(X.EntireApproximant(X.HaarLog()), z).tobytes())
+    h.update(X.eval_K_mu(X.EntireApproximant(X.PowerSigma(1.0 + 1e-6)), z).tobytes())
+for p in np.append(x[::40], 2.5):
+    h.update(np.float64(X.eval_K(X.ExpKernel(0.3), p)).tobytes())
+    for s in (X.HaarLog(), X.PowerSigma(1.0 + 1e-6)):
+        h.update(np.float64(X.eval_K_mu(X.EntireApproximant(s), p)).tobytes())
+for s in (X.HaarLog(), X.PowerSigma(0.5), X.PowerSigma(1.95), X.PowerSigma(1.0 + 1e-6),
+          X.PointMasses(((0.5, 1.0), (2.0, 0.25)))):
+    h.update(np.float64(X.l1_error_mu_quadrature(s, 1.3)).tobytes())
+    for p in (0.0, 0.3, 2.2, 50.0):
+        try:
+            v = X.error_mu_pointwise(X.EntireApproximant(s, 1.3), p)
+        except X.DivergentAtZero:
+            continue
+        h.update(np.float64(v).tobytes())
+from xapprox.quadrature import _gauss_jacobi
+for n in (16, 24, 32, 48):
+    for b in (-0.95, 0.0, 0.5):
+        for a in _gauss_jacobi(n, b):
+            h.update(a.tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_bits_do_not_depend_on_blas_threads(fresh_python):
+    # one thread and two must give the same bits
+    one, two = (fresh_python("-c", _BLAS_HASH, blas_threads=t).stdout.strip() for t in (1, 2))
+    assert one and one == two

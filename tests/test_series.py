@@ -2,9 +2,6 @@
 constants summed with the same alternating-series weights."""
 
 import math
-import os
-import subprocess
-import sys
 import threading
 import warnings
 from fractions import Fraction
@@ -243,13 +240,8 @@ def test_crvz_weights_match_exact_rationals():
     assert series._CRVZ.tolist() == _crvz_weights_fraction(24)
 
 
-def test_series_import_leaves_fractions_unloaded():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(series.__file__)))
-    res = subprocess.run([sys.executable, "-c", "import sys, xapprox.series; "
-                          "print('fractions' in sys.modules)"],
-                         env=dict(os.environ, PYTHONPATH=src), capture_output=True,
-                         text=True, timeout=120)
-    assert res.returncode == 0, res.stderr[-2000:]
+def test_series_import_leaves_fractions_unloaded(fresh_python):
+    res = fresh_python("-c", "import sys, xapprox.series; print('fractions' in sys.modules)")
     assert res.stdout.strip() == "False"
 
 
