@@ -2,7 +2,7 @@
 
 Builds the bandlimited approximant K(lam, .) of exp(-lam|x|), shows the
 three facts that make it the best L1 choice of its type, and writes a
-small CSV with the pointwise error for plotting.
+small CSV with the pointwise error for plotting to the working directory.
 
 Run:  python3 demos/01_exp_kernel.py
 """
@@ -25,7 +25,7 @@ from xapprox import (
 )
 
 LAM = 1.0
-OUT = Path(__file__).with_name("exp_kernel_error.csv")
+OUT = Path("exp_kernel_error.csv")  # in the working directory
 
 
 def main():
@@ -63,7 +63,7 @@ def main():
         w.writerow(["x", "target_minus_kernel"])
         for x, e in zip(xs, err):
             w.writerow([f"{x:.6f}", f"{e:.12e}"])
-    print(f"wrote {OUT.name} ({xs.size} rows); the error changes sign at"
+    print(f"wrote {OUT.resolve()} ({xs.size} rows); the error changes sign at"
           " every half-integer, like cos(pi x)")
 
 

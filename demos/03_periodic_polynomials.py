@@ -4,7 +4,8 @@ Periodizing the line construction gives, for each degree N, the unique
 degree-N trigonometric polynomial minimizing the circle L1 distance to
 the periodized exponential p(lam, x) -- and, after integrating in lam,
 to log|1 - e(x)|.  The script builds both, checks the interpolation
-nodes, and tabulates the closed-form errors against quadrature.
+nodes, and tabulates the closed-form errors against quadrature into
+periodic_errors.json in the working directory.
 """
 
 import json
@@ -27,7 +28,7 @@ from xapprox import (
     periodic_l1_quadrature,
 )
 
-OUT = Path(__file__).with_name("periodic_errors.json")
+OUT = Path("periodic_errors.json")  # in the working directory
 
 
 def exp_target_section(lam=1.0):
@@ -74,7 +75,7 @@ def log_target_section():
 def main():
     data = {"exp": exp_target_section(), "log": log_target_section()}
     OUT.write_text(json.dumps(data, indent=2) + "\n")
-    print(f"wrote {OUT.name}")
+    print(f"wrote {OUT.resolve()}")
 
 
 if __name__ == "__main__":

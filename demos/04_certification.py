@@ -2,7 +2,7 @@
 
 Every closed-form value the library exposes is re-derived along an
 independent numerical route; this prints the full table and stores the
-JSON report next to the script.  Exit status follows the suite result,
+JSON report as cert_report.json in the working directory.  Exit status follows the suite result,
 so the script doubles as a health check:
 
     python3 demos/04_certification.py && echo all good
@@ -13,7 +13,7 @@ from pathlib import Path
 
 from xapprox import reports_passed, reports_to_json, reports_to_table, run_cert_suite
 
-OUT = Path(__file__).with_name("cert_report.json")
+OUT = Path("cert_report.json")  # in the working directory
 
 
 def main():
@@ -26,7 +26,7 @@ def main():
     print(f"\n{len(reports)} checks in {total_ms / 1000.0:.2f}s; "
           f"tightest margin: {worst.name} "
           f"(diff {worst.abs_diff:.2e} vs tol {worst.tolerance:.1e})")
-    print(f"wrote {OUT.name}")
+    print(f"wrote {OUT.resolve()}")
     return 0 if reports_passed(reports) else 1
 
 

@@ -72,9 +72,11 @@ def eval_K_mu(a: EntireApproximant, z):
 
     raw form interpolates f_mu at (n-1/2)/delta; log form returns the
     entire function matching log|x| there; power form the one matching
-    |x|^{sigma-1}.  The range and accuracy are eval_K's, with w = delta*z:
-    |Re w| <= 1e3 documented, and SeriesNonConvergence where cos pi w
-    overflows (|Im w| beyond ~225) or z has an infinite or nan part.
+    |x|^{sigma-1}.  The range and accuracy are eval_K's, with w = delta*z
+    (off the axis on the scale of the node data too, which grow with |w|
+    for sigma > 1: see series._cardinal_sum): |Re w| <= 1e3 documented,
+    and SeriesNonConvergence where cosh pi Im w
+    overflows (|Im w| beyond ~226) or z has an infinite or nan part.
     """
     zz = np.asarray(z)
     scalar = zz.ndim == 0

@@ -18,7 +18,7 @@ class QuadratureNonConvergence(XapproxError, ArithmeticError):
 
 
 class SeriesNonConvergence(XapproxError, ArithmeticError):
-    """Cardinal series not finite (cos pi w overflows beyond |Im w| ~ 225),
+    """Cardinal series not finite (cosh pi Im w overflows beyond |Im w| ~ 226),
     or asked at |Re w| above 2^20."""
 
 

@@ -67,7 +67,7 @@ def eval_K(kernel: ExpKernel, z):
     interpolation nodes.  Documented range: lam' >= 1e-6 and |Re w| <= 1e3,
     where real values are within a few 1e-15 and complex ones within
     ~1e-12 of max(|K|, 1e-3 cosh(pi Im w)); off the axis up to overflow of
-    cos pi w (|Im w| beyond ~225), which raises SeriesNonConvergence, as
+    cosh pi Im w (|Im w| beyond ~226), which raises SeriesNonConvergence, as
     does a z with an infinite or nan part.
     """
     lam_p = kernel.lam / kernel.delta

@@ -58,8 +58,9 @@ def fresh_python():
     no_scipy: refuse every scipy module and fail if one is loaded.
     blas_threads: the OpenBLAS / OpenMP thread count.
     check: assert that the process exits 0.
+    cwd: the working directory (the caller's by default).
     Returns the subprocess.CompletedProcess, its output as text."""
-    def run(*args, no_scipy=False, blas_threads=None, check=True):
+    def run(*args, no_scipy=False, blas_threads=None, check=True, cwd=None):
         env = dict(os.environ, PYTHONPATH=_SRC)
         if blas_threads is not None:
             env.update(OPENBLAS_NUM_THREADS=str(blas_threads), OMP_NUM_THREADS=str(blas_threads))
@@ -67,7 +68,7 @@ def fresh_python():
             args = ("-c", _NO_SCIPY, *args)
         res = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
                               "-W", "error::UserWarning", *args],
-                             env=env, capture_output=True, text=True, timeout=300)
+                             env=env, cwd=cwd, capture_output=True, text=True, timeout=300)
         if check:
             assert res.returncode == 0, res.stderr[-2000:]
         return res

@@ -128,12 +128,17 @@ def test_exp_error_table_against_its_quadrature(fresh_python, mode, bound):
     assert max(float(r["abs_diff"]) for r in rows) <= bound
 
 
-_DEMOS = sorted((pathlib.Path(__file__).parents[1] / "demos").glob("*.py"))
+_DEMO_DIR = pathlib.Path(__file__).parents[1] / "demos"
+_DEMOS = sorted(_DEMO_DIR.glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", _DEMOS, ids=[d.name for d in _DEMOS])
-def test_demo_runs_without_scipy(fresh_python, demo):
-    fresh_python(str(demo), no_scipy=True)
+def test_demo_runs_without_scipy(fresh_python, demo, tmp_path):
+    # a demo writes its output to the working directory, never next to
+    # itself, so it runs from a read-only checkout
+    before = sorted(_DEMO_DIR.iterdir())
+    fresh_python(str(demo), no_scipy=True, cwd=tmp_path)
+    assert sorted(_DEMO_DIR.iterdir()) == before
 
 
 # `import xapprox` is lazy: a public name loads its home module, and the
@@ -149,6 +154,10 @@ assert loaded() == [], loaded()
 X.error_exp_integral_oracle(1.0, 1.3)
 assert loaded() == ["xapprox._stable", "xapprox.errors", "xapprox.expkernel",
                     "xapprox.quadrature", "xapprox.series"], loaded()
+X.eval_K(X.ExpKernel(1.0), [0.3, 2.5])  # real points never load the complex form
+assert "xapprox._complex_series" not in loaded(), loaded()
+X.eval_K(X.ExpKernel(1.0), 0.3 + 1j)
+assert "xapprox._complex_series" in loaded(), loaded()
 assert set(X.__all__) <= set(dir(X))
 assert X.periodic is sys.modules["xapprox.periodic"]
 try:
@@ -323,7 +332,8 @@ def test_gauss_jacobi_against_a_30_digit_eigendecomposition(n, beta):
 # products at degree 4000, 8-point ones at 10^4), and interpolation_oracle
 # contracts its blocks of cosines with @; the line series sums each point's
 # row of terms on its own, at real points and at the same points plus 1j,
-# and each scalar real point (a node among them) on its one-point route;
+# and each scalar point, real (a node among them) or complex (one in the
+# near band), on its one-point route, with 257 complex points beside them;
 # the pointwise measure error and the Watson constants of the L1 quadrature
 # contract the density rule's weights through @, and build_k_mu contracts
 # point-mass weights with its K-hat rows; the power family next to
@@ -347,6 +357,11 @@ for p in np.append(x[::40], 2.5):
     h.update(np.float64(X.eval_K(X.ExpKernel(0.3), p)).tobytes())
     for s in (X.HaarLog(), X.PowerSigma(1.0 + 1e-6)):
         h.update(np.float64(X.eval_K_mu(X.EntireApproximant(s), p)).tobytes())
+z = np.linspace(-20, 20, 257) + 1j * np.linspace(4, -4, 257)
+for p in (z, 0.5 + 0.25j, -3.7 + 1.3j, 12.4 - 0.1j):
+    h.update(np.complex128(X.eval_K(X.ExpKernel(0.3), p)).tobytes())
+    for s in (X.HaarLog(), X.PowerSigma(1.5)):
+        h.update(np.complex128(X.eval_K_mu(X.EntireApproximant(s), p)).tobytes())
 for s in (X.HaarLog(), X.PowerSigma(0.5), X.PowerSigma(1.95), X.PowerSigma(1.0 + 1e-6),
           X.PointMasses(((0.5, 1.0), (2.0, 0.25)))):
     h.update(np.float64(X.l1_error_mu_quadrature(s, 1.3)).tobytes())

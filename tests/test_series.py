@@ -109,6 +109,35 @@ def test_complex_points_against_mpmath(name, data, z):
     assert err.max() <= 1e-12, (name, zs[err.argmax()], err.max())
 
 
+_GRID_DATA = {f"exp {lam:g}": _exp_data(lam) for lam in (1e-6, 0.01, 1.0, 50.0)}
+_GRID_DATA.update({
+    "haar": _HAAR, "sigma 0.05": _power_data(0.05), "sigma 1.95": _power_data(1.95),
+    "two masses": (lambda xi: np.exp(-0.5 * xi) + 0.25 * np.exp(-2.0 * xi),
+                   lambda xi: mp.exp(-xi / 2) + mp.exp(-2 * xi) / 4)})
+
+
+def _complex_grid():
+    # random points over 0 <= Re w <= 40, |Im w| <= 8; the near band's
+    # inside (within 0.3 of a node, one at 1e-8 from it) and just outside
+    # it; the imaginary axis, a corner, and the two far cases above
+    rng = np.random.default_rng(32)
+    z = rng.uniform(0.0, 40.0, 12) + 1j * rng.uniform(-8.0, 8.0, 12)
+    return np.concatenate([z, [11.5 + 1e-8j, 2.5 + 0.2j, 0.5 - 0.29j, 30.2 + 0.31j, 8j,
+                               40.0 - 8j, 1 + 50j, 40.2 + 10j]])
+
+
+@pytest.mark.parametrize("name", sorted(_GRID_DATA))
+def test_complex_grid_against_mpmath(name):
+    # the digits scale of the cases above, times the size of the data at
+    # the point: the rounding of the row sums grows with |phi|, so growing
+    # data (sigma 1.95, |phi| ~ 30 at Re w = 40) are measured on their size
+    phi = _GRID_DATA[name][0]
+    zs = _complex_grid()
+    err = _errors(_GRID_DATA[name], zs, lambda v, zi: max(
+        abs(v), 1e-3 * math.cosh(math.pi * zi.imag) * max(1.0, abs(phi(abs(zi.real) + 0.5)))))
+    assert err.max() <= 1e-12, (name, zs[err.argmax()], err.max())
+
+
 @pytest.mark.parametrize("z", [complex(math.inf, 1.0), complex(-math.inf, 1.0),
                                complex(math.nan, 1.0), complex(1.0, math.inf),
                                complex(1.0, -math.inf), complex(1.0, math.nan)], ids=repr)
@@ -126,9 +155,10 @@ def test_non_finite_complex_points_raise_without_warning(z):
 
 def _block_rows(x):
     # points per block of terms at these points (delta = 1, so w = x),
-    # from the engine's own constants
+    # from the engine's own constants; complex points too are summed in
+    # float64 terms
     n = math.ceil(np.abs(x.real).max()) + series._HEAD_PAST + series._CRVZ.size
-    return max(1, (series._BLOCK - 1) // (n * x.itemsize))
+    return max(1, (series._BLOCK - 1) // (n * x.real.itemsize))
 
 
 @pytest.mark.parametrize("im", [0.0, 3.0], ids=["real", "complex"])
@@ -173,21 +203,60 @@ def _one_point_grid():
     return np.concatenate([pts, -pts])
 
 
+# the imaginary parts of the complex one-point grid, each with both signs:
+# next to the axis, inside and outside the near band's |Im w| < 0.3, and
+# out to where cos pi w is within e^{-20} of overflow
+_ONE_POINT_IM = [1e-300, 1e-8, 0.2, 0.3, 4.0, 50.0, 220.0]
+
+
+def _raises_without_warning(phi, pts):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SeriesNonConvergence):
+            _cardinal_sum(phi, pts)
+
+
 @pytest.mark.parametrize("name,phi", _ONE_POINT_DATA, ids=[d[0] for d in _ONE_POINT_DATA])
 def test_one_point_route_has_the_block_routes_bits(name, phi):
-    # one real point takes the Python-float route; two points, the block
-    # route: a point's bits must not tell which one summed it
-    for w in _one_point_grid():
+    # one point takes the Python-float route; two points or more, the
+    # block route: a point's bits must not tell which one summed it.
+    # Complex points cover the same real parts with each imaginary part of
+    # _ONE_POINT_IM, both signs (so each conjugate too), and the real axis,
+    # where a node's value is the node's datum exactly; the block route
+    # sums each point among its mirrors and conjugates, which share its H
+    grid = _one_point_grid()
+    for w in grid:
         cached = series._map.cache_info().currsize
         got = _cardinal_sum(phi, np.array([w]))
         if abs(w) > 2040.0:  # the map beyond H = 2048 is built, not cached
             assert series._map.cache_info().currsize == cached
         want = _cardinal_sum(phi, np.array([w, -w]))[:1]
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (name, w)
+    ims = np.array([0.0] + _ONE_POINT_IM + [-im for im in _ONE_POINT_IM])
+    nodes = np.arange(41) + 0.5
+    for a in grid[:grid.size // 2]:
+        col = a + 1j * ims
+        pts = np.concatenate([col, -col])
+        want = _cardinal_sum(phi, pts)
+        for w, v in zip(pts, want):
+            got = _cardinal_sum(phi, np.array([w]))
+            assert got.dtype == want.dtype and got.tobytes() == v.tobytes(), (name, w)
+    at_nodes = _cardinal_sum(phi, np.concatenate([nodes, -nodes]).astype(complex))
+    assert at_nodes.real.tobytes() == np.tile(phi(nodes), 2).tobytes(), name
+    assert not at_nodes.imag.any(), name
     for w in (2.0**20 + 1.0, math.nan, math.inf, -math.inf):
         for pts in (np.array([w]), np.array([w, 0.5])):
-            with pytest.raises(SeriesNonConvergence):
-                _cardinal_sum(phi, pts)
+            _raises_without_warning(phi, pts)
+    # beyond |Im w| = 226.15 cosh(pi Im w) overflows; at 226 it is 1.1e308
+    for im in (226.2, 260.0, math.inf, math.nan):
+        for s in (1.0, -1.0):
+            w = complex(0.3, s * im)
+            for pts in (np.array([w]), np.array([w, 0.5])):
+                _raises_without_warning(phi, pts)
+    for a in (0.0, 0.5, 3.3, 20.0):
+        w = complex(a, 226.0)
+        got = _cardinal_sum(phi, np.array([w]))
+        assert got.tobytes() == _cardinal_sum(phi, np.array([w, -w]))[:1].tobytes(), (name, w)
 
 
 def test_threads_sum_in_their_own_term_buffers():
