@@ -24,14 +24,13 @@ _HOME = {
     "series": ("dirichlet_beta", "catalan"),
     "measures": (
         "PointMasses", "HaarLog", "PowerSigma", "TargetForm", "validate", "f_mu",
-        "gamma_one_minus", "power_l1_constant", "measure_to_json",
-        "measure_from_json",
+        "measure_to_json", "measure_from_json",
     ),
     # single-exponential kernel
     "expkernel": (
         "ExpKernel", "eval_K", "k_value_at_zero", "K_hat", "l1_error_exp",
-        "error_exp", "error_exp_integral_oracle", "dual_lower_bound_exp",
-        "l1_error_exp_quadrature", "eval_p",
+        "error_exp", "error_exp_integral_oracle", "l1_error_exp_quadrature",
+        "eval_p",
     ),
     # measure-integrated approximants
     "entire": (
@@ -39,10 +38,9 @@ _HOME = {
         "l1_error_mu_raw", "l1_error_mu", "l1_error_mu_quadrature",
     ),
     "periodic": (
-        "TrigPoly", "ExpPeriodized", "MeasurePeriodized", "p_hat",
-        "q_hat_mu", "eval_q_mu", "build_k", "build_k_mu", "periodic_l1_error",
-        "periodic_l1_error_mu", "interpolation_oracle",
-        "circle_l1_abs", "refined_sign_nodes", "periodic_l1_quadrature",
+        "TrigPoly", "ExpPeriodized", "MeasurePeriodized", "q_hat_mu",
+        "eval_q_mu", "build_k", "build_k_mu", "periodic_l1_error",
+        "periodic_l1_error_mu", "interpolation_oracle", "periodic_l1_quadrature",
         "l1_vs_log_circle",
     ),
     "certify": (

@@ -1,9 +1,10 @@
 """Certification suite.
 
 Every closed-form error value exposed by the library is bound here to a
-number computed along an independent path (sign-split quadrature, duality
-series, integral oracles, interpolation cross-checks).  Each check yields
-one CertReport; the suite passes iff every report passes.
+number computed along an independent path (sign-split quadrature, the
+duality bound by 24 CRVZ weights, integral oracles, interpolation
+cross-checks).  Each check yields one CertReport; the suite passes iff
+every report passes.
 
 Checks are registered in a fixed order at import time and rerunning any
 check yields a bitwise-identical ``computed`` value: all sampling uses
@@ -25,7 +26,6 @@ from .errors import QuadratureNonConvergence, UnknownCheckName
 from .expkernel import (
     ExpKernel,
     K_hat,
-    dual_lower_bound_exp,
     error_exp,
     error_exp_integral_oracle,
     eval_K,
@@ -40,16 +40,17 @@ from .entire import (
     eval_K_mu,
     l1_error_mu,
     l1_error_mu_quadrature,
+    l1_error_mu_raw,
 )
-from .measures import HaarLog, PowerSigma, _zeta
+from .measures import HaarLog, PointMasses, PowerSigma, _zeta
 from .periodic import (
     ExpPeriodized,
+    _circle_l1_abs,
     _coeff_rows,
     _cospi_sum,
     _dct2,
     build_k,
     build_k_mu,
-    circle_l1_abs,
     eval_p,
     eval_q_mu,
     interpolation_oracle,
@@ -57,10 +58,9 @@ from .periodic import (
     periodic_l1_error,
     periodic_l1_error_mu,
     periodic_l1_quadrature,
-    refined_sign_nodes,
 )
 from .quadrature import _DENSITY_HEAD, _density_integral, _panel_rule
-from .series import catalan
+from .series import _CRVZ, catalan
 
 __all__ = [
     "CertReport",
@@ -174,8 +174,31 @@ def _chk_oracle_agreement():
     return worst, 0.0, 1e-13
 
 
+def _dual_bound(spec, delta):
+    """The duality lower bound for the raw target of spec at type pi delta.
+    Every P of that type has int |f - P| >= |int f sgn cos(pi delta x)|,
+    which is (4/pi) |sum_{k>=0} (-1)^k qhat(delta (k+1/2))/(2k+1)|, qhat
+    the transform of f (spec.q_hat); the optimal P attains it.  On the
+    circle the same sum at delta = 2N+2 bounds degree N.  Summed by the 24
+    CRVZ weights, as dirichlet_beta sums beta: for a density the terms are
+    l1_raw's beta terms, so only point masses make it an independent
+    check."""
+    k = np.arange(_CRVZ.size)
+    return (4.0 / math.pi) * math.fsum(_CRVZ * spec.q_hat(delta * (k + 0.5)) / (2.0 * k + 1.0))
+
+
 def _chk_duality_exp(lam):
-    return dual_lower_bound_exp(lam, 1.0, 10**5), l1_error_exp(lam, 1.0), 1e-13
+    return _dual_bound(PointMasses(((lam, 1.0),)), 1.0), l1_error_exp(lam, 1.0), 1e-13
+
+
+def _chk_duality_points():
+    # two masses on the line and on the circle (degree N: type 2N+2),
+    # relative to the closed forms
+    spec = PointMasses(((0.5, 1.0), (2.0, 0.25)))
+    cases = [(d, l1_error_mu_raw(spec, d)) for d in (0.25, 1.0, 4.0)]
+    cases += [(2 * N + 2, periodic_l1_error_mu(spec, N)) for N in (64, 1000)]
+    worst = max(abs(_dual_bound(spec, d) - ref) / ref for d, ref in cases)
+    return worst, 0.0, 1e-14
 
 
 # --- series and measure-family checks --------------------------------------
@@ -417,6 +440,93 @@ def _chk_dct_numpy():
     return worst, 0.0, 1e-15
 
 
+# _refined_sign_nodes: brentq's stopping rule (a bracket narrower than
+# xtol + rtol |x| is a root), the half-width of the stencil around each
+# canonical node in cells 1/L, and the budget of f calls: secant steps for
+# at most _SECANT_STEPS iterations, then bisection, which closes any
+# bracket of width 0.9/L long before _NODE_MAX_ITER
+_NODE_XTOL, _NODE_RTOL = 1e-15, 8.9e-16
+_NODE_STENCIL = 1e-3
+_SECANT_STEPS, _NODE_MAX_ITER = 30, 100
+
+
+def _refined_sign_nodes(f, N: int):
+    """Zeros of f near the canonical nodes (k+1/2)/L, L = 2N+2, one per
+    bracket [(k+0.05)/L, (k+0.95)/L], found for all brackets at once: f
+    takes an ndarray of points and returns their values.
+
+    A bracket whose ends show no sign change is dropped (the sum of
+    |cell integrals| over the remaining nodes is then still a valid lower
+    bound for the true L1 norm); a zero at a bracket end is that
+    bracket's node.  The first call of f takes every bracket's ends and
+    the canonical node with a point on either side at _NODE_STENCIL/L;
+    their inverse quadratic interpolant gives the first step.  Each later
+    call takes one point per open bracket, the secant step from its last
+    two points.  A step that would leave the bracket (x, xb), xb the
+    nearest point where f has the other sign, bisects it instead, and no
+    step is shorter than half of brentq's tolerance xtol + rtol |x| (1e-15
+    and 8.9e-16), so a converged point is followed by one across the
+    root.  As in brentq, a bracket narrower than that tolerance, or an
+    exact zero, gives the node.  After _SECANT_STEPS iterations only
+    bisection runs, so a multiple root still closes.  A bracket still
+    open after _NODE_MAX_ITER iterations, or a nan from f at a point the
+    search takes, raises QuadratureNonConvergence.
+    Returns the nodes in bracket order, as Python floats.
+    """
+    L = 2 * N + 2
+    e = _NODE_STENCIL
+    pts = (np.arange(L) + np.array([[0.05], [0.95], [0.5 - e], [0.5], [0.5 + e]])) / L
+    fa, fb, fl, fx, fr = np.asarray(f(pts.ravel()), dtype=float).reshape(5, L)
+    a, b, _, x, _ = pts
+    out = np.full(L, np.nan)
+    i = np.flatnonzero(fa * fb < 0.0)
+    if i.size < L:
+        out[fb == 0.0] = b[fb == 0.0]
+        out[fa == 0.0] = a[fa == 0.0]
+        a, b, fa, fl, fx, fr, x = (v[i] for v in (a, b, fa, fl, fx, fr, x))
+    xb = np.where(np.signbit(fx) == np.signbit(fa), b, a)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # the stencil's inverse quadratic interpolant at f = 0, from x
+        s = (e / L) * fx / (fr - fl) * (fl / (fr - fx) + fr / (fl - fx))
+        for it in range(_NODE_MAX_ITER):
+            h = xb - x
+            ah = abs(h)
+            tol = x * _NODE_RTOL  # brentq's tolerance; x > 0
+            tol += _NODE_XTOL
+            done = ah < tol
+            done |= ~(abs(fx) > 0.0)  # an exact zero, or a nan
+            if np.count_nonzero(done):
+                if np.isnan(fx[done]).any():
+                    raise QuadratureNonConvergence(
+                        f"_refined_sign_nodes at N={N}: f is nan in brackets "
+                        f"{i[np.isnan(fx)].tolist()}")
+                out[i[done]] = x[done]
+                keep = ~done
+                i, x, fx, xb, h, ah, tol, s = (
+                    v[keep] for v in (i, x, fx, xb, h, ah, tol, s))
+            if not i.size:
+                break
+            # the step as a fraction r of the way to xb: (0, 1) keeps it
+            # inside the bracket, anything else (or nan) bisects
+            if it < _SECANT_STEPS:
+                r = s / h
+                r = np.where(abs(r - 0.5) < 0.5, r, 0.5)
+            else:
+                r = 0.5
+            # no step shorter than half the tolerance
+            r = np.maximum(r, tol / (ah + ah))
+            xp, fp = x, fx
+            x = x + r * h
+            fx = np.asarray(f(x), dtype=float)
+            np.copyto(xb, xp, where=(fx < 0.0) != (fp < 0.0))
+            s = (xp - x) * fx / (fx - fp)
+        else:
+            raise QuadratureNonConvergence(
+                f"_refined_sign_nodes at N={N}: brackets {i.tolist()} still open "
+                f"after {_NODE_MAX_ITER} iterations")
+    return out[out == out].tolist()  # the nan of a dropped bracket is no node
+
+
 def _chk_perturbation(N):
     # bumping any coefficient must strictly increase the circle L1 error
     lam = 1.0
@@ -428,10 +538,10 @@ def _chk_perturbation(N):
         for eps in (1e-3, -1e-3):
             pert = poly.with_bumped_coeff(n, eps)
             f = lambda x: eval_p(lam, x) - pert.eval(x)
-            nodes = refined_sign_nodes(f, N)
+            nodes = _refined_sign_nodes(f, N)
             if not nodes:
                 nodes = [0.5 / (2 * N + 2)]
-            lower = circle_l1_abs(f, nodes)  # valid lower bound for ||f||_1
+            lower = _circle_l1_abs(f, nodes)  # valid lower bound for ||f||_1
             trials += 1
             increased += int(lower > base)
     return increased / float(trials), 1.0, 0.0
@@ -454,6 +564,7 @@ def _build_registry():
     reg.append(("s27_oracle_agreement", _chk_oracle_agreement))
     for tag, lam in (("0p1", 0.1), ("1", 1.0), ("10", 10.0)):
         reg.append((f"duality_exp_lambda{tag}", partial(_chk_duality_exp, lam)))
+    reg.append(("duality_points", _chk_duality_points))
     reg.append(("catalan_series", _chk_catalan_series))
     reg.append(("catalan_digits", _chk_catalan_digits))
     reg.append(("haar_identity_1d", partial(_chk_density_identity, HaarLog())))

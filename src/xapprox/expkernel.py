@@ -37,7 +37,6 @@ __all__ = [
     "l1_error_exp",
     "error_exp",
     "error_exp_integral_oracle",
-    "dual_lower_bound_exp",
     "l1_error_exp_quadrature",
     "eval_p",
 ]
@@ -185,32 +184,6 @@ def _oracle(lams, x):
             f"error integral at x={x:g}: twin rules differ by "
             f"{float(np.max(np.abs(hi_sum - lo_sum))):.3e}")
     return float(cospi(x)) / math.pi * hi_sum
-
-
-def dual_lower_bound_exp(lam: float, delta: float = 1.0, terms: int = 10**5) -> float:
-    """Partial sums of the duality lower bound
-
-        (4/pi) sum_{k>=0} (-1)^k/(2k+1) * 2 lam / (lam^2 + 4 pi^2 m^2),   m = delta (k+1/2),
-
-    which increases to l1_error_exp(lam, delta) as terms grows (the
-    symmetric frequencies +-(k+1/2) are already paired)."""
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
-    # the terms in blocks of 2^13, whose temporaries stay below malloc's
-    # mmap threshold, then one pairwise sum.  k + 1/2 and 2k + 1 come exact
-    # from float aranges, and every block starts at an even k, so its
-    # factors (4/pi)(-1)^k alternate from +4/pi
-    size = 2**13
-    vals = np.empty(terms)
-    for start in range(0, terms, size):
-        stop = min(start + size, terms)
-        m = delta * np.arange(start + 0.5, stop)
-        qh = 2.0 * lam / (lam * lam + 4.0 * math.pi**2 * m * m)
-        c = np.empty(stop - start)
-        c[0::2] = 4.0 / math.pi
-        c[1::2] = -4.0 / math.pi
-        vals[start:stop] = c / np.arange(2.0 * start + 1.0, 2.0 * stop, 2.0) * qh
-    return float(np.sum(vals))
 
 
 def _watson_c1_c3(u):

@@ -34,8 +34,6 @@ __all__ = [
     "HaarLog",
     "PowerSigma",
     "validate",
-    "gamma_one_minus",
-    "power_l1_constant",
     "f_mu",
     "measure_to_json",
     "measure_from_json",
@@ -223,7 +221,7 @@ class PowerSigma(_Density):
 
     @property
     def form_scale(self):
-        return gamma_one_minus(self.sigma)
+        return math.gamma(1.0 - self.sigma)
 
     def natural(self, raw):
         return raw / self.form_scale + 1.0
@@ -353,17 +351,6 @@ def validate(spec) -> None:
     their parameters when constructed)."""
     if not isinstance(spec, _Family):
         raise TypeError(f"not a measure specification: {spec!r}")
-
-
-def gamma_one_minus(sigma: float) -> float:
-    """Gamma(1 - sigma) for sigma in (0,2)\\{1} (negative for sigma > 1)."""
-    return math.gamma(1.0 - sigma)
-
-
-def power_l1_constant(sigma: float) -> float:
-    """A(sigma) = 4 beta(1+sigma) / (sin(pi sigma/2) pi^sigma): the raw
-    L1 error of the power measure at delta = 1 (InvalidSigma as PowerSigma)."""
-    return PowerSigma(sigma).l1_raw(1.0)
 
 
 def f_mu(spec, x):

@@ -30,7 +30,6 @@ import numpy as np
 
 from ._stable import cospi, one_minus_x_csch, sinpi
 from .entire import l1_error_mu_raw
-from .errors import QuadratureNonConvergence
 from .expkernel import _circle_points, _khat, eval_p, l1_error_exp
 from .measures import HaarLog, PointMasses, f_mu, validate
 from .quadrature import panel_nodes, reduce_cells_abs
@@ -39,7 +38,6 @@ __all__ = [
     "TrigPoly",
     "ExpPeriodized",
     "MeasurePeriodized",
-    "p_hat",
     "q_hat_mu",
     "eval_q_mu",
     "build_k",
@@ -47,8 +45,6 @@ __all__ = [
     "periodic_l1_error",
     "periodic_l1_error_mu",
     "interpolation_oracle",
-    "circle_l1_abs",
-    "refined_sign_nodes",
     "periodic_l1_quadrature",
     "l1_vs_log_circle",
 ]
@@ -337,13 +333,6 @@ class MeasurePeriodized:
         return eval_q_mu(self.spec, x)
 
 
-def p_hat(lam: float, n):
-    """Fourier coefficients of p, 2 lam/(lam^2 + 4 pi^2 n^2) and 0 at
-    n = 0: q_hat_mu of the unit point mass at lam, so lam must be finite
-    and positive (InvalidPointMass otherwise)."""
-    return q_hat_mu(PointMasses(((lam, 1.0),)), n)
-
-
 def q_hat_mu(spec, n):
     """Fourier coefficients of q_mu (all closed forms); q_hat(0) = 0."""
     validate(spec)
@@ -450,14 +439,11 @@ def interpolation_oracle(target, N: int) -> TrigPoly:
     interpolant is exactly recovered).  The direct cosine sum over all
     2N+2 nodes at exact integer phases, no evenness assumed: the reference
     for build_k_mu's Khat rows of point masses and DCT of a density.  The
-    target is an ExpPeriodized, a MeasurePeriodized or a callable of x.
+    target is an ExpPeriodized or a MeasurePeriodized.
     """
     L = 2 * N + 2
     xs = (np.arange(L) + 0.5) / L
-    if hasattr(target, "value"):
-        vals = np.asarray(target.value(xs), dtype=float)
-    else:
-        vals = np.array([float(target(x)) for x in xs])
+    vals = np.asarray(target.value(xs), dtype=float)
     return TrigPoly(_cospi_sum(vals, N + 1, L) / L)
 
 
@@ -481,7 +467,7 @@ def _cospi_sum(v, n, D):
 _ORDER = 24
 
 
-def circle_l1_abs(f, nodes) -> float:
+def _circle_l1_abs(f, nodes) -> float:
     """Integral of |f| over one period given its sign-change nodes in
     (0,1): the sum of |Gauss panel integrals| over the cells between
     consecutive nodes, f taking ndarray input.  Splits the wrap-around
@@ -497,93 +483,6 @@ def circle_l1_abs(f, nodes) -> float:
     bounds = np.asarray(bounds)
     pts, wts, half = panel_nodes(np.column_stack([bounds[:-1], bounds[1:]]), _ORDER)
     return reduce_cells_abs(np.asarray(f(pts), dtype=float), wts, half, _ORDER)
-
-
-# refined_sign_nodes: brentq's stopping rule (a bracket narrower than
-# xtol + rtol |x| is a root), the half-width of the stencil around each
-# canonical node in cells 1/L, and the budget of f calls: secant steps for
-# at most _SECANT_STEPS iterations, then bisection, which closes any
-# bracket of width 0.9/L long before _NODE_MAX_ITER
-_NODE_XTOL, _NODE_RTOL = 1e-15, 8.9e-16
-_NODE_STENCIL = 1e-3
-_SECANT_STEPS, _NODE_MAX_ITER = 30, 100
-
-
-def refined_sign_nodes(f, N: int):
-    """Zeros of f near the canonical nodes (k+1/2)/L, L = 2N+2, one per
-    bracket [(k+0.05)/L, (k+0.95)/L], found for all brackets at once: f
-    takes an ndarray of points and returns their values.
-
-    A bracket whose ends show no sign change is dropped (the sum of
-    |cell integrals| over the remaining nodes is then still a valid lower
-    bound for the true L1 norm); a zero at a bracket end is that
-    bracket's node.  The first call of f takes every bracket's ends and
-    the canonical node with a point on either side at _NODE_STENCIL/L;
-    their inverse quadratic interpolant gives the first step.  Each later
-    call takes one point per open bracket, the secant step from its last
-    two points.  A step that would leave the bracket (x, xb), xb the
-    nearest point where f has the other sign, bisects it instead, and no
-    step is shorter than half of brentq's tolerance xtol + rtol |x| (1e-15
-    and 8.9e-16), so a converged point is followed by one across the
-    root.  As in brentq, a bracket narrower than that tolerance, or an
-    exact zero, gives the node.  After _SECANT_STEPS iterations only
-    bisection runs, so a multiple root still closes.  A bracket still
-    open after _NODE_MAX_ITER iterations, or a nan from f at a point the
-    search takes, raises QuadratureNonConvergence.
-    Returns the nodes in bracket order, as Python floats.
-    """
-    L = 2 * N + 2
-    e = _NODE_STENCIL
-    pts = (np.arange(L) + np.array([[0.05], [0.95], [0.5 - e], [0.5], [0.5 + e]])) / L
-    fa, fb, fl, fx, fr = np.asarray(f(pts.ravel()), dtype=float).reshape(5, L)
-    a, b, _, x, _ = pts
-    out = np.full(L, np.nan)
-    i = np.flatnonzero(fa * fb < 0.0)
-    if i.size < L:
-        out[fb == 0.0] = b[fb == 0.0]
-        out[fa == 0.0] = a[fa == 0.0]
-        a, b, fa, fl, fx, fr, x = (v[i] for v in (a, b, fa, fl, fx, fr, x))
-    xb = np.where(np.signbit(fx) == np.signbit(fa), b, a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # the stencil's inverse quadratic interpolant at f = 0, from x
-        s = (e / L) * fx / (fr - fl) * (fl / (fr - fx) + fr / (fl - fx))
-        for it in range(_NODE_MAX_ITER):
-            h = xb - x
-            ah = abs(h)
-            tol = x * _NODE_RTOL  # brentq's tolerance; x > 0
-            tol += _NODE_XTOL
-            done = ah < tol
-            done |= ~(abs(fx) > 0.0)  # an exact zero, or a nan
-            if np.count_nonzero(done):
-                if np.isnan(fx[done]).any():
-                    raise QuadratureNonConvergence(
-                        f"refined_sign_nodes at N={N}: f is nan in brackets "
-                        f"{i[np.isnan(fx)].tolist()}")
-                out[i[done]] = x[done]
-                keep = ~done
-                i, x, fx, xb, h, ah, tol, s = (
-                    v[keep] for v in (i, x, fx, xb, h, ah, tol, s))
-            if not i.size:
-                break
-            # the step as a fraction r of the way to xb: (0, 1) keeps it
-            # inside the bracket, anything else (or nan) bisects
-            if it < _SECANT_STEPS:
-                r = s / h
-                r = np.where(abs(r - 0.5) < 0.5, r, 0.5)
-            else:
-                r = 0.5
-            # no step shorter than half the tolerance
-            r = np.maximum(r, tol / (ah + ah))
-            xp, fp = x, fx
-            x = x + r * h
-            fx = np.asarray(f(x), dtype=float)
-            np.copyto(xb, xp, where=(fx < 0.0) != (fp < 0.0))
-            s = (xp - x) * fx / (fx - fp)
-        else:
-            raise QuadratureNonConvergence(
-                f"refined_sign_nodes at N={N}: brackets {i.tolist()} still open "
-                f"after {_NODE_MAX_ITER} iterations")
-    return out[out == out].tolist()  # the nan of a dropped bracket is no node
 
 
 def periodic_l1_quadrature(lam: float, N: int) -> float:
@@ -605,7 +504,7 @@ def _circle_l1_mu(spec, poly: TrigPoly) -> float:
     h = xs[0]
     f_cell0 = spec.cell0_integral(h)
     if f_cell0 is None:
-        return circle_l1_abs(lambda x: eval_q_mu(spec, x) - poly.eval(x), xs)
+        return _circle_l1_abs(lambda x: eval_q_mu(spec, x) - poly.eval(x), xs)
     # one panel set: the edge cell [0, h], then the cells between the nodes
     cells = np.column_stack([np.r_[0.0, xs[:-1]], xs])
     pts, wts, half = panel_nodes(cells, _ORDER)

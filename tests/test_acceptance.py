@@ -95,7 +95,7 @@ def test_pointwise_error_matches_integral_oracle():
 
 def test_duality_lower_bound_attains_closed_form():
     names = [f"duality_exp_lambda{t}" for t in ("0p1", "1", "10")]
-    reports = _run_all(names, "duality lower bound at 1e5 terms, 3 lambdas")
+    reports = _run_all(names, "duality lower bound by 24 CRVZ weights, 3 lambdas")
     for r in reports:
         assert r.runtime_ms < 1000.0, f"{r.name} took {r.runtime_ms:.0f} ms"
 

@@ -11,16 +11,18 @@ import pytest
 from xapprox import (
     CertReport,
     HaarLog,
+    PointMasses,
     PowerSigma,
     UnknownCheckName,
     build_k_mu,
     check_names,
+    l1_error_mu_raw,
     reports_passed,
     reports_to_json,
     reports_to_table,
     run_cert_suite,
 )
-from xapprox.certify import _chk_catalan_series, _coeffs_by_quadrature
+from xapprox.certify import _chk_catalan_series, _coeffs_by_quadrature, _dual_bound
 
 FAST = ["thm1_1_lambda1", "catalan_digits", "thm6_1_lambda1_N0", "khat_edge_zero"]
 
@@ -36,9 +38,9 @@ def test_registry_is_stable_and_complete():
                      "thm6_1_sign", "thm1_4_N0", "thm1_4_N8", "cross_oracle_exp",
                      "cross_oracle_haar", "cross_oracle_power", "perturbation_N3",
                      "zeta_numpy", "dct_numpy", "pointwise_mu_oracle", "thm6_1_nodes_N1000",
-                     "thm6_1_sign_N1000"):
+                     "thm6_1_sign_N1000", "duality_points"):
         assert required in names
-    assert len(names) == 51
+    assert len(names) == 52
 
 
 def test_selection_preserves_registration_order():
@@ -151,6 +153,26 @@ def test_coefficient_quadrature_against_mpmath(spec, N):
         for q, i, r in zip(quad, interp, ref):
             assert abs(float(q - r)) <= 1e-14 * abs(float(r))
             assert abs(float(i - r)) <= 3e-15 * scale
+
+
+_DUAL_CASES = ([(PointMasses(((lam, 1.0),)), 1.0)
+                for lam in (1e-4, 1e-2, 0.1, 1.0, 5.0, 50.0, 200.0, 1000.0)]
+               + [(PointMasses(((0.5, 1.0), (2.0, 0.25))), delta)
+                  for delta in (0.25, 1.0, 4.0, 130.0, 2002.0)])
+
+
+@pytest.mark.parametrize("spec, delta", _DUAL_CASES, ids=[
+    f"{len(s.masses)} masses at {s.masses[0][0]:g}, delta {d:g}" for s, d in _DUAL_CASES])
+def test_dual_bound_attains_the_closed_forms(spec, delta):
+    # the 24-weight duality sum against (2/lam)(1 - sech(lam/2)) at 30
+    # digits for the unit mass, and against l1_error_mu_raw for two masses
+    if len(spec.masses) == 1:
+        with mpmath.workdps(30):
+            lam = mpmath.mpf(spec.masses[0][0])
+            ref = float(2 / lam * (1 - mpmath.sech(lam / 2)))
+    else:
+        ref = l1_error_mu_raw(spec, delta)
+    assert abs(_dual_bound(spec, delta) - ref) <= 2e-15 * ref
 
 
 def test_catalan_series_check_runs_in_chunks():

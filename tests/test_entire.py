@@ -22,7 +22,6 @@ from xapprox import (
     l1_error_mu,
     l1_error_mu_quadrature,
     l1_error_mu_raw,
-    power_l1_constant,
 )
 from xapprox import quadrature
 from xapprox.series import _cardinal_sum, _dilate, catalan
@@ -198,7 +197,6 @@ def test_l1_constants_against_frozen(ref):
         ref["haar_l1_constant"], abs=1e-13)
     for s_txt, val in ref["power_l1_constants"].items():
         s = float(s_txt)
-        assert power_l1_constant(s) == pytest.approx(val, abs=1e-12)
         assert l1_error_mu_raw(PowerSigma(s), 1.0) == pytest.approx(val, abs=1e-12)
         # presented normalization divides by |Gamma(1-sigma)|
         assert l1_error_mu(PowerSigma(s), 1.0) == pytest.approx(
@@ -211,7 +209,7 @@ def test_l1_error_delta_scaling_against_quadrature():
     spec = PowerSigma(0.5)
     delta = 2.0
     closed = l1_error_mu_raw(spec, delta)
-    assert closed == pytest.approx(power_l1_constant(0.5) / math.sqrt(2.0),
+    assert closed == pytest.approx(l1_error_mu_raw(PowerSigma(0.5)) / math.sqrt(2.0),
                                    rel=1e-13)
     assert l1_error_mu_quadrature(spec, delta) == pytest.approx(closed, abs=1e-4)
 

@@ -16,7 +16,6 @@ from xapprox import (
     SeriesNonConvergence,
     TargetForm,
     K_hat,
-    dual_lower_bound_exp,
     error_exp,
     error_exp_integral_oracle,
     eval_K,
@@ -243,14 +242,3 @@ def test_l1_quadrature_matches_closed_form():
     for lam, delta in ((1.0, 1.0), (0.5, 2.0)):
         assert l1_error_exp_quadrature(lam, delta) == pytest.approx(
             l1_error_exp(lam, delta), abs=1e-8)
-
-
-def test_duality_lower_bound_increases_to_error():
-    lam = 1.0
-    closed = l1_error_exp(lam)
-    b3 = dual_lower_bound_exp(lam, terms=10**3)
-    b5 = dual_lower_bound_exp(lam, terms=10**5)
-    assert b3 < b5 <= closed + 1e-12
-    assert closed - b5 < 1e-8
-    with pytest.raises(ValueError):
-        dual_lower_bound_exp(lam, terms=0)

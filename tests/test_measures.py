@@ -14,10 +14,9 @@ from xapprox import (
     PointMasses,
     PowerSigma,
     f_mu,
-    gamma_one_minus,
+    l1_error_mu_raw,
     measure_from_json,
     measure_to_json,
-    power_l1_constant,
     validate,
 )
 
@@ -36,7 +35,7 @@ def test_validate_rejects_bad_sigma(sigma):
     with pytest.raises(InvalidSigma):
         validate(PowerSigma(sigma))
     with pytest.raises(InvalidSigma):  # the closed form checks like its family
-        power_l1_constant(sigma)
+        l1_error_mu_raw(PowerSigma(sigma))
 
 
 def test_validate_rejects_bad_point_masses():
@@ -98,8 +97,8 @@ def test_f_mu_at_zero_divergence_pattern():
 
 
 def test_gamma_one_minus_signs():
-    assert gamma_one_minus(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-    assert gamma_one_minus(1.5) == pytest.approx(-2.0 * math.sqrt(math.pi), rel=1e-14)
+    assert PowerSigma(0.5).form_scale == pytest.approx(math.sqrt(math.pi), rel=1e-14)
+    assert PowerSigma(1.5).form_scale == pytest.approx(-2.0 * math.sqrt(math.pi), rel=1e-14)
 
 
 # --- integration -------------------------------------------------------------

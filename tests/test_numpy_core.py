@@ -50,7 +50,7 @@ for N in (0, 3, 64):
     X.periodic_l1_quadrature(1.0, N)
     X.l1_vs_log_circle(-X.build_k_mu(X.HaarLog(), N))
     X.interpolation_oracle(X.ExpPeriodized(1.0), N)
-X.l1_error_exp(1.0); X.power_l1_constant(0.5); X.gamma_one_minus(0.5)
+X.l1_error_exp(1.0); X.l1_error_mu_raw(X.PowerSigma(0.5)); X.PowerSigma(0.5).form_scale
 X.f_mu(X.PowerSigma(0.5), xs)
 X.error_exp_integral_oracle(1.0, 0.3); X.error_exp_integral_oracle(0.05, 40.0)
 for spec in specs:
@@ -181,6 +181,7 @@ import xapprox
 from xapprox import *
 
 assert len(set(xapprox.__all__)) == len(xapprox.__all__)
+assert len(xapprox.__all__) == 52, len(xapprox.__all__)
 for name in xapprox.__all__:
     if name == "__version__":
         continue

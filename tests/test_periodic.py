@@ -24,25 +24,22 @@ from xapprox import (
     TrigPoly,
     build_k,
     build_k_mu,
-    circle_l1_abs,
-    dual_lower_bound_exp,
     eval_p,
     eval_q_mu,
     interpolation_oracle,
     l1_error_exp,
     l1_error_mu_raw,
     l1_vs_log_circle,
-    p_hat,
     periodic_l1_error,
     periodic_l1_error_mu,
     periodic_l1_quadrature,
     q_hat_mu,
-    refined_sign_nodes,
 )
-from xapprox import periodic
+from xapprox import certify, periodic
+from xapprox.certify import _dual_bound, _refined_sign_nodes
+from xapprox.periodic import _circle_l1_abs
 from xapprox._stable import cospi
 from xapprox.errors import (
-    InvalidPointMass,
     NonFinitePoint,
     QuadratureNonConvergence,
     XapproxError,
@@ -471,19 +468,17 @@ def test_eval_p_branch_continuity():
         assert lo == pytest.approx(hi, abs=1e-12)
 
 
+def _unit_mass(lam):
+    return PointMasses(((lam, 1.0),))
+
+
 def test_p_hat_values():
-    assert p_hat(1.0, 0) == 0.0
-    assert p_hat(1.0, 1) == pytest.approx(2.0 / (1.0 + 4.0 * math.pi**2), rel=1e-15)
-    arr = p_hat(2.0, np.array([0, 1, -1]))
+    # p's Fourier coefficients are q_hat_mu of the unit mass
+    assert q_hat_mu(_unit_mass(1.0), 0) == 0.0
+    assert q_hat_mu(_unit_mass(1.0), 1) == pytest.approx(2.0 / (1.0 + 4.0 * math.pi**2),
+                                                        rel=1e-15)
+    arr = q_hat_mu(_unit_mass(2.0), np.array([0, 1, -1]))
     assert arr[0] == 0.0 and arr[1] == arr[2]
-
-
-def test_p_hat_is_q_hat_mu_of_the_unit_mass():
-    n = np.arange(-5.0, 6.0)
-    assert p_hat(0.7, n).tobytes() == q_hat_mu(PointMasses(((0.7, 1.0),)), n).tobytes()
-    for lam in (0.0, -1.0, math.inf, math.nan):
-        with pytest.raises(InvalidPointMass):
-            p_hat(lam, 1)
 
 
 def test_q_hat_mu_closed_forms():
@@ -493,7 +488,7 @@ def test_q_hat_mu_closed_forms():
     expect = math.pi * (2.0 * math.pi * 3.0) ** (-s) / math.sin(0.5 * math.pi * s)
     assert q_hat_mu(PowerSigma(s), 3) == pytest.approx(expect, rel=1e-14)
     spec = PointMasses(((1.0, 1.0), (2.0, 0.5)))
-    expect = p_hat(1.0, 2) + 0.5 * p_hat(2.0, 2)
+    expect = q_hat_mu(_unit_mass(1.0), 2) + 0.5 * q_hat_mu(_unit_mass(2.0), 2)
     assert q_hat_mu(spec, 2) == pytest.approx(expect, rel=1e-14)
 
 
@@ -750,13 +745,6 @@ def test_oracle_memory_is_blocked():
     assert peak < 2**20
 
 
-def test_oracle_callable_target():
-    # plain callables are accepted: recover a degree-1 polynomial exactly
-    target = lambda x: 1.0 + 2.0 * math.cos(2.0 * math.pi * x)
-    poly = interpolation_oracle(target, 1)
-    assert poly.coeff(0) == pytest.approx(1.0, abs=1e-14)
-    assert poly.coeff(1) == pytest.approx(1.0, abs=1e-14)
-
 
 # --- optimal errors ---------------------------------------------------------------
 
@@ -768,11 +756,11 @@ def test_periodic_l1_error_closed_form():
 
 
 def test_periodic_l1_error_mu_families():
-    from xapprox import catalan, power_l1_constant
+    from xapprox import catalan
     assert periodic_l1_error_mu(HaarLog(), 1) == pytest.approx(
         catalan() / math.pi, rel=1e-14)
     assert periodic_l1_error_mu(PowerSigma(0.5), 1) == pytest.approx(
-        power_l1_constant(0.5) / 2.0, rel=1e-14)
+        l1_error_mu_raw(PowerSigma(0.5)) / 2.0, rel=1e-14)
     spec = PointMasses(((1.0, 2.0),))
     assert periodic_l1_error_mu(spec, 3) == pytest.approx(
         2.0 * periodic_l1_error(1.0, 3), rel=1e-14)
@@ -794,7 +782,7 @@ def test_quadrature_reproduces_periodic_error():
     # refined node search lands on the same value
     poly = build_k(1.0, 1)
     f = lambda x: eval_p(1.0, x) - poly.eval(x)
-    assert circle_l1_abs(f, refined_sign_nodes(f, 1)) == pytest.approx(
+    assert _circle_l1_abs(f, _refined_sign_nodes(f, 1)) == pytest.approx(
         periodic_l1_error(1.0, 1), abs=1e-10)
 
 
@@ -805,7 +793,7 @@ def test_periodic_l1_quadrature_is_the_unit_point_mass_route(lam):
     for N in (0, 1, 3, 8, 64, 191, 192, 300, 1000):
         poly = build_k(lam, N)
         L = 2 * N + 2
-        direct = circle_l1_abs(lambda x: eval_p(lam, x) - poly.eval(x), (np.arange(L) + 0.5) / L)
+        direct = _circle_l1_abs(lambda x: eval_p(lam, x) - poly.eval(x), (np.arange(L) + 0.5) / L)
         assert periodic_l1_quadrature(lam, N) == direct, N
 
 
@@ -820,12 +808,10 @@ def test_log_circle_error_haar():
 @pytest.mark.parametrize("lam", [0.01, 0.3, 1.0, 4.0, 50.0])
 def test_dual_bounds_agree_on_the_line_and_circle(lam, N):
     # the circle's duality bound, summed from p's Fourier coefficients at
-    # the frequencies (k+1/2)(2N+2), is the line bound at type 2N+2
-    k = np.arange(10**4)
-    sign = np.where(k % 2 == 0, 1.0, -1.0)
-    circle = float(np.sum((4.0 / math.pi) * sign / (2.0 * k + 1.0)
-                          * p_hat(lam, (2 * N + 2) * (k + 0.5))))
-    assert dual_lower_bound_exp(lam, 2 * N + 2, 10**4) == circle
+    # the frequencies (k+1/2)(2N+2), is the line bound at type 2N+2, and
+    # it attains the circle's closed-form error
+    bound = _dual_bound(_unit_mass(lam), 2 * N + 2)
+    assert bound == pytest.approx(periodic_l1_error(lam, N), rel=2e-15, abs=0.0)
 
 
 def test_circle_l1_abs_reproduces_periodic_error():
@@ -835,27 +821,29 @@ def test_circle_l1_abs_reproduces_periodic_error():
     # of any panel interior; per-cell |integrals| are unaffected by it.
     poly = build_k(1.0, 0)
     f = lambda x: eval_p(1.0, x) - poly.eval(x)
-    val = circle_l1_abs(f, [0.0, 0.25, 0.75])
+    val = _circle_l1_abs(f, [0.0, 0.25, 0.75])
     assert val == pytest.approx(2.0 - 2.0 / math.cosh(0.25), abs=1e-12)
 
 
 def test_circle_l1_abs_validates_nodes():
     with pytest.raises(ValueError):
-        circle_l1_abs(np.sin, [])
+        _circle_l1_abs(np.sin, [])
 
+
+# --- the perturbation checks' sign-node search (certify._refined_sign_nodes) ---
 
 def test_refined_sign_nodes_near_canonical():
     lam, N = 1.0, 1
     poly = build_k(lam, N)
     f = lambda x: eval_p(lam, x) - poly.eval(x)
-    nodes = refined_sign_nodes(f, N)
+    nodes = _refined_sign_nodes(f, N)
     assert len(nodes) == 4
     canonical = (np.arange(4) + 0.5) / 4.0
     assert np.allclose(sorted(nodes), canonical, atol=1e-8)
 
 
 def _brentq_nodes(f, N):
-    # the scalar route refined_sign_nodes replaced: scipy's brentq on each
+    # the scalar route _refined_sign_nodes replaced: scipy's brentq on each
     # bracket in turn, with the same tolerances and the same bracket rules
     from scipy.optimize import brentq
 
@@ -902,7 +890,7 @@ def test_refined_sign_nodes_match_brentq(lam, N):
                 return f(x)
 
             calls.append(0)
-            nodes = refined_sign_nodes(counted, N)
+            nodes = _refined_sign_nodes(counted, N)
             ref = _brentq_nodes(f, N)
             assert len(nodes) == len(ref)
             for x, r in zip(nodes, ref):
@@ -927,12 +915,12 @@ def test_refined_sign_nodes_bracket_rules():
     # bracket 0 shows no sign change and is dropped
     a1, b3 = 1.05 / 4, 3.95 / 4
     assert (1 + 0.05) / 4 == a1 and (3 + 0.95) / 4 == b3
-    nodes = refined_sign_nodes(lambda x: (x - a1) * (x - 0.6) * (x - b3), 1)
+    nodes = _refined_sign_nodes(lambda x: (x - a1) * (x - 0.6) * (x - b3), 1)
     assert nodes[0] == a1 and nodes[2] == b3
     assert nodes[1] == pytest.approx(0.6, abs=1.6e-15)
-    assert refined_sign_nodes(lambda x: np.ones_like(x), 3) == []
+    assert _refined_sign_nodes(lambda x: np.ones_like(x), 3) == []
     # an exact zero at the canonical node ends that bracket's search
-    assert refined_sign_nodes(lambda x: x - 0.25, 0) == [0.25]
+    assert _refined_sign_nodes(lambda x: x - 0.25, 0) == [0.25]
 
 
 def test_refined_sign_nodes_multiple_root_and_jump():
@@ -940,19 +928,17 @@ def test_refined_sign_nodes_multiple_root_and_jump():
     # them bisection closes the bracket.  A jump in sign is bisected too.
     for f, root in ((lambda x: (x - 0.2511) ** 3, 0.2511),
                     (lambda x: np.where(x > 0.2512, 1.0, -1.0), 0.2512)):
-        (node,) = refined_sign_nodes(f, 0)
+        (node,) = _refined_sign_nodes(f, 0)
         assert node == pytest.approx(root, abs=2e-15)
 
 
 def test_refined_sign_nodes_raise_when_open(monkeypatch):
-    import xapprox.periodic as periodic
-
     f = lambda x: np.cos(2.0 * np.pi * (x - 0.01))
-    monkeypatch.setattr(periodic, "_NODE_MAX_ITER", 2)
+    monkeypatch.setattr(certify, "_NODE_MAX_ITER", 2)
     with pytest.raises(QuadratureNonConvergence, match=r"N=0: brackets \[0, 1\] still open"):
-        refined_sign_nodes(f, 0)
+        _refined_sign_nodes(f, 0)
     monkeypatch.undo()
     # a nan inside the bracket is never taken for a sign change
     g = lambda x: np.where(np.abs(x - 0.25) < 0.2, np.nan, x - 0.3)
     with pytest.raises(QuadratureNonConvergence, match="N=0: f is nan"):
-        refined_sign_nodes(g, 0)
+        _refined_sign_nodes(g, 0)

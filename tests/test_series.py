@@ -40,18 +40,27 @@ def _crvz(a, n=120):
 
 def _node_series(phi, z):
     """KK(phi, z) = (cos pi z/pi) sum_{n>=0} (-1)^n phi(xi) 2 xi/((xi - z)(xi + z)),
-    xi = n + 1/2, at 40 digits: 10 direct terms past |Re z|, then CRVZ."""
+    xi = n + 1/2, at 40 digits: 10 direct terms past |Re z|, then CRVZ.
+    Within 0.3 of the nearest node xi_m, cos pi z ~ 0 meets that node's
+    pole, which no fixed precision resolves as Im z -> 0; its term is
+    taken as phi(xi_m)(sincpi(z - xi_m) + sincpi(z + xi_m)) instead."""
     with mp.workdps(40):
         z = mp.mpc(z)
         n0 = int(mp.ceil(abs(z.real))) + 10
+        m = int(mp.floor(abs(z.real)))
+        xm = m + mp.mpf(1) / 2
+        near = min(abs(z - xm), abs(z + xm)) < 0.3
 
         def term(n):
             xi = n + mp.mpf(1) / 2
             return phi(xi) * 2 * xi / ((xi - z) * (xi + z))
 
-        head = mp.fsum((-1) ** n * term(n) for n in range(n0))
+        head = mp.fsum((-1) ** n * term(n) for n in range(n0) if not (near and n == m))
         tail = (-1) ** n0 * _crvz(lambda k: term(n0 + k))
-        return complex(mp.cos(mp.pi * z) / mp.pi * (head + tail))
+        out = mp.cos(mp.pi * z) / mp.pi * (head + tail)
+        if near:
+            out += phi(xm) * (mp.sincpi(z - xm) + mp.sincpi(z + xm))
+        return complex(out)
 
 
 def _exp_data(lam):
@@ -118,11 +127,13 @@ _GRID_DATA.update({
 
 def _complex_grid():
     # random points over 0 <= Re w <= 40, |Im w| <= 8; the near band's
-    # inside (within 0.3 of a node, one at 1e-8 from it) and just outside
-    # it; the imaginary axis, a corner, and the two far cases above
+    # inside (within 0.3 of a node, at 1e-8, 1e-30 and 1e-300 from it) and
+    # just outside it; the imaginary axis, a corner, and the two far cases
+    # above
     rng = np.random.default_rng(32)
     z = rng.uniform(0.0, 40.0, 12) + 1j * rng.uniform(-8.0, 8.0, 12)
-    return np.concatenate([z, [11.5 + 1e-8j, 2.5 + 0.2j, 0.5 - 0.29j, 30.2 + 0.31j, 8j,
+    return np.concatenate([z, [11.5 + 1e-8j, 2.5 + 1e-30j, 2.5 - 1e-30j, 2.5 + 1e-300j,
+                               2.5 - 1e-300j, 2.5 + 0.2j, 0.5 - 0.29j, 30.2 + 0.31j, 8j,
                                40.0 - 8j, 1 + 50j, 40.2 + 10j]])
 
 
