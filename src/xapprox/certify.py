@@ -440,91 +440,26 @@ def _chk_dct_numpy():
     return worst, 0.0, 1e-15
 
 
-# _refined_sign_nodes: brentq's stopping rule (a bracket narrower than
-# xtol + rtol |x| is a root), the half-width of the stencil around each
-# canonical node in cells 1/L, and the budget of f calls: secant steps for
-# at most _SECANT_STEPS iterations, then bisection, which closes any
-# bracket of width 0.9/L long before _NODE_MAX_ITER
-_NODE_XTOL, _NODE_RTOL = 1e-15, 8.9e-16
+# _sign_nodes: the half-width of the difference stencil around each
+# canonical node, in cells 1/L
 _NODE_STENCIL = 1e-3
-_SECANT_STEPS, _NODE_MAX_ITER = 30, 100
 
 
-def _refined_sign_nodes(f, N: int):
-    """Zeros of f near the canonical nodes (k+1/2)/L, L = 2N+2, one per
-    bracket [(k+0.05)/L, (k+0.95)/L], found for all brackets at once: f
-    takes an ndarray of points and returns their values.
-
-    A bracket whose ends show no sign change is dropped (the sum of
-    |cell integrals| over the remaining nodes is then still a valid lower
-    bound for the true L1 norm); a zero at a bracket end is that
-    bracket's node.  The first call of f takes every bracket's ends and
-    the canonical node with a point on either side at _NODE_STENCIL/L;
-    their inverse quadratic interpolant gives the first step.  Each later
-    call takes one point per open bracket, the secant step from its last
-    two points.  A step that would leave the bracket (x, xb), xb the
-    nearest point where f has the other sign, bisects it instead, and no
-    step is shorter than half of brentq's tolerance xtol + rtol |x| (1e-15
-    and 8.9e-16), so a converged point is followed by one across the
-    root.  As in brentq, a bracket narrower than that tolerance, or an
-    exact zero, gives the node.  After _SECANT_STEPS iterations only
-    bisection runs, so a multiple root still closes.  A bracket still
-    open after _NODE_MAX_ITER iterations, or a nan from f at a point the
-    search takes, raises QuadratureNonConvergence.
-    Returns the nodes in bracket order, as Python floats.
-    """
+def _sign_nodes(f, N: int):
+    """Cell edges near the zeros of f, for a lower bound on its circle L1
+    norm: one central-difference Newton step from each canonical node
+    x_k = (k+1/2)/L, L = 2N+2, all from one call of f on the 3L points
+    x_k and x_k +- _NODE_STENCIL/L.  A step that is not finite, or not
+    shorter than 1/(2L), leaves x_k in place, so the nodes increase
+    strictly in (0, 1).  Over any such edges _circle_l1_abs is a lower
+    bound for ||f||_1 (sum |int_cell f| <= int |f|), and an edge d from a
+    simple zero costs only O(d^2) of it."""
     L = 2 * N + 2
-    e = _NODE_STENCIL
-    pts = (np.arange(L) + np.array([[0.05], [0.95], [0.5 - e], [0.5], [0.5 + e]])) / L
-    fa, fb, fl, fx, fr = np.asarray(f(pts.ravel()), dtype=float).reshape(5, L)
-    a, b, _, x, _ = pts
-    out = np.full(L, np.nan)
-    i = np.flatnonzero(fa * fb < 0.0)
-    if i.size < L:
-        out[fb == 0.0] = b[fb == 0.0]
-        out[fa == 0.0] = a[fa == 0.0]
-        a, b, fa, fl, fx, fr, x = (v[i] for v in (a, b, fa, fl, fx, fr, x))
-    xb = np.where(np.signbit(fx) == np.signbit(fa), b, a)
+    x, h = (np.arange(L) + 0.5) / L, _NODE_STENCIL / L
+    fl, fx, fr = np.asarray(f(np.concatenate([x - h, x, x + h])), dtype=float).reshape(3, L)
     with np.errstate(divide="ignore", invalid="ignore"):
-        # the stencil's inverse quadratic interpolant at f = 0, from x
-        s = (e / L) * fx / (fr - fl) * (fl / (fr - fx) + fr / (fl - fx))
-        for it in range(_NODE_MAX_ITER):
-            h = xb - x
-            ah = abs(h)
-            tol = x * _NODE_RTOL  # brentq's tolerance; x > 0
-            tol += _NODE_XTOL
-            done = ah < tol
-            done |= ~(abs(fx) > 0.0)  # an exact zero, or a nan
-            if np.count_nonzero(done):
-                if np.isnan(fx[done]).any():
-                    raise QuadratureNonConvergence(
-                        f"_refined_sign_nodes at N={N}: f is nan in brackets "
-                        f"{i[np.isnan(fx)].tolist()}")
-                out[i[done]] = x[done]
-                keep = ~done
-                i, x, fx, xb, h, ah, tol, s = (
-                    v[keep] for v in (i, x, fx, xb, h, ah, tol, s))
-            if not i.size:
-                break
-            # the step as a fraction r of the way to xb: (0, 1) keeps it
-            # inside the bracket, anything else (or nan) bisects
-            if it < _SECANT_STEPS:
-                r = s / h
-                r = np.where(abs(r - 0.5) < 0.5, r, 0.5)
-            else:
-                r = 0.5
-            # no step shorter than half the tolerance
-            r = np.maximum(r, tol / (ah + ah))
-            xp, fp = x, fx
-            x = x + r * h
-            fx = np.asarray(f(x), dtype=float)
-            np.copyto(xb, xp, where=(fx < 0.0) != (fp < 0.0))
-            s = (xp - x) * fx / (fx - fp)
-        else:
-            raise QuadratureNonConvergence(
-                f"_refined_sign_nodes at N={N}: brackets {i.tolist()} still open "
-                f"after {_NODE_MAX_ITER} iterations")
-    return out[out == out].tolist()  # the nan of a dropped bracket is no node
+        step = 2.0 * h * fx / (fr - fl)
+        return np.where(abs(step) < 0.5 / L, x - step, x)
 
 
 def _chk_perturbation(N):
@@ -538,10 +473,7 @@ def _chk_perturbation(N):
         for eps in (1e-3, -1e-3):
             pert = poly.with_bumped_coeff(n, eps)
             f = lambda x: eval_p(lam, x) - pert.eval(x)
-            nodes = _refined_sign_nodes(f, N)
-            if not nodes:
-                nodes = [0.5 / (2 * N + 2)]
-            lower = _circle_l1_abs(f, nodes)  # valid lower bound for ||f||_1
+            lower = _circle_l1_abs(f, _sign_nodes(f, N))  # a lower bound for ||f||_1
             trials += 1
             increased += int(lower > base)
     return increased / float(trials), 1.0, 0.0

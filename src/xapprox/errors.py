@@ -14,7 +14,7 @@ class InvalidPointMass(XapproxError, ValueError):
 
 
 class QuadratureNonConvergence(XapproxError, ArithmeticError):
-    """A quadrature rule or sign-node search failed to meet its tolerance."""
+    """A quadrature rule failed to meet its tolerance."""
 
 
 class SeriesNonConvergence(XapproxError, ArithmeticError):

@@ -441,6 +441,7 @@ def interpolation_oracle(target, N: int) -> TrigPoly:
     for build_k_mu's Khat rows of point masses and DCT of a density.  The
     target is an ExpPeriodized or a MeasurePeriodized.
     """
+    N = _degree(N)
     L = 2 * N + 2
     xs = (np.arange(L) + 0.5) / L
     vals = np.asarray(target.value(xs), dtype=float)

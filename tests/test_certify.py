@@ -1,7 +1,9 @@
 """The certification suite's plumbing: registry, determinism, reporting."""
 
+import ast
 import collections
 import json
+import pathlib
 import tracemalloc
 
 import mpmath
@@ -22,7 +24,12 @@ from xapprox import (
     reports_to_table,
     run_cert_suite,
 )
-from xapprox.certify import _chk_catalan_series, _coeffs_by_quadrature, _dual_bound
+from xapprox.certify import (
+    _ZETA_REFERENCE,
+    _chk_catalan_series,
+    _coeffs_by_quadrature,
+    _dual_bound,
+)
 
 FAST = ["thm1_1_lambda1", "catalan_digits", "thm6_1_lambda1_N0", "khat_edge_zero"]
 
@@ -208,3 +215,12 @@ def test_no_check_calls_quadpack(monkeypatch):
         running.append(name)
         assert reports_passed(run_cert_suite([name]))
     assert not calls
+
+
+_GENERATOR = pathlib.Path(__file__).resolve().parent.parent / "tools" / "gen_reference_values.py"
+
+
+def test_zeta_reference_is_the_generators_output(fresh_python):
+    # zeta_numpy's frozen pairs are what the generator prints for them
+    out = fresh_python(str(_GENERATOR), "--zeta-numpy").stdout
+    assert ast.literal_eval(f"({out})") == _ZETA_REFERENCE

@@ -35,15 +35,11 @@ from xapprox import (
     periodic_l1_quadrature,
     q_hat_mu,
 )
-from xapprox import certify, periodic
-from xapprox.certify import _dual_bound, _refined_sign_nodes
+from xapprox import periodic
+from xapprox.certify import _dual_bound, _sign_nodes
 from xapprox.periodic import _circle_l1_abs
 from xapprox._stable import cospi
-from xapprox.errors import (
-    NonFinitePoint,
-    QuadratureNonConvergence,
-    XapproxError,
-)
+from xapprox.errors import NonFinitePoint, XapproxError
 
 
 # --- TrigPoly mechanics -------------------------------------------------------
@@ -78,12 +74,13 @@ def test_trigpoly_validation():
         TrigPoly.from_json({"degree": -1, "coeffs": []})
 
 
-@pytest.mark.parametrize("N", [1.5, 2.5, -1, math.inf, math.nan])
+@pytest.mark.parametrize("N", [1.5, 2.5, -1, -3, math.inf, math.nan])
 def test_closed_form_errors_validate_the_degree_like_the_builders(N):
-    # the closed forms refuse the degrees build_k and build_k_mu refuse,
-    # with the builders' message
+    # the closed forms and the interpolation oracle refuse the degrees
+    # build_k and build_k_mu refuse, with the builders' message
     for f, arg in ((periodic_l1_error, 1.0), (periodic_l1_error_mu, HaarLog()),
-                   (build_k, 1.0), (build_k_mu, HaarLog())):
+                   (build_k, 1.0), (build_k_mu, HaarLog()),
+                   (interpolation_oracle, ExpPeriodized(1.0))):
         with pytest.raises(ValueError, match="N must be a nonnegative integer"):
             f(arg, N)
 
@@ -779,11 +776,6 @@ def test_quadrature_reproduces_periodic_error():
     for lam, N in ((1.0, 0), (2.0, 3)):
         assert periodic_l1_quadrature(lam, N) == pytest.approx(
             periodic_l1_error(lam, N), abs=1e-10)
-    # refined node search lands on the same value
-    poly = build_k(1.0, 1)
-    f = lambda x: eval_p(1.0, x) - poly.eval(x)
-    assert _circle_l1_abs(f, _refined_sign_nodes(f, 1)) == pytest.approx(
-        periodic_l1_error(1.0, 1), abs=1e-10)
 
 
 @pytest.mark.parametrize("lam", [0.01, 0.05, 0.3, 0.5, 1.0, 2.0, 5.0, 30.0, 300.0])
@@ -830,115 +822,56 @@ def test_circle_l1_abs_validates_nodes():
         _circle_l1_abs(np.sin, [])
 
 
-# --- the perturbation checks' sign-node search (certify._refined_sign_nodes) ---
+# --- the perturbation checks' cell edges (certify._sign_nodes) ---------------
 
-def test_refined_sign_nodes_near_canonical():
-    lam, N = 1.0, 1
+def _bumped_errors(lam, N):
+    # p - P for each +-1e-3 bump of one coefficient of the optimal P, as in
+    # the perturbation checks
     poly = build_k(lam, N)
-    f = lambda x: eval_p(lam, x) - poly.eval(x)
-    nodes = _refined_sign_nodes(f, N)
-    assert len(nodes) == 4
-    canonical = (np.arange(4) + 0.5) / 4.0
-    assert np.allclose(sorted(nodes), canonical, atol=1e-8)
+    for n in range(N + 1):
+        for eps in (1e-3, -1e-3):
+            pert = poly.with_bumped_coeff(n, eps)
+            yield lambda x, pert=pert: eval_p(lam, x) - pert.eval(x)
 
 
-def _brentq_nodes(f, N):
-    # the scalar route _refined_sign_nodes replaced: scipy's brentq on each
-    # bracket in turn, with the same tolerances and the same bracket rules
-    from scipy.optimize import brentq
-
+@pytest.mark.parametrize("N", [0, 1, 3])
+def test_sign_nodes_near_canonical(N):
+    # at the optimum p - P changes sign at the canonical nodes, and the
+    # cells between the edges give the closed-form error
     L = 2 * N + 2
-    out = []
-    for k in range(L):
-        a, b = (k + 0.05) / L, (k + 0.95) / L
-        fa, fb = f(a), f(b)
-        if fa == 0.0:
-            out.append(a)
-        elif fb == 0.0:
-            out.append(b)
-        elif fa * fb < 0.0:
-            out.append(brentq(f, a, b, xtol=1e-15, rtol=8.9e-16))
-    return out
-
-
-def _sign_changes(f, lo, hi, n):
-    t = np.linspace(lo, hi, n)
-    v = f(t)
-    return t[1:][np.signbit(v[1:]) != np.signbit(v[:-1])]
+    poly = build_k(1.0, N)
+    f = lambda x: eval_p(1.0, x) - poly.eval(x)
+    nodes = _sign_nodes(f, N)
+    assert np.allclose(nodes, (np.arange(L) + 0.5) / L, rtol=0.0, atol=1e-8)
+    assert _circle_l1_abs(f, nodes) == pytest.approx(periodic_l1_error(1.0, N), abs=1e-10)
 
 
 @pytest.mark.parametrize("N", [0, 1, 3, 10, 64])
 @pytest.mark.parametrize("lam", [0.3, 1.0, 4.0])
-def test_refined_sign_nodes_match_brentq(lam, N):
-    # every coefficient of the optimal polynomial bumped by +-1e-3, as in
-    # the perturbation checks: the same nodes as brentq, each within 1e-14,
-    # in a few calls of f on arrays where brentq makes ~12 scalar calls a
-    # bracket.  Two kinds of node may differ by more: one where rounding
-    # makes f change sign many times within 1e-13 (its place is defined
-    # only to that zone, which must then hold both nodes), and one in a
-    # bracket with several sign changes (both are sign changes of f).
-    L = 2 * N + 2
-    poly = build_k(lam, N)
-    calls, loose = [], 0
-    for n in range(N + 1):
-        for eps in (1e-3, -1e-3):
-            pert = poly.with_bumped_coeff(n, eps)
-            f = lambda x: eval_p(lam, x) - pert.eval(x)
-
-            def counted(x):
-                calls[-1] += 1
-                return f(x)
-
-            calls.append(0)
-            nodes = _refined_sign_nodes(counted, N)
-            ref = _brentq_nodes(f, N)
-            assert len(nodes) == len(ref)
-            for x, r in zip(nodes, ref):
-                assert isinstance(x, float)
-                if abs(x - r) <= 1e-14:
-                    continue
-                loose += 1
-                k = math.floor(r * L)
-                assert (k + 0.05) / L <= x <= (k + 0.95) / L
-                assert _sign_changes(f, x - 2e-15, x + 2e-15, 21).size
-                if _sign_changes(f, (k + 0.05) / L, (k + 0.95) / L, 4001).size == 1:
-                    zone = _sign_changes(f, r - 1e-13, r + 1e-13, 1001)
-                    assert zone.size > 1
-                    assert zone.min() - 1e-14 <= x <= zone.max() + 1e-14
-    assert loose <= 2
-    assert np.mean(calls) <= 10.0 and max(calls) <= 22
+def test_sign_nodes_bound_every_bump(lam, N):
+    # every bumped polynomial is worse than the optimum, and the cells
+    # between the edges, strictly increasing in (0, 1), show it
+    base = periodic_l1_error(lam, N)
+    for f in _bumped_errors(lam, N):
+        nodes = _sign_nodes(f, N)
+        assert 0.0 < nodes[0] and nodes[-1] < 1.0 and np.all(np.diff(nodes) > 0.0)
+        assert _circle_l1_abs(f, nodes) > base
 
 
-def test_refined_sign_nodes_bracket_rules():
-    # N = 1: a zero at the left end of bracket 1 and at the right end of
-    # bracket 3 is that bracket's node, bracket 2 holds the root 0.6, and
-    # bracket 0 shows no sign change and is dropped
-    a1, b3 = 1.05 / 4, 3.95 / 4
-    assert (1 + 0.05) / 4 == a1 and (3 + 0.95) / 4 == b3
-    nodes = _refined_sign_nodes(lambda x: (x - a1) * (x - 0.6) * (x - b3), 1)
-    assert nodes[0] == a1 and nodes[2] == b3
-    assert nodes[1] == pytest.approx(0.6, abs=1.6e-15)
-    assert _refined_sign_nodes(lambda x: np.ones_like(x), 3) == []
-    # an exact zero at the canonical node ends that bracket's search
-    assert _refined_sign_nodes(lambda x: x - 0.25, 0) == [0.25]
+@pytest.mark.parametrize("N, margin", [(0, 5e-5), (1, 1e-3), (3, 2.5e-2)])
+def test_sign_nodes_keep_the_perturbation_margins(N, margin):
+    # the smallest relative excess over the closed form among the bumps of
+    # perturbation_N0/1/3 (6.75e-5, 1.27e-3 and 3.18e-2)
+    base = periodic_l1_error(1.0, N)
+    lower = min(_circle_l1_abs(f, _sign_nodes(f, N)) for f in _bumped_errors(1.0, N))
+    assert (lower - base) / base >= margin
 
 
-def test_refined_sign_nodes_multiple_root_and_jump():
-    # secant steps converge only linearly on a triple root; after 30 of
-    # them bisection closes the bracket.  A jump in sign is bisected too.
-    for f, root in ((lambda x: (x - 0.2511) ** 3, 0.2511),
-                    (lambda x: np.where(x > 0.2512, 1.0, -1.0), 0.2512)):
-        (node,) = _refined_sign_nodes(f, 0)
-        assert node == pytest.approx(root, abs=2e-15)
-
-
-def test_refined_sign_nodes_raise_when_open(monkeypatch):
-    f = lambda x: np.cos(2.0 * np.pi * (x - 0.01))
-    monkeypatch.setattr(certify, "_NODE_MAX_ITER", 2)
-    with pytest.raises(QuadratureNonConvergence, match=r"N=0: brackets \[0, 1\] still open"):
-        _refined_sign_nodes(f, 0)
-    monkeypatch.undo()
-    # a nan inside the bracket is never taken for a sign change
-    g = lambda x: np.where(np.abs(x - 0.25) < 0.2, np.nan, x - 0.3)
-    with pytest.raises(QuadratureNonConvergence, match="N=0: f is nan"):
-        _refined_sign_nodes(g, 0)
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("f", [np.ones_like, lambda x: np.full_like(x, np.nan)],
+                         ids=["constant", "nan"])
+def test_sign_nodes_stay_canonical_without_a_step(f):
+    # a zero difference or a nan gives no finite step: x_k stays, silently
+    for N in (0, 3):
+        L = 2 * N + 2
+        assert _sign_nodes(f, N).tolist() == ((np.arange(L) + 0.5) / L).tolist()

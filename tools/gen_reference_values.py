@@ -330,25 +330,6 @@ def coeff_power(sigma, N, n):
     return check(via_int, via_nodes, f"power coeff s={sigma} N={N} n={n}")
 
 
-# --- error transform -----------------------------------------------------------
-
-def error_ft_haar(t):
-    t = mp.mpf(t)
-    if t == 0:
-        return mp.quad(lambda l: 2 * one_minus_x_csch(l / 2) / (l * l),
-                       [0, 1, 10, 100, mp.inf])
-    return mp.quad(lambda l: (2 * l / (l * l + 4 * mp.pi ** 2 * t * t) - khat(l, t)) / l,
-                   [0, 1, 10, 100, mp.inf])
-
-
-def error_ft_power(sigma, t):
-    s = mp.mpf(sigma)
-    t = mp.mpf(t)
-    return quad_sqrt(
-        lambda l: (2 * l / (l * l + 4 * mp.pi ** 2 * t * t) - khat(l, t)) * l ** (-s),
-        [0, 1, 10, 100, mp.inf])
-
-
 # --- zeta_numpy's frozen references ----------------------------------------------
 
 # the check's arguments: from the pole (sigma -> 2) through the 4-5 band, where
@@ -485,14 +466,6 @@ def main():
         "coeffs": [float(coeff_power(0.5, 1, n)) for n in range(2)]}
 
     note("periodic coeffs ok")
-
-    # error transform samples
-    data["error_ft_samples"] = [
-        {"kind": "haar", "t": 0.25, "value": float(error_ft_haar(0.25))},
-        {"kind": "haar", "t": 0.0, "value": float(error_ft_haar(0.0))},
-        {"kind": "power", "sigma": 0.5, "t": 0.3,
-         "value": float(error_ft_power(0.5, 0.3))},
-    ]
 
     OUT.parent.mkdir(parents=True, exist_ok=True)
     OUT.write_text(json.dumps(data, indent=2) + "\n")
