@@ -171,7 +171,7 @@ def _chk_oracle_agreement():
         for x in (0.1, 0.25, 0.75, 1.3, 4.6):
             worst = max(worst, abs(error_exp(k, x)
                                    - error_exp_integral_oracle(lam, x)))
-    return worst, 0.0, 1e-13
+    return worst, 0.0, 2e-14
 
 
 def _dual_bound(spec, delta):

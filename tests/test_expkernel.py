@@ -4,6 +4,7 @@ import math
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -177,6 +178,29 @@ def test_error_grid_against_integral_oracle(ref):
         for x, expect in zip(grid["xs"], row):
             assert error_exp(k, x) == pytest.approx(expect, abs=2e-13)
             assert error_exp_integral_oracle(lam, x) == pytest.approx(expect, abs=1e-14)
+
+
+@pytest.mark.parametrize("lam", [0.05, 1.0, 5.0, 20.0, 50.0, 200.0])
+def test_integral_oracle_relative_error_against_mpmath(lam):
+    # the oracle's cuts are relative to its integrand's peak, so it holds
+    # relative accuracy where the error is e^{-60} small.  The reference is
+    # 40-digit mp.quad of the same positive integrand, scaled to O(1) (its
+    # tolerance is absolute) and split on the 1/x scale and around w = lam
+    with mpmath.workdps(40):
+        lm = mpmath.mpf(lam)
+        for x in (0.3, 1.3, 2.2, 7.1, 15.7):
+            xm = mpmath.mpf(x)
+            scale = mpmath.exp(min(xm, 0.5) * lm) * (1 + xm) ** 2
+
+            def f(w):
+                num = 2 * mpmath.sinh(w / 2) * mpmath.sinh(lm / 2) * mpmath.exp(-xm * w)
+                return scale * num / (mpmath.cosh(w) + mpmath.cosh(lm))
+
+            cuts = {mpmath.mpf(2) ** j / xm for j in range(-2, 7)}
+            cuts |= {lm + d for d in (-20, -5, 0, 5, 20) if lm + d > 0}
+            expect = float(mpmath.cos(mpmath.pi * xm) / mpmath.pi * mpmath.quad(
+                f, [0] + sorted(cuts) + [mpmath.inf]) / scale)
+            assert abs(error_exp_integral_oracle(lam, x) - expect) <= 1e-15 * abs(expect)
 
 
 def test_oracle_requires_positive_x():

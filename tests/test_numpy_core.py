@@ -336,7 +336,9 @@ def test_gauss_jacobi_against_a_30_digit_eigendecomposition(n, beta):
 # and each scalar point, real (a node among them) or complex (one in the
 # near band), on its one-point route, with 257 complex points beside them;
 # the pointwise measure error and the Watson constants of the L1 quadrature
-# contract the density rule's weights through @, and build_k_mu contracts
+# contract the density rule's weights through @, the error integral oracle
+# contracts its (lam x nodes) matrix with its twin weights through @ (on
+# the density rule's head nodes and on one lam), and build_k_mu contracts
 # point-mass weights with its K-hat rows; the power family next to
 # sigma = 1 takes all of these routes through its raw forms in e = sigma - 1;
 # the Gauss-Jacobi rule solves its Jacobi matrix without eigenvectors (eigh
@@ -372,6 +374,8 @@ for s in (X.HaarLog(), X.PowerSigma(0.5), X.PowerSigma(1.95), X.PowerSigma(1.0 +
         except X.DivergentAtZero:
             continue
         h.update(np.float64(v).tobytes())
+for lam, p in ((1.0, 0.3), (0.05, 40.0), (50.0, 1.3), (1.0, 30.0)):
+    h.update(np.float64(X.error_exp_integral_oracle(lam, p)).tobytes())
 from xapprox.quadrature import _gauss_jacobi
 for n in (16, 24, 32, 48):
     for b in (-0.95, 0.0, 0.5):
