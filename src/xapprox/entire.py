@@ -31,7 +31,7 @@ from .errors import DivergentAtZero
 from .expkernel import _oracle, _watson_c1_c3
 from .measures import TargetForm, f_mu, validate
 from .quadrature import _DENSITY_HEAD, _density_integral
-from .series import _cardinal_sum, _cell_integrals, _cell_operator, _dilate
+from .series import _cardinal_sum, _cell_integrals, _cell_operator, _dilate, _point_sum
 
 __all__ = [
     "EntireApproximant",
@@ -59,12 +59,18 @@ class EntireApproximant:
             raise ValueError(f"{self.form.value} form does not apply to {self.spec!r}")
 
 
-def _eval_raw(spec, delta, z):
-    # raw(z) = prefactor * KK(phi, delta*z) + offset, with phi never
-    # constant-offset (the constant part is summed exactly via KK(1, .) = 1)
-    phi, pref, off = spec.raw_frame(delta)
-    vals = _cardinal_sum(phi, _dilate(z, delta))
-    return pref * vals + off
+def _present(a: EntireApproximant, pref, off, re, im=None):
+    """The approximant from the series' real part re and imaginary part
+    im (floats or arrays; im None for a real series): raw = pref KK + off,
+    then the natural form, whose linear part (_form_map) maps the
+    imaginary part.  Each part is mapped in real arithmetic, so a scalar
+    has the bits of the same point in an array: Python's complex
+    arithmetic and numpy's complex loops round apart.  Returns (re, im);
+    off's imaginary part 0.0 is added too, so a -0.0 reads 0.0."""
+    re = pref * re + off
+    if a.form is not TargetForm.RAW:
+        re = a.spec.natural(re)
+    return re, None if im is None else _form_map(a, pref * im + 0.0)
 
 
 def eval_K_mu(a: EntireApproximant, z):
@@ -77,14 +83,27 @@ def eval_K_mu(a: EntireApproximant, z):
     for sigma > 1: see series._cardinal_sum): |Re w| <= 1e3 documented,
     and SeriesNonConvergence where cosh pi Im w
     overflows (|Im w| beyond ~226) or z has an infinite or nan part.
+    A scalar z gives a float or complex with the bits of the same point
+    in an array of the same max |Re w|, by the one-point route of
+    series._point_sum and the affine map in Python floats; an array gives
+    an array.
     """
+    # raw(z) = prefactor * KK(phi, delta*z) + offset, with phi never
+    # constant-offset (the constant part is summed exactly via KK(1, .) = 1)
+    phi, pref, off = a.spec.raw_frame(a.delta)
+    v = _point_sum(phi, z, a.delta)
+    if isinstance(v, complex):
+        return complex(*_present(a, pref, off, v.real, v.imag))
+    if v is not None:
+        return _present(a, pref, off, v)[0]
     zz = np.asarray(z)
-    scalar = zz.ndim == 0
-    raw = _eval_raw(a.spec, a.delta, zz)
-    out = raw if a.form is TargetForm.RAW else a.spec.natural(raw)
-    if scalar:
-        out = out[0]
-        return complex(out) if np.iscomplexobj(zz) else float(out)
+    out = _cardinal_sum(phi, _dilate(zz, a.delta))
+    if np.iscomplexobj(out):
+        out.real, out.imag = _present(a, pref, off, out.real, out.imag)
+    else:
+        out = _present(a, pref, off, out)[0]
+    if zz.ndim == 0:
+        return complex(out[0]) if np.iscomplexobj(out) else float(out[0])
     return out
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from ._stable import cospi, csch, one_minus_sech, one_minus_x_csch, sech, sinpi
 from .errors import NonFinitePoint, QuadratureNonConvergence
 from .quadrature import _panel_rule
-from .series import _cardinal_sum, _cell_integrals, _cell_operator, _dilate
+from .series import _cardinal_sum, _cell_integrals, _cell_operator, _dilate, _point_sum
 
 __all__ = [
     "ExpKernel",
@@ -68,9 +68,18 @@ def eval_K(kernel: ExpKernel, z):
     ~1e-12 of max(|K|, 1e-3 cosh(pi Im w)); off the axis up to overflow of
     cosh pi Im w (|Im w| beyond ~226), which raises SeriesNonConvergence, as
     does a z with an infinite or nan part.
+
+    A scalar z (a float, np.float64, int, complex or np.complex128) gives
+    an np.float64 or np.complex128 with the bits of the same point in an
+    array of the same max |Re w|, by the one-point route of
+    series._point_sum; an array gives an array.
     """
     lam_p = kernel.lam / kernel.delta
-    vals = _cardinal_sum(lambda xi: np.exp(-lam_p * xi), _dilate(z, kernel.delta))
+    phi = lambda xi: np.exp(-lam_p * xi)
+    v = _point_sum(phi, z, kernel.delta)
+    if v is not None:
+        return np.complex128(v) if isinstance(v, complex) else np.float64(v)
+    vals = _cardinal_sum(phi, _dilate(z, kernel.delta))
     return vals[0] if np.ndim(z) == 0 else vals
 
 
@@ -123,7 +132,7 @@ def error_exp(kernel: ExpKernel, x):
     7.1, 15.7}) but costs ~30 us a point.
     """
     x = np.asarray(x, dtype=float)
-    return np.exp(-kernel.lam * np.abs(x)) - eval_K(kernel, x)
+    return np.exp(-kernel.lam * np.abs(x)) - eval_K(kernel, x[()] if x.ndim == 0 else x)
 
 
 # Gauss-Legendre nodes per panel of the w-rule of error_exp_integral_oracle

@@ -239,13 +239,27 @@ class PowerSigma(_Density):
         # a = 1/2.  (a^{-s} - 1)/s = -log(a) exprel(-s log a) keeps sigma -> 1
         # (Haar's -log|2 sin pi x|) free of 0/0; at a = 0 it is -1/s.
         sg = self.sigma
+        g, c0, ck = _power_series(sg)
+        s = 1.0 - sg
+        if isinstance(x, float) and math.isfinite(x):
+            # one point off the integers: the operations below on one row,
+            # in Python floats and numpy scalars, so the same bits; the log
+            # and expm1 are numpy's, as below (math's may round apart)
+            a = x - math.floor(x)
+            a = min(a, 1.0 - a)
+            if a > 1e-300:  # so 0 < |s| log(1/a) < 691: exprel neither 0/0 nor overflows
+                la = -np.log(a)
+                t = s * la
+                pw = np.full(_Q_TERMS, a * a)
+                np.cumprod(pw, out=pw)
+                pw *= ck
+                return float(g * (la * (np.expm1(t) / t) + c0 + np.add.reduce(pw)))
         xx = _circle_points(x)
         a = np.atleast_1d(xx - np.floor(xx)).ravel()
         a = np.minimum(a, 1.0 - a)
         at0 = a == 0.0
         if sg < 1.0 and at0.any():
             raise DivergentAtZero("q_mu is +inf at integer x for sigma <= 1")
-        g, c0, ck = _power_series(sg)
         y = a * a
         series = np.empty_like(y)
         for i in range(0, y.size, _Q_BLOCK):  # rows y, y^2, .., y^32 by cumprod
@@ -253,7 +267,6 @@ class PowerSigma(_Density):
             np.cumprod(pw, axis=1, out=pw)
             pw *= ck
             series[i:i + _Q_BLOCK] = pw.sum(axis=1)
-        s = 1.0 - sg
         la = -np.log(np.where(at0, 1.0, a))
         head = np.where(at0, -1.0 / s, la * _exprel(s * la))
         out = g * (head + c0 + series)

@@ -352,10 +352,11 @@ def eval_q_mu(spec, x):
     exact weighted sum; the power family Hurwitz's formula
     Gamma(1-sigma) [zeta(1-sigma, a) + zeta(1-sigma, 1-a)], a = {x},
     as a series in a^2 with coefficients computed once per sigma (numpy
-    only: math.gamma and an Euler-Maclaurin zeta).  Scalar
-    or array x, one vectorized path for both; raises DivergentAtZero
-    when q_mu is infinite at any of the points, NonFinitePoint (a
-    ValueError) at a nan or infinite x.
+    only: math.gamma and an Euler-Maclaurin zeta).  Scalar or array x:
+    a float x off the integers takes the power family's one-point route
+    (~5 us), with the bits of the same point in an array.  Raises
+    DivergentAtZero when q_mu is infinite at any of the points,
+    NonFinitePoint (a ValueError) at a nan or infinite x.
     """
     validate(spec)
     return spec.q_mu(x)

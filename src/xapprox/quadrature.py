@@ -22,9 +22,41 @@ from .errors import QuadratureNonConvergence
 __all__ = []
 
 
+def _legval(x, c):
+    """sum_k c_k P_k(x) for a list c of two or more floats: numpy 2.4's
+    legval (Clenshaw's recurrence from the top), its grouping kept."""
+    c0, c1 = c[-2], c[-1]
+    nd = len(c)
+    for ck in c[-3::-1]:
+        nd -= 1
+        c0, c1 = ck - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
 @lru_cache(maxsize=8)
-def _leggauss(order: int):
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+def _leggauss(n: int):
+    """The n-point Gauss-Legendre rule on [-1, 1], n >= 2: numpy 2.4's
+    leggauss, its operations in the same order (so its bits) but without
+    importing numpy.polynomial, which costs a fresh process 2-4 ms.  The
+    nodes are the eigenvalues of the symmetric companion matrix of P_n,
+    moved by one Newton step; the weights 1/(P_{n-1} P_n'), both factors
+    scaled to max 1; then nodes and weights are symmetrized and the
+    weights normalized to sum 2.  Cached and read-only."""
+    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
+    off = np.arange(1, n) * scl[:n - 1] * scl[1:n]
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    c = [0.0] * n + [1.0]  # P_n
+    # P_n' = sum (2k + 1) P_k over k = n - 1, n - 3, ..
+    dc = [float(2 * k + 1) if (n - 1 - k) % 2 == 0 else 0.0 for k in range(n)]
+    df = _legval(x, dc)
+    x -= _legval(x, c) / df
+    fm = _legval(x, c[1:])  # P_{n-1}
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    weights = (w + w[::-1]) / 2
+    nodes = (x - x[::-1]) / 2
+    weights *= 2.0 / weights.sum()
     nodes.flags.writeable = False  # shared by every caller of this order
     weights.flags.writeable = False
     return nodes, weights

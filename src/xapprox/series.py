@@ -31,9 +31,11 @@ or on where the point sits among them or in a block.  One point (a scalar
 eval_K or eval_K_mu, real or complex, each series of error_mu_pointwise)
 takes a shorter route with the same bits: its per-point values in Python
 floats and its H + 24 terms in one 1-D row, without the buffers, the
-blocks, the band search or the one-element array operations.  On a 2-CPU
-Xeon VM (numpy 2.4) a scalar eval_K takes ~11 us real and ~16 us complex
-(~50 us complex on the block route).
+blocks, the band search or the one-element array operations.  Scalar
+calls enter it through _point_sum, which rounds w = delta z as _dilate
+does and makes no array on the way.  On a 2-CPU Xeon VM (numpy 2.4) a
+scalar eval_K takes ~5 us real and ~8 us complex (~23 and ~43 us for
+one point on the block route).
 
 Complex points are summed in real arithmetic, in _complex_series, which
 this module imports on the first complex point: at v = a + ib (a >= 0)
@@ -99,17 +101,21 @@ _MAX_RE = 2.0**20  # |Re w| beyond this raises: each point costs |Re w| + 32 ter
 
 def _dilate(z, delta):
     """delta * z as a 1-D array of float64 or complex128, whatever the
-    precision of z (the series forms its terms in float64).  An infinite
-    part of a complex z would meet the zero imaginary part of delta in
-    the product (inf * 0, a RuntimeWarning) before the series could
-    refuse the point, so a non-finite complex z raises
-    SeriesNonConvergence here; a real one passes, and the series raises
+    precision of z (the series forms its terms in float64).  A complex z
+    is scaled in its real and imaginary parts apart, one real product
+    each, as _point_sum scales a scalar; a non-finite complex z raises
+    SeriesNonConvergence here, a real one passes, and the series raises
     on it."""
     z = np.atleast_1d(np.asarray(z))
     z = z.astype(np.promote_types(z.dtype, float), copy=False)
-    if np.iscomplexobj(z) and not np.isfinite(z).all():
+    if not np.iscomplexobj(z):
+        return z * delta
+    if not np.isfinite(z).all():
         raise SeriesNonConvergence(f"cardinal series at non-finite z = {z[~np.isfinite(z)][0]}")
-    return z * delta
+    w = np.empty_like(z)
+    np.multiply(z.real, delta, out=w.real)
+    np.multiply(z.imag, delta, out=w.imag)
+    return w
 
 
 @lru_cache(maxsize=64)
@@ -212,7 +218,7 @@ def _one_point(phi, w):
     it (nan, infinite, |w| above 2^20, or a sum that is not finite): the
     block route's operations in the same order at v = |w|, the per-point
     values in Python floats and the H + 24 terms in one 1-D row, so the
-    bits are the block route's (~6 us a call against ~40 us for a
+    bits are the block route's (~4 us a call against ~23 us for a
     one-point block).  The sine is np.sin, as there: numpy's SIMD sine
     need not round as math.sin does.  The band term is divided by 1, not
     by its 0 at a node, and then zeroed, so no floating-point flag is
@@ -242,6 +248,23 @@ def _one_point(phi, w):
         pair = (sn / d if d != 0.0 else 1.0) - sn / (v + xm)
         out += pair * float(ph[m])
     return out if math.isfinite(out) else None
+
+
+def _point_sum(phi, z, delta):
+    """KK(phi, delta z) at one scalar z, the one entry of the scalar
+    calls (eval_K, eval_K_mu): a Python float for a real z (a float,
+    np.float64 or int), a Python complex for a complex one (a complex or
+    np.complex128), or None where the array route must take it: z of any
+    other type (0-d arrays among them), or a point that _one_point or
+    _complex_series.one_point declines.  w = delta z is rounded as
+    _dilate rounds it, each part one real product, and goes straight to
+    the one-point route, with no array made on the way, so the bits are
+    those of _cardinal_sum(phi, _dilate(z, delta))."""
+    if isinstance(z, complex):
+        return _complex().one_point(phi, complex(z.real * delta, z.imag * delta))
+    if isinstance(z, (float, int)):
+        return _one_point(phi, float(z) * delta)
+    return None
 
 
 def _cardinal_sum(phi, w):
@@ -281,8 +304,8 @@ def _cardinal_sum(phi, w):
     an array of the same max |Re w|.  A point that is nan, infinite,
     beyond 2^20 or (if complex) beyond |Im w| = 226, or a sum that is not
     finite, goes on to the block route, which raises or sums it.  Per
-    call on a 2-CPU Xeon VM (numpy 2.4): ~6 us a real point, ~10 us a
-    complex one, against ~40 and ~50 us for one point on the block route.
+    call on a 2-CPU Xeon VM (numpy 2.4): ~5 us a real point, ~8 us a
+    complex one, against ~23 and ~43 us for one point on the block route.
     """
     cplx = np.iscomplexobj(w)
     if w.size == 1:

@@ -8,16 +8,17 @@ import numpy as np
 import pytest
 
 from xapprox import (
+    EntireApproximant,
     ExpKernel,
     HaarLog,
     PowerSigma,
     QuadratureNonConvergence,
     eval_K,
+    eval_K_mu,
     f_mu,
     l1_error_exp_quadrature,
     l1_error_mu_quadrature,
 )
-from xapprox.entire import _eval_raw
 from xapprox.expkernel import _watson_c1_c3, l1_tail_exp
 from xapprox.quadrature import _density_integral, panel_nodes, reduce_cells_abs
 from xapprox.series import _cardinal_sum, _cell_operator
@@ -40,7 +41,7 @@ def _mu_pointwise(spec, delta):
     # the raw approximant at every node of 51 panels in x units, the first
     # cell's target integrated exactly, and the Watson tail at 50 + 1/2
     pts, wts, half = panel_nodes(_cells(50, delta), 32)
-    raw = _eval_raw(spec, delta, pts)
+    raw = eval_K_mu(EntireApproximant(spec, delta), pts)
     body = reduce_cells_abs(f_mu(spec, pts[32:]) - raw[32:], wts, half[1:], 32)
     body += abs(spec.cell0_integral(0.5 / delta) - float(raw[:32] @ wts) * half[0])
     sigma = spec.density_power

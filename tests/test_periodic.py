@@ -40,6 +40,7 @@ from xapprox.certify import _dual_bound, _sign_nodes
 from xapprox.periodic import _circle_l1_abs
 from xapprox._stable import cospi
 from xapprox.errors import NonFinitePoint, XapproxError
+from xapprox.measures import _Q_TERMS, _power_series
 
 
 # --- TrigPoly mechanics -------------------------------------------------------
@@ -565,6 +566,32 @@ def test_eval_q_mu_power_against_mpmath(sigma):
     for x, v in zip(xs, vals):
         ref = _q_power_mp(sigma, x)
         assert abs(v - ref) / max(abs(ref), 1e-3) <= 2e-13, (x, v, ref)
+
+
+def _rel(v, ref):
+    return abs(float((mpmath.mpf(float(v)) - ref) / ref))
+
+
+@pytest.mark.parametrize("sigma", [0.05, 0.5, 1.0 - 1e-6, 1.0 + 1e-6, 1.5, 1.95])
+def test_power_series_table_and_scalar_q_mu_against_mpmath(sigma):
+    # the table (Gamma(1+s), C0(s), c_2..c_64) at its own float argument
+    # s = 1.0 - sigma, and the scalar q_mu at the exact sigma; the errors
+    # reached are 3.4e-16, 1.5e-15, 1.3e-15 and 8.0e-15.  At sigma = 0.05
+    # C0 is 1.2e-16 off at the float s but 9.5e-16 (3.8e-14 absolute) at
+    # the exact 1 - sigma: the rounding of s, magnified ~840x by the zeta pole
+    g, c0, ck = _power_series(sigma)
+    with mpmath.workdps(40):
+        s = mpmath.mpf(1.0 - sigma)
+        assert _rel(g, mpmath.gamma(1 + s)) <= 2e-15
+        assert _rel(c0, (1 + 2 * mpmath.zeta(s)) / s) <= 1e-14
+        for k, c in zip(range(2, 2 * _Q_TERMS + 1, 2), ck):
+            ref = 2 * mpmath.rf(s + 1, k - 1) / mpmath.factorial(k) * mpmath.zeta(s + k)
+            assert _rel(c, ref) <= 1e-14, k
+        s = 1 - mpmath.mpf(sigma)
+        for x in (0.01, 0.1, 0.25, 0.37, 0.5):
+            a = mpmath.mpf(x)
+            ref = mpmath.gamma(s) * (mpmath.zeta(s, a) + mpmath.zeta(s, 1 - a))
+            assert _rel(eval_q_mu(PowerSigma(sigma), x), ref) <= 5e-14, x
 
 
 def test_eval_q_mu_power_continuous_through_sigma_one():

@@ -8,13 +8,53 @@ import pytest
 
 from xapprox import QuadratureNonConvergence
 from xapprox.expkernel import _watson_c1_c3
-from xapprox.quadrature import _density_integral, panel_nodes, reduce_cells_abs
+from xapprox.quadrature import _density_integral, _leggauss, panel_nodes, reduce_cells_abs
 
 
 def _panel(f, a, b, order=32):
     # one Gauss-Legendre panel over [a, b]
     pts, wts, half = panel_nodes([(a, b)], order)
     return float(f(pts) @ wts) * half[0]
+
+
+def test_leggauss_has_numpys_bits():
+    # the rule is numpy 2.4's leggauss written out, its grouping kept; an
+    # older numpy's legval groups its recurrence apart, so there the rule
+    # agrees to rounding only.  Every order the library uses (16, 24, 32)
+    # lies in 2..79
+    from numpy.polynomial.legendre import leggauss
+
+    bitwise = np.lib.NumpyVersion(np.__version__) >= "2.4.0"
+    for n in range(2, 80):
+        got, want = _leggauss(n), leggauss(n)
+        for g, w in zip(got, want):
+            assert not g.flags.writeable
+            if bitwise:
+                assert g.tobytes() == w.tobytes(), n
+            else:
+                assert np.max(np.abs(g - w)) <= 1e-15, n
+
+
+# in a fresh process, after each call, numpy.polynomial must not be loaded
+# (importing it costs 2-4 ms); numpy 1.x imports it with numpy itself
+_NO_POLYNOMIAL = r"""
+import sys
+import numpy
+if "numpy.polynomial" in sys.modules:
+    print("loaded with numpy")
+    sys.exit()
+import xapprox as X
+for call in ("X.error_exp_integral_oracle(1.0, 1.3)",
+             "X.l1_error_mu_quadrature(X.HaarLog())",
+             "X.build_k_mu(X.HaarLog(), 4)"):
+    eval(call)
+    assert "numpy.polynomial" not in sys.modules, call
+"""
+
+
+def test_gauss_rules_do_not_import_numpy_polynomial(fresh_python):
+    if fresh_python("-c", _NO_POLYNOMIAL).stdout.strip() == "loaded with numpy":
+        pytest.skip("this numpy imports numpy.polynomial with itself")
 
 
 def test_gauss_panel_polynomial_exactness():

@@ -45,8 +45,8 @@ def test_symmetry_is_bitwise():
 def test_hyperbolics_match_reference(x):
     # 690 is near the top of math.cosh/sinh's range; past it the naive
     # references overflow while sech/csch keep going (separate test)
-    assert sech(x) == pytest.approx(1.0 / math.cosh(x), rel=1e-14, abs=1e-300)
-    assert csch(x) == pytest.approx(1.0 / math.sinh(x), rel=1e-14)
+    assert sech(x) == pytest.approx(1.0 / math.cosh(x), rel=1e-14, abs=0)
+    assert csch(x) == pytest.approx(1.0 / math.sinh(x), rel=1e-14, abs=0)
 
 
 def test_hyperbolics_extreme_arguments():
@@ -71,7 +71,7 @@ def test_one_minus_x_csch_branch_continuity():
     # there to ~1e-13 relative
     x = 0.1 - 1e-12
     assert one_minus_x_csch(x) == pytest.approx(1.0 - x * csch(x), rel=5e-12)
-    assert one_minus_x_csch(1e-8) == pytest.approx(1e-16 / 6.0, rel=1e-10)
+    assert one_minus_x_csch(1e-8) == pytest.approx(1e-16 / 6.0, rel=1e-10, abs=0)
     assert one_minus_x_csch(0.0) == 0.0
     assert one_minus_x_csch(2.0) == pytest.approx(1.0 - 2.0 / math.sinh(2.0), rel=1e-14)
 
