@@ -45,7 +45,6 @@ from .entire import (
 from .measures import HaarLog, PointMasses, PowerSigma, _zeta
 from .periodic import (
     ExpPeriodized,
-    _circle_l1_abs,
     _coeff_rows,
     _cospi_sum,
     _dct2,
@@ -301,16 +300,10 @@ def _chk_periodic_nodes(grid, tol):
 
 def _chk_periodic_sign(grid):
     # the error's sign pattern at 2000 draws off the nodes per (lam, N)
-    rng = np.random.default_rng(_SEED + 1)
     worst_frac = 1.0
     for lam, N in grid:
         L = 2 * N + 2
-        xs = np.empty(0)
-        while xs.size < 2000:
-            cand = rng.uniform(0.0, 1.0, 4000)
-            d = np.abs(L * cand - (np.floor(L * cand) + 0.5))
-            xs = np.concatenate([xs, cand[d > 1e-3]])
-        xs = xs[:2000]
+        xs = _offnode_samples(2000, 0.0, L, 1e-3, _SEED + 1) / L
         poly = build_k(lam, N)
         prod = (eval_p(lam, xs) - poly.eval(xs)) * cospi(L * xs)
         worst_frac = min(worst_frac, np.count_nonzero(prod > 0.0) / 2000.0)
@@ -438,6 +431,21 @@ def _chk_dct_numpy():
         ref = 2.0 * _cospi_sum(vals, N + 1, 2 * N + 2)
         worst = max(worst, float(np.max(np.abs(_dct2(vals) - ref)) / np.max(np.abs(ref))))
     return worst, 0.0, 1e-15
+
+
+def _circle_l1_abs(f, nodes) -> float:
+    """Sum of |24-node Gauss integrals| of f over the cells of one period
+    between consecutive nodes in (0, 1), f taking ndarray input: a lower
+    bound for int_0^1 |f|, equal to it where f changes sign only at the
+    nodes.  The wrap-around cell is split at the integer point, where the
+    periodized targets have a corner or singularity."""
+    ns = sorted(float(v) for v in nodes)
+    if not ns:
+        raise ValueError("need at least one node")
+    edges = ns + ([1.0] if ns[-1] < 1.0 < ns[0] + 1.0 else []) + [ns[0] + 1.0]
+    pts, wts = _panel_rule(edges, 24)
+    per_cell = (np.asarray(f(pts), dtype=float) * wts).reshape(-1, 24).sum(axis=1)
+    return float(np.sum(np.abs(per_cell)))
 
 
 # _sign_nodes: the half-width of the difference stencil around each

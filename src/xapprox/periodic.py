@@ -8,15 +8,17 @@ and interpolates q_mu at the 2N+2 shifted nodes: build_k_mu takes the
 Khat rows for point masses (build_k is the unit mass) and one DCT of q_mu
 for a density.  Every target is even and real, and so is every
 polynomial: TrigPoly stores its cosine coefficients c_0..c_N.  A direct
-cosine-sum interpolation is the reference for both routes; circle L1
-quadrature respects the corner of p at x = 0 and the log singularity of
-the Haar target.  Every circle value goes through TrigPoly.eval:
-Reinsch's modified Clenshaw recurrence, which from degree 192 on keeps
-only the frequencies below 8 and sums the rest as one BLAS matrix
-product per block of points, against twiddle tables built once per
-chunk of points in a fixed per-thread workspace of 1 MB.  O(P) memory
-for P points plus that workspace, as accurate as the direct sum, and
-exactly even.
+cosine-sum interpolation is the reference for both routes.  The circle
+L1 quadrature runs on the line's sign-constant cells at type L = 2N+2,
+quadrature._cell_rule(N + 1)/L, over half the period (every target is
+even about 1/2 too), with f_mu's exact integral on the cell at x = 0
+where the target is singular.  Every circle value goes through
+TrigPoly.eval: Reinsch's modified Clenshaw recurrence, which from degree
+192 on keeps only the frequencies below 8 and sums the rest as one BLAS
+matrix product per block of points, against twiddle tables built once
+per chunk of points in a fixed per-thread workspace of 1 MB.  O(P)
+memory for P points plus that workspace, as accurate as the direct sum,
+and exactly even.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from ._stable import cospi, one_minus_x_csch, sinpi
 from .entire import l1_error_mu_raw
 from .expkernel import _circle_points, _khat, eval_p, l1_error_exp
 from .measures import HaarLog, PointMasses, f_mu, validate
-from .quadrature import panel_nodes, reduce_cells_abs
+from .quadrature import _cell_rule
 
 __all__ = [
     "TrigPoly",
@@ -463,29 +465,7 @@ def _cospi_sum(v, n, D):
     return out
 
 
-# --- circle L1 quadrature helpers -----------------------------------------
-
-# Gauss-Legendre nodes per cell of the circle L1 quadratures
-_ORDER = 24
-
-
-def _circle_l1_abs(f, nodes) -> float:
-    """Integral of |f| over one period given its sign-change nodes in
-    (0,1): the sum of |Gauss panel integrals| over the cells between
-    consecutive nodes, f taking ndarray input.  Splits the wrap-around
-    cell at the integer point, where the periodized targets have a corner
-    or singularity."""
-    ns = sorted(float(v) for v in nodes)
-    if not ns:
-        raise ValueError("need at least one node")
-    bounds = list(ns)
-    if ns[-1] < 1.0 < ns[0] + 1.0:
-        bounds.append(1.0)
-    bounds.append(ns[0] + 1.0)
-    bounds = np.asarray(bounds)
-    pts, wts, half = panel_nodes(np.column_stack([bounds[:-1], bounds[1:]]), _ORDER)
-    return reduce_cells_abs(np.asarray(f(pts), dtype=float), wts, half, _ORDER)
-
+# --- circle L1 quadrature -------------------------------------------------
 
 def periodic_l1_quadrature(lam: float, N: int) -> float:
     """Circle L1 error of the optimal polynomial build_k(lam, N) against
@@ -495,27 +475,25 @@ def periodic_l1_quadrature(lam: float, N: int) -> float:
 
 
 def _circle_l1_mu(spec, poly: TrigPoly) -> float:
-    """int_0^1 |q_mu - poly| for an even real poly of degree N, with cells
-    at the canonical nodes of L = 2N+2.  Where f_mu is singular at x = 0
-    (Haar, power) the two cells touching it take f_mu's exact integral
-    (cell0_integral) plus panels for the analytic q_mu - f_mu and for
-    poly; a bounded target splits the wrap-around cell at x = 1 instead.
+    """int_0^1 |q_mu - poly| for an even real poly of degree N, on the
+    line's sign-constant cells at type L = 2N+2 scaled to the circle:
+    _cell_rule(N + 1)/L, the cells [0, 1/2], [1/2, 3/2], .., [N + 1/2,
+    N + 3/2] over L, whose edges are the canonical nodes (k + 1/2)/L.
+    q_mu and poly are even about 1/2, so cells 0..N count twice and cell
+    N + 1, centred on 1/2, once: half the period is evaluated.  Where f_mu
+    is singular at x = 0 (Haar, power) cell 0 takes f_mu's exact integral
+    (cell0_integral) plus the Gauss sum of the analytic q_mu - f_mu.
     """
     L = 2 * poly.degree + 2
-    xs = (np.arange(L) + 0.5) / L
-    h = xs[0]
-    f_cell0 = spec.cell0_integral(h)
-    if f_cell0 is None:
-        return _circle_l1_abs(lambda x: eval_q_mu(spec, x) - poly.eval(x), xs)
-    # one panel set: the edge cell [0, h], then the cells between the nodes
-    cells = np.column_stack([np.r_[0.0, xs[:-1]], xs])
-    pts, wts, half = panel_nodes(cells, _ORDER)
-    q, p = eval_q_mu(spec, pts), poly.eval(pts)
-    smooth = half[0] * float(np.dot(wts, q[:_ORDER] - f_mu(spec, pts[:_ORDER])))
-    edge = abs(f_cell0 + smooth - half[0] * float(np.dot(wts, p[:_ORDER])))
-    body = reduce_cells_abs(q[_ORDER:] - p[_ORDER:], wts, half[1:], _ORDER)
-    # the mirror cell [x_{L-1}, 1] contributes the same by evenness
-    return body + 2.0 * edge
+    pts, W = _cell_rule(poly.degree + 1)
+    pts /= L
+    W /= L
+    per_cell = np.einsum("cj,cj->c", W, eval_q_mu(spec, pts) - poly.eval(pts))
+    f_cell0 = spec.cell0_integral(0.5 / L)
+    if f_cell0 is not None:
+        per_cell[0] += f_cell0 - W[0] @ f_mu(spec, pts[0])
+    a = np.abs(per_cell)
+    return float(2.0 * np.sum(a[:-1]) + a[-1])
 
 
 def l1_vs_log_circle(poly: TrigPoly) -> float:

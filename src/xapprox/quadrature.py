@@ -1,13 +1,17 @@
 """Fixed-order Gauss rules.
 
 Every integral the library computes runs a fixed rule on a known
-interval, where the integrand is analytic: Gauss-Legendre panels (the
-sign-constant cells of the L1 integrals, the oracles' w-panels) and
-Gauss-Jacobi nodes for an algebraic endpoint weight, which meet in the
-density rule behind every integral against lam^{-sigma} dlam: the
-pointwise error of the measure approximants, the Watson constants of the
-line L1 tail, and the certificate's K-hat coefficients, 1-D identities
-and periodized power target.  Their node tables are cached and read-only.
+interval, where the integrand is analytic.  Gauss-Legendre panels run
+between given edges (_panel_rule: the oracles' w-panels, the density
+rule's doubling panels, the certificate's cells) or on the canonical
+sign-constant cells [0, 1/2], [1/2, 3/2], .. of every L1 integral
+(_cell_rule), which the line takes in w = delta x and the circle at
+degree N scaled by 1/(2N+2).  Gauss-Jacobi nodes for an algebraic
+endpoint weight meet them in the density rule behind every integral
+against lam^{-sigma} dlam: the pointwise error of the measure
+approximants, the Watson constants of the line L1 tail, and the
+certificate's K-hat coefficients, 1-D identities and periodized power
+target.  Their node tables are cached and read-only.
 """
 
 from __future__ import annotations
@@ -111,8 +115,20 @@ def _panel_rule(edges, order: int):
     """Nodes and weights of order-point Gauss-Legendre panels between
     consecutive edges, flattened: the integral is f(nodes) @ weights."""
     edges = np.asarray(edges, dtype=float)
-    pts, wts, half = panel_nodes(np.column_stack([edges[:-1], edges[1:]]), order)
-    return pts, (half[:, None] * wts).ravel()
+    nodes, weights = _leggauss(order)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    pts = (mid[:, None] + half[:, None] * nodes).ravel()
+    return pts, (half[:, None] * weights).ravel()
+
+
+def _cell_rule(K):
+    """The 32-node Gauss rule on the K + 1 cells [0, 1/2], [1/2, 3/2], ..,
+    [K - 1/2, K + 1/2], between the half-integers where the line's errors
+    change sign (and, scaled by 1/L, the circle's at degree N, L = 2N+2):
+    its nodes and weights, each of shape (K + 1, 32), one row per cell."""
+    pts, wts = _panel_rule(np.r_[0.0, np.arange(K + 1) + 0.5], 32)
+    return pts.reshape(K + 1, 32), wts.reshape(K + 1, 32)
 
 
 # Gauss orders of the density rule and of its twin, head and panels alike,
@@ -171,25 +187,3 @@ def _density_integral(g, sigma, rate, what, far=None, slow=0.0):
             f"{what}, sigma={sigma:g}: twin rules give "
             f"{np.ravel(lo)[i]!r} and {np.ravel(hi)[i]!r}")
     return hi
-
-
-def panel_nodes(cells, order: int = 32):
-    """All Gauss abscissae for a list of cells, concatenated.
-
-    Returns (points, weights, half_lengths_repeated) so a caller can
-    evaluate an expensive integrand once over every cell and then reduce
-    per cell.  ``points.shape == (len(cells)*order,)``.
-    """
-    nodes, weights = _leggauss(order)
-    cells = np.asarray(cells, dtype=float)
-    mid = 0.5 * (cells[:, 0] + cells[:, 1])
-    half = 0.5 * (cells[:, 1] - cells[:, 0])
-    pts = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    return pts, weights, half
-
-
-def reduce_cells_abs(values, weights, half, order: int):
-    """Sum of |per-cell Gauss integrals| given flat integrand values."""
-    mat = values.reshape(-1, order)
-    per_cell = mat @ weights * half
-    return float(np.sum(np.abs(per_cell)))

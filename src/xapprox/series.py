@@ -15,10 +15,10 @@ beyond them by the 24 weights of Cohen, Rodriguez Villegas and Zagier
 (Exp. Math. 9 (2000), Algorithm 1).  No rate, tolerance or stopping test.
 
 Because the map is fixed, its integrals over fixed cells are too:
-_cell_operator(K) folds the 32-node Gauss rule on the K + 1 sign-constant
-cells [0, 1/2], [1/2, 3/2], .., [K - 1/2, K + 1/2] into one cached
-(K + 1) x (K + 33) matrix, which the line L1 quadratures apply to the
-node data of each lam', sigma or delta.  It and _cardinal_sum share one
+_cell_operator(K) folds quadrature._cell_rule(K), the 32-node Gauss rule
+on the K + 1 sign-constant cells [0, 1/2], [1/2, 3/2], .., [K - 1/2,
+K + 1/2], into one cached (K + 1) x (K + 33) matrix, which the line L1
+quadratures apply to the node data of each lam', sigma or delta.  It and _cardinal_sum share one
 form of the terms, the node coefficients (cached per head length) and
 the near-node band.
 
@@ -67,7 +67,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import SeriesNonConvergence
-from .quadrature import panel_nodes
+from .quadrature import _cell_rule
 
 __all__ = ["dirichlet_beta", "catalan"]
 
@@ -344,15 +344,12 @@ def _cardinal_sum(phi, w):
     return out
 
 
-_CELL_ORDER = 32  # Gauss-Legendre nodes per cell of the L1 quadratures
-
-
 @lru_cache(maxsize=4)
 def _cell_operator(K):
-    """The 32-node Gauss rule on the K + 1 sign-constant cells [0, 1/2],
-    [1/2, 3/2], .., [K - 1/2, K + 1/2] of the line L1 integrals (w units),
-    and the matrix that takes the node data to the cells' integrals of
-    the series.
+    """quadrature._cell_rule(K), the 32-node Gauss rule on the K + 1
+    sign-constant cells [0, 1/2], [1/2, 3/2], .., [K - 1/2, K + 1/2] of
+    the line L1 integrals (w units), and the matrix that takes the node
+    data to the cells' integrals of the series.
 
     Returns (pts, W, M): the rule's nodes and weights, each of shape
     (K + 1, 32), and M of shape (K + 1, K + 33), built so that
@@ -365,23 +362,21 @@ def _cell_operator(K):
     one cell).  Cached per K; the arrays are read-only, as every caller
     shares them.
     """
-    lo = np.concatenate([[0.0], np.arange(K) + 0.5])
-    pts, wts, half = panel_nodes(np.column_stack([lo, np.arange(K + 1) + 0.5]), _CELL_ORDER)
-    W = half[:, None] * wts
-    xi, coef, sign = _map(math.ceil(pts.max()) + _HEAD_PAST)
-    m, cw, pair, near = _node_terms(pts, xi, sign)
+    pts, W = _cell_rule(K)
+    n = W.shape[1]  # nodes per cell
+    x = pts.ravel()
+    xi, coef, sign = _map(math.ceil(x.max()) + _HEAD_PAST)
+    m, cw, pair, near = _node_terms(x, xi, sign)
     band = near.nonzero()[0]
     # the factor of each point's far-field terms: its weight times cos pi w / pi
     rw = W.ravel() * cw
     M = np.empty((K + 1, xi.size))
-    rows = _CELL_ORDER * max(1, (_BLOCK - 1) // (_CELL_ORDER * xi.size * pts.itemsize))
-    for i, t in _term_blocks(coef, xi, pts, (band, m[band]), rows):
+    rows = n * max(1, (_BLOCK - 1) // (n * xi.size * x.itemsize))
+    for i, t in _term_blocks(coef, xi, x, (band, m[band]), rows):
         t *= rw[i:i + rows, None]
-        c = i // _CELL_ORDER
-        np.add.reduce(t.reshape(-1, _CELL_ORDER, xi.size), axis=1,
-                      out=M[c:c + t.shape[0] // _CELL_ORDER])
-    np.add.at(M, (band // _CELL_ORDER, m[band]), W.ravel()[band] * pair[band])
-    pts = pts.reshape(W.shape)
+        c = i // n
+        np.add.reduce(t.reshape(-1, n, xi.size), axis=1, out=M[c:c + t.shape[0] // n])
+    np.add.at(M, (band // n, m[band]), W.ravel()[band] * pair[band])
     for a in (pts, W, M):
         a.flags.writeable = False
     return pts, W, M

@@ -20,30 +20,26 @@ from xapprox import (
     l1_error_mu_quadrature,
 )
 from xapprox.expkernel import _watson_c1_c3, l1_tail_exp
-from xapprox.quadrature import _density_integral, panel_nodes, reduce_cells_abs
+from xapprox.quadrature import _cell_rule, _density_integral
 from xapprox.series import _cardinal_sum, _cell_operator
-
-
-def _cells(K, scale=1.0):
-    bounds = np.concatenate([[0.0], (np.arange(K + 1) + 0.5) / scale])
-    return np.column_stack([bounds[:-1], bounds[1:]])
 
 
 def _exp_pointwise(lam_p, delta):
     # eval_K at every node of 201 panels in w units, then a sum of |cells|
-    pts, wts, half = panel_nodes(_cells(200), 32)
-    vals = np.exp(-lam_p * pts) - eval_K(ExpKernel(lam_p), pts)
-    body = reduce_cells_abs(vals, wts, half, 32)
+    pts, W = _cell_rule(200)
+    vals = np.exp(-lam_p * pts) - eval_K(ExpKernel(lam_p), pts.ravel()).reshape(pts.shape)
+    body = np.sum(np.abs(np.einsum("cj,cj->c", W, vals)))
     return (2.0 * body + 2.0 * l1_tail_exp(lam_p, 200.5)) / delta
 
 
 def _mu_pointwise(spec, delta):
     # the raw approximant at every node of 51 panels in x units, the first
     # cell's target integrated exactly, and the Watson tail at 50 + 1/2
-    pts, wts, half = panel_nodes(_cells(50, delta), 32)
-    raw = eval_K_mu(EntireApproximant(spec, delta), pts)
-    body = reduce_cells_abs(f_mu(spec, pts[32:]) - raw[32:], wts, half[1:], 32)
-    body += abs(spec.cell0_integral(0.5 / delta) - float(raw[:32] @ wts) * half[0])
+    pts, W = _cell_rule(50)
+    pts, W = pts / delta, W / delta
+    raw = eval_K_mu(EntireApproximant(spec, delta), pts.ravel()).reshape(pts.shape)
+    body = np.sum(np.abs(np.einsum("cj,cj->c", W[1:], f_mu(spec, pts[1:]) - raw[1:])))
+    body += abs(spec.cell0_integral(0.5 / delta) - W[0] @ raw[0])
     sigma = spec.density_power
     c2, c4 = delta ** (1.0 - sigma) * _density_integral(
         lambda u: np.column_stack(_watson_c1_c3(u)), sigma, 0.5, "Watson constants")

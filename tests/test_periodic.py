@@ -36,11 +36,12 @@ from xapprox import (
     q_hat_mu,
 )
 from xapprox import periodic
-from xapprox.certify import _dual_bound, _sign_nodes
-from xapprox.periodic import _circle_l1_abs
+from xapprox.certify import _circle_l1_abs, _dual_bound, _sign_nodes
 from xapprox._stable import cospi
 from xapprox.errors import NonFinitePoint, XapproxError
 from xapprox.measures import _Q_TERMS, _power_series
+from xapprox.periodic import _circle_l1_mu
+from xapprox.quadrature import _cell_rule
 
 
 # --- TrigPoly mechanics -------------------------------------------------------
@@ -575,15 +576,15 @@ def _rel(v, ref):
 @pytest.mark.parametrize("sigma", [0.05, 0.5, 1.0 - 1e-6, 1.0 + 1e-6, 1.5, 1.95])
 def test_power_series_table_and_scalar_q_mu_against_mpmath(sigma):
     # the table (Gamma(1+s), C0(s), c_2..c_64) at its own float argument
-    # s = 1.0 - sigma, and the scalar q_mu at the exact sigma; the errors
-    # reached are 3.4e-16, 1.5e-15, 1.3e-15 and 8.0e-15.  At sigma = 0.05
-    # C0 is 1.2e-16 off at the float s but 9.5e-16 (3.8e-14 absolute) at
-    # the exact 1 - sigma: the rounding of s, magnified ~840x by the zeta pole
+    # s = 1.0 - sigma, but C0, whose zeta pole takes the exact s - 1 =
+    # -sigma, at the exact 1 - sigma; and the scalar q_mu at the exact
+    # sigma; the errors reached are 3.4e-16, 1.5e-15, 1.3e-15 and 8.0e-15
     g, c0, ck = _power_series(sigma)
     with mpmath.workdps(40):
+        s = 1 - mpmath.mpf(sigma)
+        assert _rel(c0, (1 + 2 * mpmath.zeta(s)) / s) <= 1e-14
         s = mpmath.mpf(1.0 - sigma)
         assert _rel(g, mpmath.gamma(1 + s)) <= 2e-15
-        assert _rel(c0, (1 + 2 * mpmath.zeta(s)) / s) <= 1e-14
         for k, c in zip(range(2, 2 * _Q_TERMS + 1, 2), ck):
             ref = 2 * mpmath.rf(s + 1, k - 1) / mpmath.factorial(k) * mpmath.zeta(s + k)
             assert _rel(c, ref) <= 1e-14, k
@@ -592,6 +593,16 @@ def test_power_series_table_and_scalar_q_mu_against_mpmath(sigma):
             a = mpmath.mpf(x)
             ref = mpmath.gamma(s) * (mpmath.zeta(s, a) + mpmath.zeta(s, 1 - a))
             assert _rel(eval_q_mu(PowerSigma(sigma), x), ref) <= 5e-14, x
+
+
+def test_zeta_c0_takes_its_pole_at_the_exact_sigma():
+    # s = 1.0 - 0.05 rounds, and the zeta pole of C0(s) = (2 zeta(s) + 1)/s
+    # magnifies that ~840x: 9.5e-16 relative with the pole term at the
+    # float s, 2.4e-16 with the exact s - 1 = -sigma
+    c0 = _power_series(0.05)[1]
+    with mpmath.workdps(40):
+        s = 1 - mpmath.mpf(0.05)
+        assert _rel(c0, (1 + 2 * mpmath.zeta(s)) / s) <= 5e-16
 
 
 def test_eval_q_mu_power_continuous_through_sigma_one():
@@ -805,15 +816,36 @@ def test_quadrature_reproduces_periodic_error():
             periodic_l1_error(lam, N), abs=1e-10)
 
 
+# the degrees of the circle L1 tests: 191 and 192 straddle the BLAS route of
+# TrigPoly.eval
+_CIRCLE_NS = (0, 1, 3, 8, 64, 191, 192, 300, 1000)
+
+
 @pytest.mark.parametrize("lam", [0.01, 0.05, 0.3, 0.5, 1.0, 2.0, 5.0, 30.0, 300.0])
 def test_periodic_l1_quadrature_is_the_unit_point_mass_route(lam):
-    # the q_mu of one unit mass is 0.0 + 1.0 * eval_p, eval_p bit for bit,
-    # so the measure route gives the bits of the direct sign-split sum
-    for N in (0, 1, 3, 8, 64, 191, 192, 300, 1000):
-        poly = build_k(lam, N)
+    # the q_mu of one unit mass is 0.0 + 1.0 * eval_p, eval_p bit for bit at
+    # the rule's nodes, so periodic_l1_quadrature integrates p - build_k
+    # itself, and it reproduces the closed form
+    spec = PointMasses(((lam, 1.0),))
+    for N in _CIRCLE_NS:
         L = 2 * N + 2
-        direct = _circle_l1_abs(lambda x: eval_p(lam, x) - poly.eval(x), (np.arange(L) + 0.5) / L)
-        assert periodic_l1_quadrature(lam, N) == direct, N
+        pts = _cell_rule(N + 1)[0] / L
+        assert eval_q_mu(spec, pts).tobytes() == eval_p(lam, pts).tobytes(), N
+        ref = periodic_l1_error(lam, N)
+        rel = abs(periodic_l1_quadrature(lam, N) - ref) / ref
+        assert rel <= (1e-13 if N <= 64 else 1e-11), N
+
+
+@pytest.mark.parametrize("spec", [HaarLog(), *map(PowerSigma, (0.05, 0.5, 1.5, 1.95))], ids=repr)
+def test_circle_l1_quadrature_matches_density_closed_forms(spec):
+    # cell 0 takes f_mu's exact integral; the rest is the Gauss sum of
+    # q_mu - p.  At sigma = 1.95 q_mu's rounding (rms 1.4e-15 against
+    # 30-digit mpmath at the rule's nodes, where its series cancels ~20x)
+    # leaves 1.4e-12 of the 1.9e-6 error at N = 1000
+    for N in _CIRCLE_NS:
+        ref = periodic_l1_error_mu(spec, N)
+        rel = abs(_circle_l1_mu(spec, build_k_mu(spec, N)) - ref) / ref
+        assert rel <= (1e-12 if N <= 300 else 2e-12), N
 
 
 def test_log_circle_error_haar():

@@ -1,4 +1,4 @@
-"""Gauss panels, the density rule, sign-split cell sums."""
+"""Gauss panels, the sign-constant cells, the density rule."""
 
 import math
 
@@ -8,13 +8,14 @@ import pytest
 
 from xapprox import QuadratureNonConvergence
 from xapprox.expkernel import _watson_c1_c3
-from xapprox.quadrature import _density_integral, _leggauss, panel_nodes, reduce_cells_abs
+from xapprox.quadrature import _cell_rule, _density_integral, _leggauss, _panel_rule
+from xapprox.series import _cell_operator
 
 
 def _panel(f, a, b, order=32):
     # one Gauss-Legendre panel over [a, b]
-    pts, wts, half = panel_nodes([(a, b)], order)
-    return float(f(pts) @ wts) * half[0]
+    pts, wts = _panel_rule([a, b], order)
+    return float(f(pts) @ wts)
 
 
 def test_leggauss_has_numpys_bits():
@@ -69,13 +70,30 @@ def test_gauss_panel_orientation_and_scaling():
     assert val == pytest.approx(2.0, rel=1e-13)
 
 
-def test_reduce_cells_abs_sign_split():
-    # |sin| over [0, 2 pi] = 4, cells at the sign changes
-    pts, wts, half = panel_nodes([(0.0, math.pi), (math.pi, 2.0 * math.pi)])
-    assert reduce_cells_abs(np.sin(pts), wts, half, 32) == pytest.approx(4.0, rel=1e-13)
-    # without the interior node the signed halves cancel
-    pts, wts, half = panel_nodes([(0.0, 2.0 * math.pi)])
-    assert abs(reduce_cells_abs(np.sin(pts), wts, half, 32)) < 1e-12
+def test_panel_rule_sign_split():
+    # |sin| over [0, 2 pi] = 4, panels split at the sign change
+    pts, wts = _panel_rule([0.0, math.pi, 2.0 * math.pi], 32)
+    per_cell = (np.sin(pts) * wts).reshape(2, 32).sum(axis=1)
+    assert np.sum(np.abs(per_cell)) == pytest.approx(4.0, rel=1e-13, abs=0.0)
+    # without the interior edge the signed halves cancel
+    pts, wts = _panel_rule([0.0, 2.0 * math.pi], 32)
+    assert abs(np.sin(pts) @ wts) < 1e-12
+
+
+@pytest.mark.parametrize("K", [0, 1, 7, 50, 200])
+def test_cell_rule_is_the_cell_operators_rule(K):
+    # one row per cell [0, 1/2], [1/2, 3/2], .., [K - 1/2, K + 1/2]: the
+    # nodes inside it, the weights summing to its width; the arrays are
+    # those of the line's cached operator, bit for bit
+    pts, W = _cell_rule(K)
+    assert pts.shape == W.shape == (K + 1, 32)
+    lo = np.r_[0.0, np.arange(K) + 0.5]
+    assert np.all((pts > lo[:, None]) & (pts < lo[:, None] + W.sum(axis=1)[:, None]))
+    np.testing.assert_allclose(W.sum(axis=1), np.r_[0.5, np.ones(K)], rtol=1e-15, atol=0.0)
+    op_pts, op_W, _ = _cell_operator(K)
+    assert pts.tobytes() == op_pts.tobytes() and W.tobytes() == op_W.tobytes()
+    # not cached: a caller may scale its own copy
+    assert pts.flags.writeable and _cell_rule(K)[0] is not pts
 
 
 

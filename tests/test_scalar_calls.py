@@ -119,8 +119,7 @@ def test_eval_K_mu_complex_scalar_equals_array(spec, delta, w, sign, im, kind):
 def test_eval_q_mu_power_scalar_equals_array(sigma, x, kind):
     spec = PowerSigma(sigma)
     z = np.float64(x) if kind == "float64" else x
-    a = x - math.floor(x)
-    if sigma < 1.0 and min(a, 1.0 - a) == 0.0:  # on an integer, in floats
+    if sigma < 1.0 and float(x).is_integer():
         for p in (z, np.array([x, 0.3])):
             with pytest.raises(DivergentAtZero):
                 eval_q_mu(spec, p)
@@ -148,6 +147,19 @@ def test_non_finite_scalars_raise_as_before():
     for z in (2.0**20, complex(0.3, 200.0)):
         with pytest.raises(SeriesNonConvergence):
             eval_K(k, z)
+
+
+@pytest.mark.parametrize("sigma", [0.5, 1.5])
+def test_q_mu_is_even_next_to_zero(sigma):
+    # x and -x fold to the same distance |x - rint x| on both routes; 1 + x
+    # rounds to 1 at x = -1e-20, so x - floor x would put -x on the integer
+    spec = PowerSigma(sigma)
+    for x in (1e-20, 1e-300):
+        want = eval_q_mu(spec, np.array([x, 0.3]))[0]
+        assert np.isfinite(want)
+        for z in (x, -x):
+            _same(eval_q_mu(spec, z), want, float)
+            assert eval_q_mu(spec, np.array([z, 0.3]))[0].tobytes() == want.tobytes()
 
 
 def test_q_mu_at_integers():
