@@ -23,6 +23,7 @@ import json
 import math
 import sys
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -214,14 +215,7 @@ def _resolve_measure(args):
 # --- output formatting -------------------------------------------------------
 
 def _g17(v):
-    if v is None:
-        return ""
-    v = float(v)
-    if math.isnan(v):
-        return "nan"
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return format(v, ".17g")
+    return "" if v is None else format(float(v), ".17g")
 
 
 def _json_cell(v):
@@ -235,9 +229,14 @@ def _render_rows(fmt, header, rows):
     if fmt == "json":
         payload = [{k: _json_cell(v) for k, v in zip(header, row)} for row in rows]
         return json.dumps(payload, indent=2) + "\n"
-    lines = [",".join(header)]
-    lines.extend(",".join(_g17(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+    # '%.17g' writes nan, inf, -inf and -0 as format(v, ".17g") does, so a
+    # table is one % over a template; a None cell raises and goes to _g17
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+    try:
+        body = "".join([line] * len(rows)) % tuple(chain.from_iterable(rows))
+    except TypeError:
+        body = "".join(",".join(map(_g17, row)) + "\n" for row in rows)
+    return ",".join(header) + "\n" + body
 
 
 def _emit(args, text):

@@ -12,11 +12,12 @@ cosine-sum interpolation is the reference for both routes.  The circle
 L1 quadrature runs on the line's sign-constant cells at type L = 2N+2,
 quadrature._cell_rule(N + 1)/L, over half the period (every target is
 even about 1/2 too), with f_mu's exact integral on the cell at x = 0
-where the target is singular.  Every circle value goes through
-TrigPoly.eval: Reinsch's modified Clenshaw recurrence, which from degree
-192 on keeps only the frequencies below 8 and sums the rest as one BLAS
-matrix product per block of points, against twiddle tables built once
-per chunk of points in a fixed per-thread workspace of 1 MB.  O(P)
+where the target is singular, and the polynomial at its nodes from one
+real FFT of length L per Gauss offset.  Every other circle value goes
+through TrigPoly.eval: Reinsch's modified Clenshaw recurrence, which from
+degree 192 on keeps only the frequencies below 8 and sums the rest as one
+BLAS matrix product per block of points, against twiddle tables built
+once per chunk of points in a fixed per-thread workspace of 1 MB.  O(P)
 memory for P points plus that workspace, as accurate as the direct sum,
 and exactly even.
 """
@@ -27,6 +28,7 @@ import json
 import math
 import threading
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,7 +36,7 @@ from ._stable import cospi, one_minus_x_csch, sinpi
 from .entire import l1_error_mu_raw
 from .expkernel import _circle_points, _khat, eval_p, l1_error_exp
 from .measures import HaarLog, PointMasses, f_mu, validate
-from .quadrature import _cell_rule
+from .quadrature import _panel_rule
 
 __all__ = [
     "TrigPoly",
@@ -480,20 +482,62 @@ def _circle_l1_mu(spec, poly: TrigPoly) -> float:
     _cell_rule(N + 1)/L, the cells [0, 1/2], [1/2, 3/2], .., [N + 1/2,
     N + 3/2] over L, whose edges are the canonical nodes (k + 1/2)/L.
     q_mu and poly are even about 1/2, so cells 0..N count twice and cell
-    N + 1, centred on 1/2, once: half the period is evaluated.  Where f_mu
-    is singular at x = 0 (Haar, power) cell 0 takes f_mu's exact integral
-    (cell0_integral) plus the Gauss sum of the analytic q_mu - f_mu.
+    N + 1, centred on 1/2, once: half the period is evaluated.  The
+    integrand is q_mu - poly at each node, poly from _cell_poly's FFTs.
+    Where f_mu is singular at x = 0 (Haar, power) cell 0 adds f_mu's exact
+    integral (cell0_integral) less its Gauss sum.
     """
     L = 2 * poly.degree + 2
-    pts, W = _cell_rule(poly.degree + 1)
-    pts /= L
-    W /= L
-    per_cell = np.einsum("cj,cj->c", W, eval_q_mu(spec, pts) - poly.eval(pts))
+    w = _cell_offsets()[1] / L
+    per_cell = np.zeros(poly.degree + 2)
+    for j, x, p in _cell_poly(poly):
+        d = eval_q_mu(spec, x)
+        d -= p
+        d[:, 0] *= w[0, j]
+        d[:, 1:] *= w[1, j, None]
+        per_cell += d.sum(axis=0)
     f_cell0 = spec.cell0_integral(0.5 / L)
     if f_cell0 is not None:
-        per_cell[0] += f_cell0 - W[0] @ f_mu(spec, pts[0])
+        per_cell[0] += f_cell0 - w[0] @ f_mu(spec, _cell_offsets()[0][0] / L)
     a = np.abs(per_cell)
     return float(2.0 * np.sum(a[:-1]) + a[-1])
+
+
+@lru_cache(maxsize=1)
+def _cell_offsets():
+    """_cell_rule's 32 nodes and weights on cell 0 and on [-1/2, 1/2], as
+    rows of two read-only (2, 32) arrays: cell c >= 1 has nodes c + t[1]."""
+    t, w = map(np.stack, zip(_panel_rule([0.0, 0.5], 32), _panel_rule([-0.5, 0.5], 32)))
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
+
+
+def _cell_poly(poly: TrigPoly):
+    """(j, x, p) over groups j of the 32 offsets: the nodes x = (c + t[1, j])/L
+    of the cells c = 0..N+1 (cell 0's own t[0, j]/L in column 0) and poly at
+    x, each (len(j), N + 2), by one real inverse FFT of length L per offset
+    s: sum_k c_k e(ks/L) e(kc/L), |k| <= N.  From degree _BLAS_DEGREE on the
+    frequencies below _LOW run on eval's recurrence, as in eval.  A group
+    takes about _WORKSPACE bytes of transform: memory is O(L)."""
+    N, c, L = poly.degree, poly._c, 2 * poly.degree + 2
+    t = _cell_offsets()[0]
+    k = (2.0 * np.pi / L) * np.arange(N + 1)
+    rows = max(1, _WORKSPACE // (16 * L))
+    for i in range(0, 32, rows):
+        j = slice(i, i + rows)
+        Y = c * np.exp(1j * np.multiply.outer(t[:, j], k))
+        if N >= _BLAS_DEGREE:
+            Y[..., :_LOW] = 0.0
+        P = np.fft.irfft(Y, n=L, axis=-1, norm="forward")
+        x = (np.arange(N + 2.0) + t[1, j, None]) / L
+        x[:, 0] = t[0, j] / L
+        p = P[1, :, :N + 2]
+        p[:, 0] = P[0, :, 0]
+        if N >= _BLAS_DEGREE:
+            m, s = _recurrence_ms(cospi(x), sinpi(x))
+            b, d = _reinsch(poly._cos[-(_LOW - 1):], m, s)
+            p += c[0] + 0.5 * m * b + s * d
+        yield j, x, p
 
 
 def l1_vs_log_circle(poly: TrigPoly) -> float:

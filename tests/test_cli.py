@@ -4,10 +4,11 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 
 import xapprox
-from xapprox.cli import main
+from xapprox.cli import _render_rows, main
 
 
 def run(capsys, *argv):
@@ -321,6 +322,18 @@ def test_plot_data_json_nulls_for_nonfinite(capsys):
     payload = json.loads(out)
     assert payload[0]["target"] is None  # -inf at x = 0
     assert payload[1]["target"] is not None
+
+
+def test_csv_cells_pin_non_finite_and_signed_zero():
+    # a table without None is one % over a row template, which must write
+    # nan, inf, -inf and -0 as _g17 does cell by cell; None is an empty cell
+    rows = [(0.0, -0.0, math.nan, -math.nan), (math.inf, -math.inf, np.float64(-0.0), 3),
+            (np.float64(0.1), 1e-300, np.float64(math.inf), np.float64(math.nan))]
+    text = "a,b,c,d\n0,-0,nan,nan\ninf,-inf,-0,3\n0.10000000000000001,1e-300,inf,nan\n"
+    assert _render_rows("csv", ("a", "b", "c", "d"), rows) == text
+    assert _render_rows("csv", ("a", "b", "c", "d"), rows + [(2.5, None, -0.0, None)]) == (
+        text + "2.5,,-0,\n")
+    assert _render_rows("csv", ("a", "b"), []) == "a,b\n"
 
 
 # --- verify ----------------------------------------------------------------------------

@@ -342,7 +342,9 @@ def test_gauss_jacobi_against_a_30_digit_eigendecomposition(n, beta):
 # point-mass weights with its K-hat rows; the power family next to
 # sigma = 1 takes all of these routes through its raw forms in e = sigma - 1;
 # the Gauss-Jacobi rule solves its Jacobi matrix without eigenvectors (eigh
-# ran 50x slower on two OpenBLAS threads than on one)
+# ran 50x slower on two OpenBLAS threads than on one); the circle L1
+# quadrature takes the polynomial at its nodes from numpy's real FFT
+# (pocketfft, one thread) and contracts cell 0's f_mu with @
 _BLAS_HASH = r"""
 import hashlib, numpy as np, xapprox as X
 x = np.linspace(-20, 20, 2001)
@@ -352,6 +354,9 @@ for N in (192, 1000, 4000, 10**4):
     h.update(X.build_k(0.7, N).eval(u).tobytes())
 h.update(X.interpolation_oracle(X.ExpPeriodized(0.3), 1000).coeffs.tobytes())
 h.update(X.build_k_mu(X.PointMasses(((0.5, 1.0), (2.0, 0.25))), 1000).coeffs.tobytes())
+for N in (8, 1000, 4000):
+    h.update(np.float64(X.periodic_l1_quadrature(0.7, N)).tobytes())
+h.update(np.float64(X.l1_vs_log_circle(-X.build_k_mu(X.HaarLog(), 1000))).tobytes())
 for z in (x, x + 1j):
     h.update(X.eval_K(X.ExpKernel(0.3), z).tobytes())
     h.update(X.eval_K_mu(X.EntireApproximant(X.HaarLog()), z).tobytes())

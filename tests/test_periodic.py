@@ -816,8 +816,9 @@ def test_quadrature_reproduces_periodic_error():
             periodic_l1_error(lam, N), abs=1e-10)
 
 
-# the degrees of the circle L1 tests: 191 and 192 straddle the BLAS route of
-# TrigPoly.eval
+# the degrees of the circle L1 tests: 191 and 192 straddle the degree from
+# which _cell_poly keeps the frequencies below 8 out of its FFT and sums them
+# on eval's recurrence at the nodes
 _CIRCLE_NS = (0, 1, 3, 8, 64, 191, 192, 300, 1000)
 
 
@@ -846,6 +847,63 @@ def test_circle_l1_quadrature_matches_density_closed_forms(spec):
         ref = periodic_l1_error_mu(spec, N)
         rel = abs(_circle_l1_mu(spec, build_k_mu(spec, N)) - ref) / ref
         assert rel <= (1e-12 if N <= 300 else 2e-12), N
+
+
+@pytest.mark.parametrize("N", [2000, 4000, 10**4])
+def test_circle_l1_quadrature_matches_closed_forms_at_large_degree(N):
+    # what is left is the noise of the q_mu - p subtraction: point masses
+    # read up to 1.1e-10, Haar 3.3e-15 and sigma = 1.5 1.4e-12 at N = 10^4
+    for spec, tol in [*((_unit_mass(lam), 2e-10) for lam in (0.3, 1.0, 5.0)),
+                      (PointMasses(((0.5, 1.0), (2.0, 0.25))), 2e-10),
+                      (HaarLog(), 2e-14), (PowerSigma(1.5), 5e-12)]:
+        ref = periodic_l1_error_mu(spec, N)
+        assert abs(_circle_l1_mu(spec, build_k_mu(spec, N)) - ref) <= tol * ref, spec
+
+
+def _cosine_sum_ld(c, x):
+    """c_0 + 2 sum_k c_k cos 2 pi k x in long double at the float64 points
+    x, as Re sum_a e(64 a x) sum_b c'_{64 a + b} e(b x), every phase kx
+    reduced mod 1 exactly: x splits into a head of 30 bits, whose products
+    with integers below 2^23 are exact, and a tail."""
+    head = np.round(x.ravel() * 2.0**30) / 2.0**30
+    tail = (x.ravel() - head).astype(np.longdouble)
+    two_pi = 4 * np.arccos(np.longdouble(0))
+
+    def e(k):  # rows e(k x)
+        a = np.multiply.outer(k.astype(float), head)
+        ph = (a - np.floor(a)).astype(np.longdouble) + np.multiply.outer(k, tail)
+        return np.exp(1j * two_pi * ph)
+
+    A = np.zeros(-(-c.size // 64) * 64, dtype=np.longdouble)
+    A[:c.size] = 2 * c.astype(np.longdouble)
+    A[0] = c[0]
+    A = A.reshape(-1, 64)
+    G = A @ e(np.arange(64))
+    return np.sum((e(64 * np.arange(len(A))) * G).real, axis=0).reshape(x.shape)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="long double is double here")
+@pytest.mark.parametrize("N", [16, 64, 191, 1000, 4000])
+@pytest.mark.parametrize("lam", [0.3, 5.0])
+def test_cell_poly_is_as_accurate_as_eval_at_the_nodes(lam, N):
+    # the nodes are _cell_rule's to the bit; p there is as close to a long
+    # double direct sum as TrigPoly.eval's (rms over max |p|, every cell up
+    # to 191, cell 0 and 8 others beyond): 1.06-1.30x below degree 192, and
+    # 0.89-1.04x from there on, where the low frequencies leave the FFT
+    poly = build_k(lam, N)
+    L = 2 * N + 2
+    pts = _cell_rule(N + 1)[0] / L
+    x, p = np.empty((32, N + 2)), np.empty((32, N + 2))
+    for j, xj, pj in periodic._cell_poly(poly):
+        x[j], p[j] = xj, pj
+    assert x.T.tobytes() == pts.tobytes()
+    cells = np.arange(N + 2) if N < 192 else np.r_[
+        0, np.random.default_rng(N).choice(np.arange(1, N + 2), 8, replace=False)]
+    x, p = x[:, cells], p[:, cells]
+    ref = _cosine_sum_ld(poly.coeffs, x)
+    rms = [np.sqrt(np.mean(np.square((v - ref).astype(float)))) for v in (p, poly.eval(x))]
+    assert rms[0] <= (1.6 if N < 192 else 1.1) * rms[1]
+    assert rms[0] <= 2e-16 * float(np.max(np.abs(ref)))
 
 
 def test_log_circle_error_haar():
