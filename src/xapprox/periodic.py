@@ -13,7 +13,10 @@ L1 quadrature runs on the line's sign-constant cells at type L = 2N+2,
 quadrature._cell_rule(N + 1)/L, over half the period (every target is
 even about 1/2 too), with f_mu's exact integral on the cell at x = 0
 where the target is singular, and the polynomial at its nodes from one
-real FFT of length L per Gauss offset.  Every other circle value goes
+real FFT of length L per Gauss offset.  What depends on the degree alone
+(Khat's phases, the cells' twiddles and nodes, the interpolation
+cosines) is built once per degree, cached up to 256 KB a table (_table).
+Every other circle value goes
 through TrigPoly.eval: Reinsch's modified Clenshaw recurrence, which from
 degree 192 on keeps only the frequencies below 8 and sums the rest as one
 BLAS matrix product per block of points, against twiddle tables built
@@ -32,9 +35,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._stable import cospi, one_minus_x_csch, sinpi
+from ._stable import cospi, csch, one_minus_x_csch, sinpi
 from .entire import l1_error_mu_raw
-from .expkernel import _circle_points, _khat, eval_p, l1_error_exp
+from .expkernel import _circle_points, eval_p, l1_error_exp
 from .measures import HaarLog, PointMasses, f_mu, validate
 from .quadrature import _panel_rule
 
@@ -383,11 +386,19 @@ def _coeff_rows(lam, N: int, centred: bool = True):
     the c_0 form having no 2/l-vs-csch cancellation.  centred=False leaves
     c_0 = Khat(l/L, 0)/L: the row of the periodized e^{-l|x|}, mean 2/l."""
     L = 2 * N + 2
-    c = _khat((lam[:, None] if isinstance(lam, np.ndarray) else lam) / L, np.arange(N + 1) / L)
+    cos, sin = _table(_khat_phases, N, floats=2 * N + 2)
+    # expkernel._khat's arithmetic at l/L on the degree's phases
+    cs = csch(0.5 * ((lam[:, None] if isinstance(lam, np.ndarray) else lam) / L))
+    c = cos * cs / (1.0 + (sin * cs) ** 2)
     c /= L
     if centred:
         c[..., 0] = -(2.0 / lam) * one_minus_x_csch(0.5 * lam / L)
     return c
+
+
+def _khat_phases(N):
+    u = np.arange(N + 1) / (2 * N + 2)
+    return cospi(u), sinpi(u)
 
 
 def build_k(lam: float, N: int) -> TrigPoly:
@@ -456,15 +467,23 @@ def interpolation_oracle(target, N: int) -> TrigPoly:
 def _cospi_sum(v, n, D):
     """sum_k v_k cos(pi i (2k+1)/D), i < n, directly: the integer phases
     i(2k+1) mod 2D index one table cospi(j/D), in row blocks whose phases
-    and cosines take at most 256 KB each while len(v) <= 2^15."""
-    table, odd = cospi(np.arange(2 * D) / D), 2 * np.arange(v.size) + 1
+    and cosines take at most 256 KB each while len(v) <= 2^15.  A single
+    block (n len(v) <= 2^15: degree <= 127 in interpolation_oracle) is a
+    cached _table of n, D and len(v)."""
     rows = max(1, 2**15 // v.size)
-    out = np.empty(n)
+    if n <= rows:
+        return _table(_cospi_rows, range(n), D, v.size, floats=n * v.size)[0] @ v
+    table, out = cospi(np.arange(2 * D) / D), np.empty(n)
     for i in range(0, n, rows):
-        j = np.outer(np.arange(i, min(i + rows, n)), odd)
-        j %= 2 * D
-        out[i:i + j.shape[0]] = table.take(j) @ v
+        out[i:i + rows] = _cospi_rows(range(i, min(i + rows, n)), D, v.size, table)[0] @ v
     return out
+
+
+def _cospi_rows(i, D, m, table=None):
+    """(cos(pi r(2k+1)/D), r in i, k < m,): integer phases into cospi(j/D)."""
+    j = np.outer(i, 2 * np.arange(m) + 1)
+    j %= 2 * D
+    return (cospi(np.arange(2 * D) / D) if table is None else table).take(j),
 
 
 # --- circle L1 quadrature -------------------------------------------------
@@ -520,17 +539,14 @@ def _cell_poly(poly: TrigPoly):
     frequencies below _LOW run on eval's recurrence, as in eval.  A group
     takes about _WORKSPACE bytes of transform: memory is O(L)."""
     N, c, L = poly.degree, poly._c, 2 * poly.degree + 2
-    t = _cell_offsets()[0]
-    k = (2.0 * np.pi / L) * np.arange(N + 1)
     rows = max(1, _WORKSPACE // (16 * L))
     for i in range(0, 32, rows):
         j = slice(i, i + rows)
-        Y = c * np.exp(1j * np.multiply.outer(t[:, j], k))
+        E, x = _table(_cell_twiddles, N, i, rows, floats=32 * (5 * N + 6))
+        Y = c * E
         if N >= _BLAS_DEGREE:
             Y[..., :_LOW] = 0.0
         P = np.fft.irfft(Y, n=L, axis=-1, norm="forward")
-        x = (np.arange(N + 2.0) + t[1, j, None]) / L
-        x[:, 0] = t[0, j] / L
         p = P[1, :, :N + 2]
         p[:, 0] = P[0, :, 0]
         if N >= _BLAS_DEGREE:
@@ -538,6 +554,32 @@ def _cell_poly(poly: TrigPoly):
             b, d = _reinsch(poly._cos[-(_LOW - 1):], m, s)
             p += c[0] + 0.5 * m * b + s * d
         yield j, x, p
+
+
+def _cell_twiddles(N, i, rows):
+    """_cell_poly's e(k t/L), |k| <= N, (2, g, N + 1), and nodes x, (g, N + 2),
+    for the g offsets t = _cell_offsets()[0][:, i:i + rows]."""
+    L = 2 * N + 2
+    t = _cell_offsets()[0][:, i:i + rows]
+    E = np.exp(1j * np.multiply.outer(t, (2.0 * np.pi / L) * np.arange(N + 1)))
+    x = (np.arange(N + 2.0) + t[1, :, None]) / L
+    x[:, 0] = t[0] / L
+    return E, x
+
+
+@lru_cache(maxsize=64)
+def _cached(build, *args):
+    out = build(*args)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _table(build, *args, floats):
+    """build(*args), a tuple of read-only arrays set by the degree alone:
+    cached while they hold at most 2^15 floats (256 KB, so the 64 entries
+    hold 16 MB at most), built afresh above that, as series._head_map."""
+    return (_cached if floats <= 2**15 else _cached.__wrapped__)(build, *args)
 
 
 def l1_vs_log_circle(poly: TrigPoly) -> float:

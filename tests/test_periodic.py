@@ -992,3 +992,117 @@ def test_sign_nodes_stay_canonical_without_a_step(f):
     for N in (0, 3):
         L = 2 * N + 2
         assert _sign_nodes(f, N).tolist() == ((np.arange(L) + 0.5) / L).tolist()
+
+
+# --- degree-only tables ---------------------------------------------------------
+
+def _table_calls(N):
+    """Each cacheable table of degree N as (build, args), as the routes ask
+    for it."""
+    L = 2 * N + 2
+    calls = [(periodic._khat_phases, (N,))]
+    if N <= 203:
+        calls.append((periodic._cell_twiddles, (N, 0, periodic._WORKSPACE // (16 * L))))
+    if N <= 127:
+        calls.append((periodic._cospi_rows, (range(N + 1), L, L)))
+    return calls
+
+
+def _circle_outputs(N):
+    """The bits of every route that reads the degree-only tables."""
+    return (build_k(0.7, N).coeffs.tobytes(),
+            build_k_mu(PointMasses(((0.5, 1.0), (2.0, 0.25))), N).coeffs.tobytes(),
+            np.float64(periodic_l1_quadrature(0.7, N)).tobytes(),
+            np.float64(l1_vs_log_circle(-build_k_mu(HaarLog(), N))).tobytes(),
+            interpolation_oracle(ExpPeriodized(0.7), N).coeffs.tobytes())
+
+
+def _cached_tables():
+    """The arrays the table cache holds, read from the cache's references."""
+    import gc
+    held = [r for r in gc.get_referents(periodic._cached) if isinstance(r, tuple)
+            and r and all(isinstance(a, np.ndarray) for a in r)]
+    assert len(held) == periodic._cached.cache_info().currsize
+    return [a for r in held for a in r]
+
+
+@pytest.mark.parametrize("N", [0, 1, 8, 64, 127, 128, 203, 1000])
+def test_cached_tables_equal_fresh_builds_and_are_read_only(N):
+    for build, args in _table_calls(N):
+        cached = periodic._cached(build, *args)
+        assert periodic._cached(build, *args) is cached
+        for a, b in zip(cached, build(*args)):
+            assert a.tobytes() == b.tobytes() and a.shape == b.shape
+            with pytest.raises(ValueError):
+                a[...] = 0.0
+
+
+def test_tables_above_the_cap_are_built_not_cached():
+    periodic._cached.cache_clear()
+    for N in (128, 204, 16384):
+        build_k(0.7, N)
+    periodic_l1_quadrature(0.7, 204)
+    interpolation_oracle(ExpPeriodized(0.7), 128)
+    info = periodic._cached.cache_info()
+    # only the Khat phases of 128 and 204 fit 2^15 floats
+    assert (info.currsize, info.hits) == (2, 1)
+
+
+@pytest.mark.parametrize("N", [0, 5, 100, 300])
+def test_outputs_keep_their_bits_cold_and_warm(N):
+    periodic._cached.cache_clear()
+    cold = _circle_outputs(N)
+    assert _circle_outputs(N) == cold
+    periodic._cached.cache_clear()
+    assert _circle_outputs(N) == cold
+
+
+def test_threads_building_a_fresh_degree_get_the_same_bits():
+    N = 97
+    periodic._cached.cache_clear()
+    want = (build_k(0.7, N).coeffs, periodic_l1_quadrature(0.7, N))
+    periodic._cached.cache_clear()
+    start = threading.Barrier(4)
+    results = []
+
+    def work():
+        start.wait()
+        results.append((build_k(0.7, N).coeffs, periodic_l1_quadrature(0.7, N)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and len(results) == 4
+    for c, l1 in results:
+        assert c.tobytes() == want[0].tobytes() and l1 == want[1]
+
+
+def test_table_cache_stays_small_and_holds_the_circle_degrees():
+    # 200 distinct degrees from 0 to 10^5, each route where it can read a
+    # table (the circle L1 quadrature and interpolation cache nothing above
+    # degrees 203 and 127)
+    periodic._cached.cache_clear()
+    sweep = np.concatenate([np.arange(100), np.rint(np.geomspace(100, 10**5, 100))])
+    assert np.unique(sweep).size == 200 and sweep[-1] == 10**5
+    for N in sweep.astype(int).tolist():
+        build_k(0.7, N)
+        if N <= 300:
+            periodic_l1_quadrature(0.7, N)
+            interpolation_oracle(ExpPeriodized(0.7), N)
+    assert sum(a.nbytes for a in _cached_tables()) <= 16 * 2**20
+    # the degrees the circle routes use run a second round from the cache
+    degrees = list(range(17)) + [32, 64, 124, 204, 443, 1000]
+    for _ in range(2):
+        for N in degrees:
+            build_k(0.7, N)
+            periodic_l1_quadrature(0.7, N)
+            interpolation_oracle(ExpPeriodized(0.7), N)
+        misses = periodic._cached.cache_info().misses
+    assert periodic._cached.cache_info().misses == misses
