@@ -397,8 +397,9 @@ def _coeff_rows(lam, N: int, centred: bool = True):
 
 
 def _khat_phases(N):
-    u = np.arange(N + 1) / (2 * N + 2)
-    return cospi(u), sinpi(u)
+    # cos(pi n/L) as sin(pi (N + 1 - n)/L): no rounded n/L inside the cosine
+    L = 2 * N + 2
+    return sinpi(np.arange(N + 1, 0, -1) / L), sinpi(np.arange(N + 1) / L)
 
 
 def build_k(lam: float, N: int) -> TrigPoly:
