@@ -13,16 +13,14 @@ L1 quadrature runs on the line's sign-constant cells at type L = 2N+2,
 quadrature._cell_rule(N + 1)/L, over half the period (every target is
 even about 1/2 too), with f_mu's exact integral on the cell at x = 0
 where the target is singular, and the polynomial at its nodes from one
-real FFT of length L per Gauss offset.  What depends on the degree alone
-(Khat's phases, the cells' twiddles and nodes, the interpolation
-cosines) is built once per degree, cached up to 256 KB a table (_table).
-Every other circle value goes
-through TrigPoly.eval: Reinsch's modified Clenshaw recurrence, which from
-degree 192 on keeps only the frequencies below 8 and sums the rest as one
-BLAS matrix product per block of points, against twiddle tables built
-once per chunk of points in a fixed per-thread workspace of 1 MB.  O(P)
-memory for P points plus that workspace, as accurate as the direct sum,
-and exactly even.
+real FFT of length L per Gauss offset.  Tables set by the degree alone
+(Khat's phases, cell twiddles, interpolation cosines) are kept (_table).
+Every other circle value goes through TrigPoly.eval: Reinsch's modified
+Clenshaw recurrence, which from degree 192 on keeps only the frequencies
+below 8 and sums the rest as one BLAS matrix product per block of points,
+against twiddle tables built once per chunk of points in a fixed
+per-thread workspace of 1 MB.  O(P) memory for P points plus that
+workspace, as accurate as the direct sum, and exactly even.
 """
 
 from __future__ import annotations
@@ -376,6 +374,21 @@ def _degree(N) -> int:
     return int(N)
 
 
+@lru_cache(maxsize=64)
+def _cached(build, *args):
+    out = build(*args)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _table(build, *args, floats):
+    """build(*args), a tuple of read-only arrays set by the degree alone:
+    cached while they hold at most 2^15 floats (256 KB, so the 64 entries
+    hold 16 MB at most), built afresh above that, as series._head_map."""
+    return (_cached if floats <= 2**15 else _cached.__wrapped__)(build, *args)
+
+
 def _coeff_rows(lam, N: int, centred: bool = True):
     """Coefficients c_0..c_N of the optimal degree-N polynomial for p(l, .)
     at each l of lam (a float: one row; a 1-D array: one row per entry),
@@ -468,9 +481,8 @@ def interpolation_oracle(target, N: int) -> TrigPoly:
 def _cospi_sum(v, n, D):
     """sum_k v_k cos(pi i (2k+1)/D), i < n, directly: the integer phases
     i(2k+1) mod 2D index one table cospi(j/D), in row blocks whose phases
-    and cosines take at most 256 KB each while len(v) <= 2^15.  A single
-    block (n len(v) <= 2^15: degree <= 127 in interpolation_oracle) is a
-    cached _table of n, D and len(v)."""
+    and cosines take at most 256 KB each while len(v) <= 2^15; a single
+    block (degree <= 127 in interpolation_oracle) is a cached _table."""
     rows = max(1, 2**15 // v.size)
     if n <= rows:
         return _table(_cospi_rows, range(n), D, v.size, floats=n * v.size)[0] @ v
@@ -543,7 +555,7 @@ def _cell_poly(poly: TrigPoly):
     rows = max(1, _WORKSPACE // (16 * L))
     for i in range(0, 32, rows):
         j = slice(i, i + rows)
-        E, x = _table(_cell_twiddles, N, i, rows, floats=32 * (5 * N + 6))
+        E, x = _table(_cell_twiddles, N, i, rows, floats=32 * (4 * (N + 1) + N + 2))
         Y = c * E
         if N >= _BLAS_DEGREE:
             Y[..., :_LOW] = 0.0
@@ -566,21 +578,6 @@ def _cell_twiddles(N, i, rows):
     x = (np.arange(N + 2.0) + t[1, :, None]) / L
     x[:, 0] = t[0] / L
     return E, x
-
-
-@lru_cache(maxsize=64)
-def _cached(build, *args):
-    out = build(*args)
-    for a in out:
-        a.flags.writeable = False
-    return out
-
-
-def _table(build, *args, floats):
-    """build(*args), a tuple of read-only arrays set by the degree alone:
-    cached while they hold at most 2^15 floats (256 KB, so the 64 entries
-    hold 16 MB at most), built afresh above that, as series._head_map."""
-    return (_cached if floats <= 2**15 else _cached.__wrapped__)(build, *args)
 
 
 def l1_vs_log_circle(poly: TrigPoly) -> float:
